@@ -106,7 +106,8 @@ class AnalysisConfig:
     #: cache key.
     kernel_width: int = 256
     #: pause the cyclic garbage collector for the duration of each
-    #: pipeline run (one full collection afterwards). The analysis
+    #: pipeline run (an amortised collection afterwards, see
+    #: :mod:`repro.perf.gcpause`). The analysis
     #: allocates heavily and keeps almost all of it live until the
     #: report is built, so mid-phase collections are pure overhead —
     #: 20-30% of wall time on the bench workloads. Report-preserving,

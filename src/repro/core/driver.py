@@ -88,6 +88,9 @@ class SafeFlow:
             finally:
                 if memo is not None:
                     memo.release(memo_key, program)
+                # drop the frame's reference now, so the program's
+                # acyclic parts die by refcount before the guard exits
+                program = None
 
     def analyze_files(self, paths: Sequence[str],
                       name: str = "program") -> AnalysisReport:
@@ -127,6 +130,9 @@ class SafeFlow:
             finally:
                 if memo is not None:
                     memo.release(memo_key, program)
+                # drop the frame's reference now, so the program's
+                # acyclic parts die by refcount before the guard exits
+                program = None
 
     def analyze_request(self, *, source: Optional[str] = None,
                         filename: str = "<source>",
@@ -352,6 +358,13 @@ class SafeFlow:
             getattr(program, "recovery_successes", {}) or {})
         report.stats.recovered_units = sum(
             1 for d in report.degraded if d.kind == "recovered")
+        # counted here, not on demand: a lazy count would have to keep
+        # the whole IR alive for as long as the report lives
+        report.stats.instructions = sum(
+            len(block.instructions)
+            for func in program.module.defined_functions()
+            for block in func.blocks
+        )
         timings["total"] = (
             time.perf_counter() - started + (frontend_seconds or 0.0)
         )
@@ -415,13 +428,7 @@ class SafeFlow:
                     source_text: Optional[str]) -> AnalysisStats:
         stats = AnalysisStats()
         stats.files = len(program.units)
-        functions = list(program.module.defined_functions())
-        stats.functions = len(functions)
-        # counting instructions walks every block of every function;
-        # defer it until something actually reads the stat
-        stats._instruction_counter = lambda fs=tuple(functions): sum(
-            sum(1 for _ in f.instructions()) for f in fs
-        )
+        stats.functions = sum(1 for _ in program.module.defined_functions())
         stats.annotation_lines = program.annotation_lines
         if source_text is not None:
             stats.loc_total = _count_loc(source_text)

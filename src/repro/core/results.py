@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..degrade import DegradedUnit
 from ..reporting.diagnostics import (
@@ -30,6 +30,8 @@ class AnalysisStats:
 
     files: int = 0
     functions: int = 0
+    #: total IR instructions, counted once at the end of the pipeline
+    instructions: int = 0
     loc_total: int = 0
     annotation_lines: int = 0
     shm_regions: int = 0
@@ -78,36 +80,6 @@ class AnalysisStats:
     #: under ``AnalysisConfig.profile``; label → {calls, seconds,
     #: self_seconds}
     hotspots: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: backing slots for the lazy ``instructions`` property: counting
-    #: instructions walks every block of every function, which a run
-    #: that never reads the stat should not pay for
-    _instructions: Optional[int] = field(
-        default=None, repr=False, compare=False
-    )
-    _instruction_counter: Optional[Callable[[], int]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def instructions(self) -> int:
-        """Total IR instruction count, computed on first access."""
-        if self._instructions is None:
-            counter = self._instruction_counter
-            self._instructions = counter() if counter is not None else 0
-        return self._instructions
-
-    @instructions.setter
-    def instructions(self, value: int) -> None:
-        self._instructions = value
-
-    def __getstate__(self):
-        # the counter closes over live IR; force the count and drop the
-        # closure so reports pickle cleanly across batch workers
-        state = self.__dict__.copy()
-        state["_instructions"] = self.instructions
-        state["_instruction_counter"] = None
-        return state
-
     def cache_counters(self) -> Dict[str, int]:
         return {
             "frontend_cache_hits": self.frontend_cache_hits,

@@ -17,7 +17,7 @@ function it defines degraded (fail-closed around rewritten text).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..annotations.lang import AnnotationItem
 from ..degrade import (
@@ -28,20 +28,74 @@ from ..degrade import (
     degraded_function_names,
     sort_degraded,
 )
-from ..errors import ParseError, PreprocessorError
-from ..ir import Module, verify_module
+from ..errors import LoweringError, ParseError, PreprocessorError
+from ..ir import CType, Module, StructType, verify_module
 from ..ir.source import SourceLocation
 from ..ir.verifier import verify_function
 from .attach import annotation_line_count, attach_annotations, owning_function
-from .lower import ModuleLowerer, lower_units
+from .lower import ModuleLowerer, lower_units, primitive_type
 from .parser import ParsedUnit
 from .preprocessor import ExtractedAnnotation
 from .recovery import frontend_unit
 
 
+@dataclass(frozen=True)
+class UnitInfo:
+    """What a :class:`Program` keeps of a translation unit once it is
+    lowered: no parse tree and no preprocessed text."""
+
+    name: str
+    #: every file the preprocessor read for the unit, includes too
+    files: Tuple[str, ...]
+    #: line ``i`` (0-based) of the preprocessed unit came from
+    #: ``line_map[i]``
+    line_map: Tuple[SourceLocation, ...]
+
+    @classmethod
+    def of(cls, unit: ParsedUnit) -> "UnitInfo":
+        return cls(unit.name, tuple(unit.source.files),
+                   tuple(unit.source.line_map))
+
+
+class SizeofResolver:
+    """``sizeof(name)`` for annotation size expressions, answered from
+    the typedef table a module's units share and the module's struct
+    table — so a :class:`Program` need not keep its lowerer."""
+
+    def __init__(self, typedefs: Dict[str, CType],
+                 structs: Dict[str, StructType]):
+        self.typedefs = typedefs
+        self.structs = structs
+
+    def __call__(self, type_name: str) -> int:
+        name = type_name.strip()
+        if name.endswith("*"):
+            return 4
+        for prefix in ("struct ", "union "):
+            if name.startswith(prefix):
+                struct = self.structs.get(prefix + name[len(prefix):].strip())
+                if struct is None:
+                    raise LoweringError(f"unknown type in sizeof: {name!r}")
+                return struct.sizeof()
+        if name in self.typedefs:
+            return self.typedefs[name].sizeof()
+        primitive = primitive_type(name)
+        if primitive is not None:
+            return primitive.sizeof()
+        struct = self.structs.get("struct " + name)
+        if struct is not None:
+            return struct.sizeof()
+        raise LoweringError(f"unknown type in sizeof: {name!r}")
+
+
 @dataclass
 class Program:
-    """A fully front-ended program: IR + annotations + type info."""
+    """A fully front-ended program: IR + annotations + type info.
+
+    It keeps what the analysis phases and the caches read, and no
+    parser or lowerer state: every cache that stores a program stores
+    only this.
+    """
 
     module: Module
     annotations: List[ExtractedAnnotation] = field(default_factory=list)
@@ -49,7 +103,7 @@ class Program:
         default_factory=dict
     )
     sizeof: Callable[[str], int] = lambda name: 4
-    units: List[ParsedUnit] = field(default_factory=list)
+    units: List[UnitInfo] = field(default_factory=list)
     #: frontend failures isolated in recover mode (deterministic order)
     degraded: List[DegradedUnit] = field(default_factory=list)
     #: functions the value-flow engine must fail closed around
@@ -297,8 +351,8 @@ def _finish(
         module=module,
         annotations=annotations,
         function_annotations=function_annotations,
-        sizeof=lowerer.sizeof_name,
-        units=units,
+        sizeof=SizeofResolver(lowerer.typedefs, module.structs),
+        units=[UnitInfo.of(unit) for unit in units],
         degraded=resolved,
         degraded_functions=degraded_function_names(resolved),
         recovery_attempts=dict(recovery_attempts or {}),

@@ -100,6 +100,11 @@ def _register_primitives() -> None:
 _register_primitives()
 
 
+def primitive_type(name: str) -> Optional[CType]:
+    """The primitive type spelled ``name``, in any specifier order."""
+    return _PRIMITIVES.get(tuple(sorted(name.split())))
+
+
 class TypeBuilder:
     """Builds IR types from pycparser declaration nodes."""
 
@@ -109,29 +114,6 @@ class TypeBuilder:
         self.typedefs: Dict[str, CType] = {}
         self.enum_constants: Dict[str, int] = {}
         self._anon_counter = 0
-
-    def sizeof_name(self, type_name: str) -> int:
-        """Resolve ``sizeof(name)`` for annotation size expressions."""
-        name = type_name.strip()
-        if name.endswith("*"):
-            return 4
-        for prefix in ("struct ", "union "):
-            if name.startswith(prefix):
-                tag = name[len(prefix):].strip()
-                key = prefix + tag
-                struct = self.module.structs.get(key)
-                if struct is None:
-                    raise LoweringError(f"unknown type in sizeof: {name!r}")
-                return struct.sizeof()
-        if name in self.typedefs:
-            return self.typedefs[name].sizeof()
-        primitive = _PRIMITIVES.get(tuple(sorted(name.split())))
-        if primitive is not None:
-            return primitive.sizeof()
-        struct = self.module.structs.get("struct " + name)
-        if struct is not None:
-            return struct.sizeof()
-        raise LoweringError(f"unknown type in sizeof: {name!r}")
 
     # ------------------------------------------------------------------
 
@@ -331,21 +313,15 @@ class ModuleLowerer:
         #: (degraded-mode analysis) instead of aborting the whole unit
         self.recover = recover
         self.degraded: List[DegradedUnit] = []
-        self._shared_typedefs: Dict[str, CType] = {}
+        #: typedefs every unit of the module shares (also what
+        #: annotation ``sizeof`` expressions resolve against)
+        self.typedefs: Dict[str, CType] = {}
         self._shared_enums: Dict[str, int] = {}
-        self._types: Optional[TypeBuilder] = None
-
-    def sizeof_name(self, type_name: str) -> int:
-        """Resolve ``sizeof`` in annotation size expressions."""
-        if self._types is None:
-            raise LoweringError("no unit lowered yet")
-        return self._types.sizeof_name(type_name)
 
     def lower_unit(self, unit: ParsedUnit) -> Module:
         types = TypeBuilder(self.module, unit)
-        types.typedefs = self._shared_typedefs
+        types.typedefs = self.typedefs
         types.enum_constants = self._shared_enums
-        self._types = types
         # first sweep: typedefs and type definitions so later sizes work
         for ext in unit.ast.ext:
             if isinstance(ext, c_ast.Typedef):

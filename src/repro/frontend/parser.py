@@ -204,7 +204,26 @@ def parse_preprocessed(
             f"C parse error: parser failure: {exc}",
             SourceLocation(name, 0),
         )
+    finally:
+        release_parser(parser)
     return ParsedUnit(ast, source, name, extra_prelude_lines=extra_lines)
+
+
+#: parser attributes that tie a parser, its lexer and its token buffer
+#: into reference cycles: the lexer calls back into the parser through
+#: bound methods, and pycparser 3's ``_tokens`` keeps every token read
+#: (the PLY-based 2.x parsers keep their yacc tables in ``cparser``)
+_PARSER_CYCLE_ATTRS = ("clex", "_tokens", "cparser")
+
+
+def release_parser(parser) -> None:
+    """Cut a finished parser's cycles, so the parser, its lexer and
+    every token die by refcount instead of waiting for a collection.
+    The parser cannot parse again afterwards."""
+    state = vars(parser)
+    for attr in _PARSER_CYCLE_ATTRS:
+        if attr in state:
+            state[attr] = None
 
 
 def _location_from_message(

@@ -63,6 +63,7 @@ from .parser import (
     ParsedUnit,
     PlyParseError,
     parse_preprocessed,
+    release_parser,
 )
 from .preprocessor import PreprocessedSource, Preprocessor, _skip_string
 
@@ -710,6 +711,8 @@ def _salvage(text, filename, include_dirs, defines, *,
             raise ParseError(
                 "salvage tier: parser recursion limit exceeded",
                 SourceLocation(filename, 0))
+        finally:
+            release_parser(parser)
         source.text = work
         unit = ParsedUnit(ast, source, filename,
                           extra_prelude_lines=extra_lines)

@@ -44,7 +44,8 @@ from ..core.driver import SafeFlow
 from ..core.results import AnalysisReport
 from ..degrade import DegradedUnit
 from ..errors import IRError, LoweringError, ParseError, PreprocessorError
-from ..frontend.driver import Program, _finish, _merge_counts, _unit_failure
+from ..frontend.driver import (
+    Program, UnitInfo, _finish, _merge_counts, _unit_failure)
 from ..frontend.lower import ModuleLowerer
 from ..frontend.parser import ParsedUnit
 from ..frontend.preprocessor import ExtractedAnnotation
@@ -490,8 +491,9 @@ class IncrementalSession:
                 if fname not in reordered:
                     reordered[fname] = func
             module.functions = reordered
-        index = program.units.index(old.unit)
-        program.units[index] = new.unit
+        index = next(i for i, info in enumerate(program.units)
+                     if info.name == old.unit.name)
+        program.units[index] = UnitInfo.of(new.unit)
         self._units[path] = new
         new.refs = _function_refs(module, new.defs)
 

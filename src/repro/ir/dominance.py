@@ -39,24 +39,26 @@ class DominatorTree:
         self._compute()
 
     # -- graph orientation --------------------------------------------
+    #
+    # ``fwd_preds`` is the forward CFG's ``Function.predecessor_map``,
+    # built once per pass.
 
-    def _succs(self, block) -> List[BasicBlock]:
+    def _succs(self, block, fwd_preds) -> List:
         if self.post:
             if isinstance(block, _VirtualExit):
                 return self._exit_blocks
-            return [b for b in self.function.blocks if block in b.successors()]
+            return fwd_preds.get(block, [])
         return block.successors()
 
-    def _preds(self, block) -> List:
+    def _preds(self, block, fwd_preds) -> List:
         if self.post:
             if isinstance(block, _VirtualExit):
                 return []
-            succs = block.successors()
-            preds: List = list(succs)
+            preds: List = block.successors()
             if block in self._exit_set:
                 preds.append(self._virtual_exit)
             return preds
-        return block.predecessors()
+        return fwd_preds.get(block, [])
 
     def _compute(self) -> None:
         func = self.function
@@ -73,9 +75,11 @@ class DominatorTree:
         else:
             root = func.entry
 
-        order = self._reverse_postorder(root)
+        fwd_preds = func.predecessor_map()
+        order = self._reverse_postorder(root, fwd_preds)
         self._order = {b: i for i, b in enumerate(order)}
         idom: Dict[object, object] = {root: root}
+        preds_of = {b: self._preds(b, fwd_preds) for b in order}
 
         changed = True
         while changed:
@@ -83,7 +87,7 @@ class DominatorTree:
             for block in order:
                 if block is root:
                     continue
-                preds = [p for p in self._preds(block) if p in idom]
+                preds = [p for p in preds_of[block] if p in idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -102,19 +106,22 @@ class DominatorTree:
                 self.children.setdefault(dom, []).append(block)
         self._root = root
 
-    def _reverse_postorder(self, root) -> List:
-        seen: Set[int] = set()
+    def _reverse_postorder(self, root, fwd_preds) -> List:
+        # an explicit stack, not recursion: a chain of a few thousand
+        # branches must not reach the interpreter's recursion limit
+        seen = {root}
         out: List = []
-
-        def visit(block) -> None:
-            if id(block) in seen:
-                return
-            seen.add(id(block))
-            for succ in self._succs(block):
-                visit(succ)
-            out.append(block)
-
-        visit(root)
+        stack = [(root, iter(self._succs(root, fwd_preds)))]
+        while stack:
+            block, succs = stack[-1]
+            for succ in succs:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(self._succs(succ, fwd_preds))))
+                    break
+            else:
+                stack.pop()
+                out.append(block)
         out.reverse()
         return out
 
@@ -152,8 +159,9 @@ class DominatorTree:
         frontier: Dict[BasicBlock, Set[BasicBlock]] = {
             b: set() for b in self._order
         }
+        fwd_preds = self.function.predecessor_map()
         for block in self._order:
-            preds = self._preds(block)
+            preds = self._preds(block, fwd_preds)
             if len(preds) < 2:
                 continue
             for pred in preds:

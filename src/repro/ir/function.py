@@ -72,6 +72,15 @@ class Function(Value):
             if isinstance(inst, Call):
                 yield inst
 
+    def predecessor_map(self) -> Dict[BasicBlock, List[BasicBlock]]:
+        """Each block's predecessors, in block order, from one pass over
+        the CFG (``BasicBlock.predecessors`` scans every block per call)."""
+        preds: Dict[BasicBlock, List[BasicBlock]] = {}
+        for block in self.blocks:
+            for succ in block.successors():
+                preds.setdefault(succ, []).append(block)
+        return preds
+
     def remove_unreachable_blocks(self) -> List[BasicBlock]:
         """Drop blocks not reachable from the entry; returns removals.
 

@@ -11,7 +11,7 @@ address was taken) is exactly the aliasing the rule forbids.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from .cfg import BasicBlock
 from .dominance import dominator_tree
@@ -99,20 +99,24 @@ def promote_to_ssa(function: Function) -> int:
     to_delete: List[Instruction] = list(allocas)
     replacements: Dict[Instruction, Value] = {}
 
-    def current(alloca: Alloca) -> Value:
-        stack = stacks[alloca]
-        if stack:
-            return stack[-1]
-        return UndefValue(alloca.allocated_type, alloca.name)
-
-    def rename(block: BasicBlock) -> None:
-        pushed: List[Alloca] = []
+    # An explicit stack, not recursion: the dominator tree of a long
+    # branch chain is as deep as the chain. An entry with ``pushed``
+    # set is a block's exit, reached after its whole subtree.
+    walk: List[Tuple[BasicBlock, Optional[List[Alloca]]]] = [
+        (function.entry, None)]
+    while walk:
+        block, pushed = walk.pop()
+        if pushed is not None:
+            for alloca in reversed(pushed):
+                stacks[alloca].pop()
+            continue
+        pushed = []
         for inst in list(block.instructions):
             if isinstance(inst, Phi) and inst in phis:
                 stacks[phis[inst]].append(inst)
                 pushed.append(phis[inst])
             elif isinstance(inst, Load) and inst.pointer in alloca_set:
-                replacements[inst] = current(inst.pointer)  # type: ignore[arg-type]
+                replacements[inst] = _current(stacks, inst.pointer)  # type: ignore[arg-type]
                 to_delete.append(inst)
             elif isinstance(inst, Store) and inst.pointer in alloca_set:
                 value = replacements.get(inst.value, inst.value)  # chains
@@ -128,14 +132,11 @@ def promote_to_ssa(function: Function) -> int:
         for succ in block.successors():
             for phi in succ.phis():
                 if phi in phis:
-                    phi.add_incoming(block, current(phis[phi]))
-        for child in dt.tree_children(block):
-            if isinstance(child, BasicBlock):
-                rename(child)
-        for alloca in reversed(pushed):
-            stacks[alloca].pop()
-
-    rename(function.entry)
+                    phi.add_incoming(block, _current(stacks, phis[phi]))
+        walk.append((block, pushed))
+        children = [child for child in dt.tree_children(block)
+                    if isinstance(child, BasicBlock)]
+        walk.extend((child, None) for child in reversed(children))
 
     # 3. resolve any replacement chains that crossed block boundaries,
     # then delete dead loads/stores/allocas.
@@ -167,6 +168,14 @@ def promote_to_ssa(function: Function) -> int:
     # keep the (still valid) dominator trees
     function._analysis_cache.pop("uses", None)
     return len(allocas)
+
+
+def _current(stacks: Dict[Alloca, List[Value]], alloca: Alloca) -> Value:
+    """The value of ``alloca`` on the renaming walk's current path."""
+    stack = stacks[alloca]
+    if stack:
+        return stack[-1]
+    return UndefValue(alloca.allocated_type, alloca.name)
 
 
 def _prune_trivial_phis(function: Function) -> None:

@@ -45,8 +45,9 @@ def verify_function(function: Function, check_ssa: bool = True) -> None:
             if succ not in block_set:
                 errors.append(f"{block.name}: successor {succ.name} not in function")
 
+    pred_map = function.predecessor_map()
     for block in function.blocks:
-        preds = set(block.predecessors())
+        preds = set(pred_map.get(block, ()))
         for phi in block.phis():
             for inc in phi.incoming:
                 if inc not in preds:

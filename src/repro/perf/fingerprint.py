@@ -45,8 +45,10 @@ from ..ir.instructions import (
 )
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
-#: bump when the fingerprint composition changes; folded into every key
-SCHEMA_VERSION = 1
+#: bump when the fingerprint composition or the shape of a cached
+#: program changes; folded into every key. 2: programs keep no parse
+#: trees or lowerer (entries of 1 would unpickle both)
+SCHEMA_VERSION = 2
 
 #: AnalysisConfig fields that only steer the performance layer itself —
 #: never part of a semantic cache key. ``sparse_fixpoint`` and

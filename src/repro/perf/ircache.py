@@ -54,6 +54,23 @@ def _pycparser_version() -> str:
         return "?"
 
 
+def program_deps(program) -> Optional[List[Tuple[str, str]]]:
+    """``(path, digest)`` of every real file behind ``program``, in
+    unit order; ``None`` (not cacheable) when one cannot be read."""
+    deps: List[Tuple[str, str]] = []
+    seen = set()
+    for unit in program.units:
+        for path in unit.files:
+            if path in seen or not os.path.isfile(path):
+                continue
+            seen.add(path)
+            digest = file_digest(path)
+            if digest is None:
+                return None
+            deps.append((path, digest))
+    return deps
+
+
 @dataclass
 class CacheEntry:
     """One pickled program plus the inputs it was built from."""
@@ -182,17 +199,9 @@ class IRCache:
         """Pickle ``program`` under ``key``; False when not cacheable."""
         if key is None:
             return False
-        deps: List[Tuple[str, str]] = []
-        seen = set()
-        for unit in program.units:
-            for path in getattr(unit.source, "files", []):
-                if path in seen or not os.path.isfile(path):
-                    continue
-                seen.add(path)
-                digest = file_digest(path)
-                if digest is None:
-                    return False
-                deps.append((path, digest))
+        deps = program_deps(program)
+        if deps is None:
+            return False
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, _PICKLE_RECURSION_LIMIT))
         try:

@@ -32,12 +32,12 @@ argument and is therefore never part of a cache key
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from .fingerprint import file_digest
+from .ircache import program_deps
 
 #: default bound on pooled programs across all keys (process-wide)
 DEFAULT_CAPACITY = 32
@@ -92,7 +92,7 @@ class ProgramMemo:
             return False
         with self._lock:
             lease = self._leased.pop(id(program), None)
-        deps = lease[1] if lease is not None else self._compute_deps(program)
+        deps = lease[1] if lease is not None else program_deps(program)
         if deps is None:
             return False
         with self._lock:
@@ -113,24 +113,6 @@ class ProgramMemo:
     @staticmethod
     def _deps_fresh(deps: _Deps) -> bool:
         return all(file_digest(path) == digest for path, digest in deps)
-
-    @staticmethod
-    def _compute_deps(program) -> Optional[_Deps]:
-        """``(path, digest)`` of every real file behind ``program``;
-        ``None`` (not memoizable) when one cannot be read. Mirrors
-        :meth:`repro.perf.ircache.IRCache.store`."""
-        deps: _Deps = []
-        seen = set()
-        for unit in getattr(program, "units", []):
-            for path in getattr(unit.source, "files", []):
-                if path in seen or not os.path.isfile(path):
-                    continue
-                seen.add(path)
-                digest = file_digest(path)
-                if digest is None:
-                    return None
-                deps.append((path, digest))
-        return deps
 
     # ------------------------------------------------------------------
 

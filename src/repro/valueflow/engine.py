@@ -179,6 +179,22 @@ class _RecordingVFG(ValueFlowGraph):
             )
 
 
+class _Finished:
+    """The engine as its cell map and graph see it once the run is
+    over: no body is running, so nothing is observed or recorded."""
+
+    _sparse = False
+    _track_couplings = False
+    _body_stack = ()
+
+    @staticmethod
+    def _active_recorder() -> None:
+        return None
+
+
+_FINISHED = _Finished()
+
+
 class ValueFlowAnalysis:
     """Runs phase 3 over one program; results in ``warnings``/``errors``."""
 
@@ -302,6 +318,20 @@ class ValueFlowAnalysis:
     # ------------------------------------------------------------------
 
     def run(self) -> "ValueFlowAnalysis":
+        """Run phase 3 (see :meth:`_run`), then cut the engine's
+        reference cycles: its kernel, cell map and recording graph
+        point back at it, and without the cut every run's engine state
+        would wait for a garbage collection instead of dying by
+        refcount when the caller drops the engine."""
+        try:
+            return self._run()
+        finally:
+            self._kernel = None
+            self.cell_taint._engine = _FINISHED
+            if isinstance(self.vfg, _RecordingVFG):
+                self.vfg._engine = _FINISHED
+
+    def _run(self) -> "ValueFlowAnalysis":
         """Outer fixpoint over the interprocedural cell/taint state.
 
         Dense mode (``sparse_fixpoint=False``) is the reference loop:

@@ -254,6 +254,7 @@ class KernelState:
             return out
 
         blocks: List[_BlockProgram] = []
+        pred_map = None
         for block in func_blocks:
             if track:
                 conds = controllers(block)
@@ -270,7 +271,9 @@ class KernelState:
             if has_phi and track:
                 raw: List = []
                 seen_ids = set()
-                for pred in block.predecessors():
+                if pred_map is None:
+                    pred_map = func.predecessor_map()
+                for pred in pred_map.get(block, ()):
                     pred_conds = controllers(pred)
                     term = pred.terminator
                     if isinstance(term, CondBranch):

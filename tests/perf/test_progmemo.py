@@ -25,8 +25,7 @@ int main(void) {
 
 def fake_program(paths=()):
     """Just enough object graph for dependency extraction."""
-    unit = SimpleNamespace(source=SimpleNamespace(files=list(paths)))
-    return SimpleNamespace(units=[unit])
+    return SimpleNamespace(units=[SimpleNamespace(files=list(paths))])
 
 
 @pytest.fixture(autouse=True)
