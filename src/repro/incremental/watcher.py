@@ -22,6 +22,11 @@ program alive between verdicts:
   injected into every verdict so the value-flow phase replays intact
   segments and re-analyzes only the dirty cone.
 
+The session keeps IR past its gc guards, so it owns that IR: a full
+re-lower releases the program it replaces and a swap releases the
+functions it pops (:meth:`repro.ir.Function.release`), and both die by
+refcount instead of waiting for a full collection.
+
 :class:`WatchLoop` polls mtimes (content hashes confirm real changes),
 re-verdicts on change, and holds the :func:`repro.perf.gcpause.
 gc_paused` guard across a re-verdict burst, releasing it only after the
@@ -378,6 +383,7 @@ class IncrementalSession:
             if state.unit is not None:
                 units.append(state.unit)
                 annotation_groups.append(state.annotations)
+        replaced = self.program
         self.program = _finish(
             units, annotation_groups, self.config.verify_ir,
             recover=bool(self.config.degraded_mode
@@ -386,6 +392,9 @@ class IncrementalSession:
             recovery_attempts=attempts,
             recovery_successes=successes,
         )
+        if replaced is not None:
+            # the session alone kept this IR past its guard
+            replaced.module.release()
         self.full_relowers += 1
         # reference sets for future swap-eligibility checks
         module = self.program.module
@@ -459,8 +468,13 @@ class IncrementalSession:
         self.last_swap_defs = tuple(swapped)
         if swapped:
             original_order = list(module.functions)
-            for fname in swapped:
-                module.functions.pop(fname, None)
+            popped = [module.functions.pop(fname) for fname in swapped
+                      if fname in module.functions]
+            # nothing kept references the popped bodies (see above and
+            # _swap_eligible), and the session alone kept them past
+            # their guard
+            for func in popped:
+                func.release()
             unit = new.unit
             if len(swapped) != len(new.defs):
                 keep = set(swapped)

@@ -143,6 +143,30 @@ class Function(Value):
         """Memoized :meth:`compute_uses` (valid until IR mutation)."""
         return self.cached_analysis("uses", Function.compute_uses)
 
+    # -- teardown -----------------------------------------------------
+
+    def release(self) -> None:
+        """Tear this function's IR down so that it dies by refcount.
+
+        Operands, phi incoming maps, branch targets and parent links
+        tie a function's blocks and instructions into reference
+        cycles, and IR kept past a :func:`repro.perf.gcpause.gc_paused`
+        guard is promoted out of generation 0, so without a teardown
+        only a full collection frees it. Whoever keeps IR past a guard
+        calls this when it drops the function. It clears the
+        derived-analysis memo and the instance state of every block,
+        instruction and argument, and of the function itself: any
+        later use raises ``AttributeError``.
+        """
+        for block in self.blocks:
+            for inst in block.instructions:
+                inst.__dict__.clear()
+            block.__dict__.clear()
+        for arg in self.arguments:
+            arg.__dict__.clear()
+        self._analysis_cache.clear()
+        self.__dict__.clear()
+
     def short(self) -> str:
         return f"@{self.name}"
 
@@ -192,6 +216,14 @@ class Module:
         if key not in self.structs:
             self.structs[key] = StructType(tag, is_union)
         return self.structs[key]
+
+    def release(self) -> None:
+        """Release every function (:meth:`Function.release`) and drop
+        the module's tables. The caller gives the module up: any later
+        use raises ``AttributeError``."""
+        for func in self.functions.values():
+            func.release()
+        self.__dict__.clear()
 
     def defined_functions(self) -> Iterator[Function]:
         for func in self.functions.values():

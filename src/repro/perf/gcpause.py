@@ -23,11 +23,22 @@ the run allocated almost nothing — on the fleet's warm trivial
 requests it was ~60% of per-request latency. Because gc stays
 disabled while paused, everything a run allocates sits in generation
 0, so a generation-0 collection reclaims that run's cyclic garbage at
-a cost proportional to the run, not the heap. Cycles whose members
-were already promoted (long-lived caches) are rarer and are caught by
-a periodic full collection every :data:`FULL_COLLECT_INTERVAL`
-seconds. One-shot CLI runs behave as before: the very first exit is
-always past the interval, so it performs the full collection.
+a cost proportional to the run, not the heap. A periodic full
+collection still runs every :data:`FULL_COLLECT_INTERVAL` seconds.
+One-shot CLI runs behave as before: the very first exit is always
+past the interval, so it performs the full collection.
+
+That only holds under an ownership rule: whoever keeps IR past a
+guard releases it (:meth:`repro.ir.Module.release`,
+:meth:`repro.ir.Function.release`) when it drops it. IR that outlives
+its guard — a program pooled in :class:`repro.perf.progmemo.
+ProgramMemo`, an incremental session's live program — is promoted out
+of generation 0, so if its owner merely dropped it, it would wait as
+cyclic garbage for the periodic full collection, whose pause then
+grows with all the IR dropped since the last one (0.65–0.73 s in an
+in-process replay of the benchmark's service_mix stream, against
+38–51 ms with the rule). Released IR dies by refcount, and the full
+collection only scans.
 """
 
 from __future__ import annotations

@@ -28,6 +28,15 @@ programs have no file dependencies and validate for free.
 The memo is report-preserving by the incremental layer's byte-identity
 argument and is therefore never part of a cache key
 (``AnalysisConfig.frontend_memo`` is a ``CACHE_ONLY_FIELDS`` entry).
+
+Ownership: :meth:`ProgramMemo.release` transfers the program to the
+memo — the caller must not touch it afterwards. Pooled programs outlive
+the :func:`repro.perf.gcpause.gc_paused` guard that built them, so
+their IR is promoted out of generation 0; whoever keeps IR past a guard
+releases it. Every program that leaves the pool without a lease — LRU
+eviction, stale-dependency eviction, :meth:`ProgramMemo.clear` — is
+torn down with :meth:`repro.ir.Module.release`, outside the lock, so it
+dies by refcount instead of waiting for a full collection.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ class ProgramMemo:
         """
         if key is None or self.capacity == 0:
             return None
+        leased, stale = None, []
         with self._lock:
             pool = self._pools.get(key)
             while pool:
@@ -79,15 +89,24 @@ class ProgramMemo:
                     del self._pools[key]
                 if self._deps_fresh(deps):
                     self._leased[id(program)] = (key, deps)
-                    self.hits += 1
-                    return program
+                    leased = program
+                    break
                 self.stale_evictions += 1
+                stale.append(program)
                 pool = self._pools.get(key)
-            self.misses += 1
-            return None
+            if leased is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        _teardown(stale)
+        return leased
 
     def release(self, key: Optional[str], program) -> bool:
-        """Return a program to the pool; False when not memoizable."""
+        """Hand a program to the pool; False when not memoizable.
+
+        On True the memo owns ``program``: the caller must drop it, as
+        an eviction tears its IR down.
+        """
         if key is None or program is None or self.capacity == 0:
             return False
         with self._lock:
@@ -95,6 +114,7 @@ class ProgramMemo:
         deps = lease[1] if lease is not None else program_deps(program)
         if deps is None:
             return False
+        evicted = []
         with self._lock:
             pool = self._pools.setdefault(key, [])
             self._pools.move_to_end(key)
@@ -102,10 +122,11 @@ class ProgramMemo:
             self._size += 1
             while self._size > self.capacity:
                 oldest_key, oldest_pool = next(iter(self._pools.items()))
-                oldest_pool.pop(0)
+                evicted.append(oldest_pool.pop(0)[0])
                 self._size -= 1
                 if not oldest_pool:
                     del self._pools[oldest_key]
+        _teardown(evicted)
         return True
 
     # ------------------------------------------------------------------
@@ -117,10 +138,15 @@ class ProgramMemo:
     # ------------------------------------------------------------------
 
     def clear(self) -> None:
+        """Empty the pool, tearing down every pooled program (leased
+        programs belong to their holders and are left alone)."""
         with self._lock:
+            pooled = [program for pool in self._pools.values()
+                      for program, _ in pool]
             self._pools.clear()
             self._leased.clear()
             self._size = 0
+        _teardown(pooled)
 
     def counters(self) -> Dict[str, int]:
         with self._lock:
@@ -130,6 +156,12 @@ class ProgramMemo:
                 "stale_evictions": self.stale_evictions,
                 "pooled": self._size,
             }
+
+
+def _teardown(programs) -> None:
+    """Release the IR of programs that left the pool unleased."""
+    for program in programs:
+        program.module.release()
 
 
 #: the process-wide memo every SafeFlow instance shares

@@ -297,7 +297,6 @@ class ValueFlowAnalysis:
             d.kind == "unit" for d in getattr(program, "degraded", ()) or ())
         self._memo: Dict[Tuple, Taint] = {}
         self._in_progress: Set[Tuple] = set()
-        self._control_deps: Dict[Function, Dict[BasicBlock, Set[BasicBlock]]] = {}
         self._ineffective: Set[Tuple[str, str]] = set()
         self._ctx_counts: Dict[Function, Set[Context]] = {}
         self._merged_inputs: Dict[Function, Tuple[Context, Tuple[Taint, ...]]] = {}
@@ -1269,10 +1268,7 @@ class ValueFlowAnalysis:
     def _analyze_body_object(self, func: Function, ctx: Context,
                              arg_taints: Tuple[Taint, ...]) -> Taint:
         taints: Dict[Value, Taint] = {}
-        deps = self._control_deps.get(func)
-        if deps is None:
-            deps = control_dependence(func)
-            self._control_deps[func] = deps
+        deps = control_dependence(func)
 
         def vt(value: Value) -> Taint:
             if isinstance(value, Argument):

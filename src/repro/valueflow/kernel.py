@@ -224,10 +224,7 @@ class KernelState:
         target_of = engine.points_to.target_of
         interner_bit = self.interner.bit
         track = engine.config.track_control_dependence
-        deps = engine._control_deps.get(func)
-        if deps is None:
-            deps = control_dependence(func)
-            engine._control_deps[func] = deps
+        deps = control_dependence(func)
 
         prog = CompiledBody(func, ctx)
         slot_of: Dict = {}

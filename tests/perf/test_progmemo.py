@@ -4,6 +4,8 @@ LRU bounds, cache-dir scoping, and report byte-identity through the
 driver. The disk tier's own correctness suite is
 tests/perf/test_cache_correctness.py."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -23,9 +25,21 @@ int main(void) {
 """
 
 
+class _Module:
+    """Records whether the memo tore it down."""
+
+    released = False
+
+    def release(self):
+        assert not self.released, "released twice"
+        self.released = True
+
+
 def fake_program(paths=()):
-    """Just enough object graph for dependency extraction."""
-    return SimpleNamespace(units=[SimpleNamespace(files=list(paths))])
+    """Just enough object graph for dependency extraction and
+    teardown."""
+    return SimpleNamespace(units=[SimpleNamespace(files=list(paths))],
+                           module=_Module())
 
 
 @pytest.fixture(autouse=True)
@@ -72,10 +86,12 @@ class TestStaleness:
         dep = tmp_path / "dep.h"
         dep.write_text("#define LIMIT 10\n")
         memo = ProgramMemo()
-        memo.release("k", fake_program([str(dep)]))
+        program = fake_program([str(dep)])
+        memo.release("k", program)
         dep.write_text("#define LIMIT 99\n")
         assert memo.acquire("k") is None
         assert memo.counters()["stale_evictions"] == 1
+        assert program.module.released
 
     def test_unchanged_dependency_is_served(self, tmp_path):
         dep = tmp_path / "dep.h"
@@ -104,16 +120,63 @@ class TestBounds:
         memo.release("b", b)
         memo.release("c", c)  # evicts the oldest key's entry ("a")
         assert memo.counters()["pooled"] == 2
+        assert a.module.released  # torn down on eviction
+        assert not (b.module.released or c.module.released)
         assert memo.acquire("a") is None
         assert memo.acquire("b") is b
         assert memo.acquire("c") is c
 
     def test_clear_empties_pools(self):
         memo = ProgramMemo()
-        memo.release("k", fake_program())
+        program = fake_program()
+        memo.release("k", program)
         memo.clear()
         assert memo.counters()["pooled"] == 0
+        assert program.module.released
         assert memo.acquire("k") is None
+
+
+class TestTeardown:
+    def test_leased_program_is_never_released(self):
+        memo = ProgramMemo(capacity=1)
+        a = fake_program()
+        memo.release("a", a)
+        assert memo.acquire("a") is a
+        memo.release("b", fake_program())
+        memo.clear()
+        assert not a.module.released
+
+    def test_threads_never_acquire_a_released_program(self):
+        # more threads than cores, a tiny pool and frequent switches:
+        # eviction must never tear down a program another thread holds
+        memo = ProgramMemo(capacity=2)
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(400):
+                    key = f"k{(seed + i) % 5}"
+                    program = memo.acquire(key) or fake_program()
+                    if program.module.released:
+                        errors.append(key)
+                    memo.release(key, program)
+            except AssertionError as exc:  # a double release
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert memo.counters()["pooled"] <= 2
 
 
 class TestDriverIntegration:

@@ -4,9 +4,11 @@ A verdict's transient state — parser, lexer and tokens, the parse
 tree, the lowerer, the value-flow engine and its kernel — must die by
 reference counting as soon as its phase ends; only the IR graph is
 cyclic. A report must not pin the IR, and a :class:`Program` (what the
-IR cache and the program memo store) keeps no parser artefacts. The
-deep-CFG tests pin the explicit-stack dominance and SSA walks that
-replaced recursion.
+IR cache and the program memo store) keeps no parser artefacts. IR
+kept past a gc guard — pooled programs, an incremental session's live
+program — is released by its owner when it drops it, so it too dies by
+refcount. The deep-CFG tests pin the explicit-stack dominance and SSA
+walks that replaced recursion.
 """
 
 import gc
@@ -23,9 +25,13 @@ from pycparser.c_lexer import CLexer
 from pycparser.c_parser import CParser
 
 from repro import AnalysisConfig, SafeFlow
-from repro.frontend import load_source
+from repro.corpus import generate_core_files
+from repro.frontend import load_files, load_source
+from repro.incremental.watcher import IncrementalSession
+from repro.ir import BasicBlock, Function, Instruction
 from repro.perf.integrity import unseal
 from repro.perf.ircache import IRCache
+from repro.perf.progmemo import ProgramMemo
 from repro.valueflow.engine import ValueFlowAnalysis
 from repro.valueflow.kernel import KernelState
 from tests.conftest import FIGURE2_SOURCE
@@ -72,6 +78,106 @@ def test_cold_verdict_leaves_no_transient_cycles(options, tmp_path):
     leaked = sorted({getattr(o, "__qualname__", type(o).__qualname__)
                      for o in garbage if _transient(o)})
     assert leaked == []
+
+
+def _ir_garbage(garbage):
+    return [o for o in garbage
+            if isinstance(o, (Function, BasicBlock, Instruction))]
+
+
+def _analyzed_program():
+    """A warm-looking program: derived-analysis memos filled in."""
+    program = load_source(FIGURE2_SOURCE, filename="figure2.c")
+    SafeFlow().analyze_program(program)
+    return program
+
+
+def test_memo_lru_eviction_frees_the_evicted_ir():
+    memo = ProgramMemo(capacity=2)
+    programs = [_analyzed_program() for _ in range(3)]
+
+    def feed():
+        for i in range(3):
+            memo.release(f"k{i}", programs.pop(0))
+
+    assert _ir_garbage(_cyclic_garbage_of(feed)) == []
+    assert memo.counters()["pooled"] == 2
+    assert memo.acquire("k0") is None
+
+
+def test_memo_stale_eviction_frees_the_stale_ir(tmp_path):
+    unit = tmp_path / "unit.c"
+    unit.write_text(FIGURE2_SOURCE)
+    memo = ProgramMemo()
+    program = load_files([str(unit)])
+    SafeFlow().analyze_program(program)
+    memo.release("k", program)
+    del program
+    unit.write_text(FIGURE2_SOURCE + "\n/* edited */\n")
+    garbage = _cyclic_garbage_of(lambda: memo.acquire("k"))
+    assert _ir_garbage(garbage) == []
+    assert memo.counters()["stale_evictions"] == 1
+
+
+def test_memo_clear_frees_the_pooled_ir():
+    memo = ProgramMemo()
+    programs = [_analyzed_program() for _ in range(2)]
+    while programs:
+        memo.release(f"k{len(programs)}", programs.pop())
+    assert _ir_garbage(_cyclic_garbage_of(memo.clear)) == []
+    assert memo.counters()["pooled"] == 0
+
+
+def _generated_session(tmp_path):
+    paths = generate_core_files(
+        filler_units=2, fillers_per_unit=3,
+        data_error_regions=1, monitored_regions=1,
+    ).write_to(str(tmp_path / "prog"))
+    session = IncrementalSession(
+        paths, config=AnalysisConfig(summary_mode=True),
+        store_root=str(tmp_path / "store"))
+    session.verdict()
+    return session, paths
+
+
+def _toggle_first_filler(path):
+    with open(path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(text.replace("* 0.99", "* 0.98", 1))
+
+
+def test_session_swap_frees_the_popped_functions(tmp_path):
+    session, paths = _generated_session(tmp_path)
+    _toggle_first_filler(paths[1])
+    garbage = _cyclic_garbage_of(session.verdict)
+    assert session.swaps == 1 and len(session.last_swap_defs) == 1
+    assert _ir_garbage(garbage) == []
+
+
+def test_session_relower_frees_the_replaced_program(tmp_path):
+    session, paths = _generated_session(tmp_path)
+    _toggle_first_filler(paths[0])  # core.c carries annotations
+    garbage = _cyclic_garbage_of(session.verdict)
+    assert session.swaps == 0 and session.full_relowers == 2
+    assert _ir_garbage(garbage) == []
+
+
+def test_released_function_raises_on_use():
+    program = _analyzed_program()
+    module = program.module
+    func = module.get_function("main")
+    block = func.entry
+    inst = block.instructions[0]
+    module.release()
+    with pytest.raises(AttributeError):
+        list(func.instructions())
+    with pytest.raises(AttributeError):
+        block.successors()
+    with pytest.raises(AttributeError):
+        inst.render()
+    with pytest.raises(AttributeError):
+        list(module.defined_functions())
 
 
 def test_live_report_does_not_keep_the_module_alive():
