@@ -20,10 +20,14 @@ subprocess with best-of-N timing:
   steady state of the daemon / batch / editor loop, and the headline
   ``reanalysis_speedup`` against a cold object-kernel run.
 
-Before timing anything the script asserts the four (kernel x fixpoint)
-reports are byte-identical and match the generator's expected
-diagnosis. Every ratio recorded is measured within one script run on
-one machine, so the committed numbers are machine-independent gates.
+The object kernel and the dense loop are not configuration: they are
+the reference engines of the differential tests (``tests/oracles``),
+which the timing subprocess installs for the ``object*`` and
+``*-dense`` modes. Before timing anything the script asserts the four
+(kernel x fixpoint) reports are byte-identical and match the
+generator's expected diagnosis. Every ratio recorded is measured
+within one script run on one machine, so the committed numbers are
+machine-independent gates.
 
 Usage::
 
@@ -53,11 +57,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+TESTS = ROOT / "tests"
+for _path in (SRC, TESTS):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+import oracles  # noqa: E402
 from repro import SafeFlow  # noqa: E402
-from repro.core.config import AnalysisConfig  # noqa: E402
 from repro.corpus import generate_core  # noqa: E402
 
 #: ladder of generator configurations, largest last. The CI regression
@@ -85,9 +91,11 @@ SMOKE_CONFIGS = [
 
 #: child process body: time one analysis and print a JSON line.
 #: ``mode`` is "default" (a tree's stock configuration — the only mode
-#: a pre-fast-kernel tree understands) or "<kernel>[-dense|-warm]".
-#: "-warm" primes an IR cache with one untimed analysis first, then
-#: times a re-analysis against the primed cache.
+#: a pre-fast-kernel tree understands) or "<kernel>[-dense|-warm]";
+#: the object kernel and the dense loop are the oracles of the tests/
+#: directory given as the fourth argument. "-warm" primes an IR cache
+#: with one untimed analysis first, then times a re-analysis against
+#: the primed cache.
 _TIMER = r"""
 import json, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
@@ -105,13 +113,17 @@ if mode == "default":
     elapsed, report = run(SafeFlow())
 else:
     from repro.core.config import AnalysisConfig
+    sys.path.insert(0, sys.argv[4])
+    import oracles
     kernel, _, variant = mode.partition("-")
-    opts = dict(kernel=kernel, sparse_fixpoint=(variant != "dense"))
+    fixpoint = "dense" if variant == "dense" else "sparse"
+    opts = {}
     if variant == "warm":
         cache = tempfile.TemporaryDirectory()
         opts["cache_dir"] = cache.name
         SafeFlow(AnalysisConfig(**opts)).analyze_source(text, name="prime")
-    elapsed, report = run(SafeFlow(AnalysisConfig(**opts)))
+    with oracles.installed(kernel, fixpoint):
+        elapsed, report = run(SafeFlow(AnalysisConfig(**opts)))
 counters = report.stats.kernel_counters or {}
 print(json.dumps({
     "seconds": elapsed,
@@ -130,7 +142,7 @@ def _time_cold(src_dir: Path, program_path: Path, mode: str,
     for _ in range(runs):
         proc = subprocess.run(
             [sys.executable, "-c", _TIMER, str(src_dir),
-             str(program_path), mode],
+             str(program_path), mode, str(TESTS)],
             capture_output=True, text=True, check=True,
         )
         result = json.loads(proc.stdout)
@@ -142,16 +154,15 @@ def _time_cold(src_dir: Path, program_path: Path, mode: str,
 def _assert_byte_identical(source: str) -> None:
     """All four (kernel x fixpoint) reports must agree byte-for-byte."""
     signatures = set()
-    for kernel in ("object", "compiled"):
-        for sparse in (True, False):
-            config = AnalysisConfig(kernel=kernel, sparse_fixpoint=sparse)
-            report = SafeFlow(config).analyze_source(source, name="eq")
-            signatures.add((
-                report.render(verbose=True),
-                json.dumps(report.witness_graphs, sort_keys=True,
-                           default=str),
-                report.stats.contexts_analyzed,
-            ))
+    for kernel, fixpoint in oracles.COMBINATIONS:
+        with oracles.installed(kernel, fixpoint):
+            report = SafeFlow().analyze_source(source, name="eq")
+        signatures.add((
+            report.render(verbose=True),
+            json.dumps(report.witness_graphs, sort_keys=True,
+                       default=str),
+            report.stats.contexts_analyzed,
+        ))
     if len(signatures) != 1:
         raise SystemExit(
             "kernel/fixpoint reports differ; refusing to bench")

@@ -354,12 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kernel", choices=("compiled", "object"),
-                     default="compiled",
-                     help="value-flow body kernel: 'compiled' lowers "
-                          "each function to a bitset opcode program, "
-                          "'object' keeps the reference interpreter "
-                          "(reports are byte-identical)")
     sub.add_argument("--no-cache", action="store_true",
                      help="disable the IR / summary caches")
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -532,7 +526,6 @@ def cmd_analyze(args) -> int:
         profile=args.profile,
         degraded_mode=args.keep_going or bool(tiers),
         recover_tiers=tiers,
-        kernel=args.kernel,
     )
     report = SafeFlow(config).analyze_files(args.files, name=args.name)
     if args.json:
@@ -566,7 +559,6 @@ def cmd_watch(args) -> int:
         cache_dir=_cache_dir(args),
         degraded_mode=args.keep_going or bool(tiers),
         recover_tiers=tiers,
-        kernel=args.kernel,
     )
     session = IncrementalSession([], config=config, name=args.name)
     last = {"report": None, "started": _time.perf_counter()}
@@ -655,7 +647,6 @@ def cmd_batch(args) -> int:
         cache_dir=_cache_dir(args),
         degraded_mode=args.keep_going or bool(tiers),
         recover_tiers=tiers,
-        kernel=args.kernel,
     )
     max_workers = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     outcome = SafeFlow(config).analyze_batch(
@@ -770,7 +761,6 @@ def cmd_serve(args) -> int:
         cache_dir=_cache_dir(args),
         degraded_mode=bool(tiers),
         recover_tiers=tiers,
-        kernel=args.kernel,
     )
     try:
         server = SafeFlowServer(
@@ -857,7 +847,6 @@ def cmd_fleet(args) -> int:
         workers_per_shard=args.workers_per_shard,
         queue_size=args.queue_size,
         summaries=args.summaries,
-        kernel=args.kernel,
         backend="inprocess" if args.in_process else "process",
         steal_threshold=args.steal_threshold,
         steal_margin=args.steal_margin,

@@ -20,6 +20,12 @@ class AnalysisConfig:
       entirely (eliminating §3.4.1 false positives *and* real control-
       flow channels — unsound, kept only to quantify the trade-off);
     - ``check_restrictions=False`` skips phase 2 (P1–P3/A1/A2).
+
+    Phase 3 has one implementation and no switches for it: the sparse
+    outer fixpoint over compiled bitset bodies
+    (:mod:`repro.valueflow.kernel`). The object-domain kernel and the
+    dense outer loop it was checked against are test oracles
+    (``tests/oracles``), not configuration.
     """
 
     #: re-analyze functions per assumed-core calling context (§3.3)
@@ -78,33 +84,10 @@ class AnalysisConfig:
     #: persist/replay value-flow summary bodies (only effective in
     #: ``summary_mode``); see :mod:`repro.perf.summary_store`
     summary_cache: bool = True
-    #: sparse outer fixpoint in the value-flow engine: between outer
-    #: iterations, re-analyze only the (function, context) bodies whose
-    #: consulted memory cells (or merged inputs) changed, instead of
-    #: snapshotting the whole cell map and re-running every root.
-    #: Reports are identical either way; False keeps the dense
-    #: reference loop for ablation and debugging.
-    sparse_fixpoint: bool = True
     #: collect kernel counters and per-body timings during the
     #: value-flow phase (surfaced as ``AnalysisStats.hotspots`` /
     #: ``kernel_counters`` and by ``safeflow analyze --profile``)
     profile: bool = False
-    #: which value-flow body kernel runs the intra-function fixpoints:
-    #: ``"compiled"`` (default) lowers each (function, context) body to
-    #: a flat transfer-opcode program over bitset-encoded taints and
-    #: executes it in one tight interpreter loop, falling back to the
-    #: object domain past the bitset width; ``"object"`` keeps the
-    #: reference implementation over hash-consed Taint objects.
-    #: Reports are byte-identical either way (the object kernel is the
-    #: correctness oracle); part of the cache fingerprint together with
-    #: the opcode format version, so summaries recorded under one
-    #: representation are never replayed into the other.
-    kernel: str = "compiled"
-    #: bitset width of the compiled kernel's taint-source interner;
-    #: programs with more distinct taint sources than this fall back to
-    #: the object kernel. Report-preserving, hence never part of a
-    #: cache key.
-    kernel_width: int = 256
     #: pause the cyclic garbage collector for the duration of each
     #: pipeline run (an amortised collection afterwards, see
     #: :mod:`repro.perf.gcpause`). The analysis

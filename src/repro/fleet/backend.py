@@ -53,7 +53,6 @@ class ShardSpec:
     workers: int = 1
     queue_size: int = 64
     summaries: bool = False
-    kernel: str = "compiled"
     host: str = "127.0.0.1"
     #: False maps to `safeflow serve --in-process` (thread workers);
     #: tests use it to avoid per-shard worker-process spawn cost
@@ -71,7 +70,6 @@ class ShardSpec:
         return AnalysisConfig(
             summary_mode=self.summaries,
             cache_dir=self.cache_dir,
-            kernel=self.kernel,
         )
 
 
@@ -146,7 +144,6 @@ class ProcessBackend:
             "--cache-dir", spec.cache_dir,
             "--workers", str(spec.workers),
             "--queue-size", str(spec.queue_size),
-            "--kernel", spec.kernel,
         ]
         if spec.summaries:
             argv.append("--summaries")

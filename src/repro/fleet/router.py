@@ -76,7 +76,6 @@ class FleetConfig:
     workers_per_shard: int = 1
     queue_size: int = 64
     summaries: bool = False
-    kernel: str = "compiled"
     #: "process" spawns real `safeflow serve` subprocesses;
     #: "inprocess" embeds the daemons (fast tests)
     backend: str = "process"
@@ -205,7 +204,6 @@ class FleetRouter:
                     workers=self.config.workers_per_shard,
                     queue_size=self.config.queue_size,
                     summaries=self.config.summaries,
-                    kernel=self.config.kernel,
                     use_processes=self.config.use_processes,
                     tenants_path=self.config.tenants_path,
                     max_inflight=self.config.max_inflight,

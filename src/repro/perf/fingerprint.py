@@ -51,12 +51,12 @@ from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 SCHEMA_VERSION = 2
 
 #: AnalysisConfig fields that only steer the performance layer itself —
-#: never part of a semantic cache key. ``sparse_fixpoint`` and
-#: ``profile`` qualify because both are report-preserving: toggling
-#: them must not invalidate summaries recorded under the other setting.
+#: never part of a semantic cache key. ``profile`` and ``pause_gc``
+#: qualify because both are report-preserving: toggling them must not
+#: invalidate summaries recorded under the other setting.
 CACHE_ONLY_FIELDS = frozenset({
     "cache_dir", "frontend_cache", "frontend_memo", "summary_cache",
-    "sparse_fixpoint", "profile", "kernel_width", "pause_gc",
+    "profile", "pause_gc",
 })
 
 
@@ -92,24 +92,20 @@ def config_fingerprint(config) -> str:
         if f.name in CACHE_ONLY_FIELDS:
             continue
         value = getattr(config, f.name)
-        if f.name == "kernel":
-            # the compiled kernel's persisted side effects (summary
-            # records) depend on its program/lattice format: fold the
-            # opcode format version in, so records written under one
-            # representation are never replayed into another
-            if value == "compiled":
-                from ..valueflow.opcodes import OPCODE_FORMAT_VERSION
-
-                rendered = repr(f"compiled/v{OPCODE_FORMAT_VERSION}")
-            else:
-                rendered = repr(value)
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             rendered = repr(sorted(value.items()))
         elif isinstance(value, (tuple, list)):
             rendered = repr(tuple(value))
         else:
             rendered = repr(value)
         parts.append(f"{f.name}={rendered}")
+    # the compiled kernel's persisted side effects (summary records)
+    # depend on its program/lattice format: fold the opcode format
+    # version in, so records written under one format are never
+    # replayed into another
+    from ..valueflow.opcodes import OPCODE_FORMAT_VERSION
+
+    parts.append(f"opcodes=v{OPCODE_FORMAT_VERSION}")
     # persisted value-flow segments (repro.incremental) have their own
     # on-disk format; fold its version in so a format rev gives stores
     # and summary caches a fresh namespace, like OPCODE_FORMAT_VERSION

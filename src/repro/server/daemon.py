@@ -59,7 +59,6 @@ _CONFIG_OVERRIDES = {
     "context_sensitive": bool,
     "track_control_dependence": bool,
     "lint_monitors": bool,
-    "sparse_fixpoint": bool,
     "profile": bool,
     "unannotated_shm_is_core": bool,
     "include_dirs": (list, tuple),

@@ -13,8 +13,8 @@ single lock:
   counters of every completed analysis — this is how a warm request
   becomes visible from the outside (``frontend_hits`` > 0);
 - compiled-kernel totals (``kernel`` block), folded from each
-  analysis's ``kernel_*`` counters: opcode dispatches, compiled vs
-  fallback bodies, interner occupancy, compile/execute microseconds;
+  analysis's ``kernel_*`` counters: opcode dispatches, compiled
+  bodies, interner occupancy, compile/execute microseconds;
 - latency histograms: whole-request wall time plus one histogram per
   analysis phase (``frontend``, ``shm``, ``restrictions``, ``lint``,
   ``valueflow``, ``total``), folded from ``phase_timings``;
@@ -128,8 +128,8 @@ class ServerMetrics:
         }
         #: compiled value-flow kernel totals, folded from the
         #: ``kernel_*`` entries of every completed analysis's
-        #: ``kernel_counters`` (opcode dispatches, compiled vs
-        #: fallback bodies, compile/execute microseconds, ...)
+        #: ``kernel_counters`` (opcode dispatches, compiled bodies,
+        #: compile/execute microseconds, ...)
         self._kernel: Dict[str, int] = {}
         self._degraded = {
             "analyses": 0,  # completed analyses with a degraded verdict

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.config import AnalysisConfig
 from ..degrade import degraded_region
@@ -32,26 +32,13 @@ from ..resilience.guards import check_deadline
 from ..ir import (
     Alloca,
     Argument,
-    ASSERT_SAFE_MARKER,
-    BasicBlock,
-    BinOp,
     Call,
     Cast,
-    Cmp,
-    CondBranch,
-    Constant,
-    FieldAddr,
     Function,
     IndexAddr,
     Instruction,
     Load,
-    Phi,
-    Ret,
-    Store,
-    UnaryOp,
-    UndefValue,
     Value,
-    control_dependence,
 )
 from ..ir.values import GlobalVariable
 from ..annotations.lang import AssertSafe
@@ -93,7 +80,6 @@ _MAX_OUTER_ITERATIONS = 24
 
 #: distinguishes "no evicted result to compare against" from any taint
 _NO_RESULT = object()
-_MAX_LOCAL_PASSES = 64
 
 
 class _CellMap(dict):
@@ -104,8 +90,7 @@ class _CellMap(dict):
     currently on the engine's body stack; ``__setitem__`` marks the
     cell dirty when its taint actually changes (taints only grow, so
     "changed" means "grew") and bumps ``version`` so summary replay can
-    detect interleaved mutation. With ``sparse_fixpoint`` off the map
-    degrades to a plain dict plus the version counter.
+    detect interleaved mutation.
     """
 
     def __init__(self, engine: "ValueFlowAnalysis"):
@@ -115,16 +100,14 @@ class _CellMap(dict):
 
     def get(self, cell, default=SAFE):
         engine = self._engine
-        if engine._sparse and engine._body_stack:
+        if engine._body_stack:
             engine._note_cell_read(cell)
         return dict.get(self, cell, default)
 
     def __setitem__(self, cell, value) -> None:
         if dict.get(self, cell) != value:
             self.version += 1
-            engine = self._engine
-            if engine._sparse:
-                engine._dirty_cells.add(cell)
+            self._engine._dirty_cells.add(cell)
         dict.__setitem__(self, cell, value)
 
 
@@ -183,9 +166,12 @@ class _Finished:
     """The engine as its cell map and graph see it once the run is
     over: no body is running, so nothing is observed or recorded."""
 
-    _sparse = False
     _track_couplings = False
     _body_stack = ()
+
+    @property
+    def _dirty_cells(self) -> Set[Cell]:
+        return set()  # a fresh sink: late writes mark nothing dirty
 
     @staticmethod
     def _active_recorder() -> None:
@@ -233,10 +219,8 @@ class ValueFlowAnalysis:
         self._track_couplings = hasattr(summary_store, "note_coupling")
         self._merged_coupling: Dict[str, Tuple[Set[str], Set[str]]] = {}
 
-        #: sparse-fixpoint bookkeeping (see :meth:`run`). ``_sparse``
-        #: must exist before the cell map: its hooks consult it.
-        self._sparse = bool(getattr(self.config, "sparse_fixpoint", True))
         self._profile = bool(getattr(self.config, "profile", False))
+        #: sparse-fixpoint bookkeeping (see :meth:`_converge`)
         self._body_stack: List[Tuple] = []
         self._key_reads: Dict[Tuple, Set[Cell]] = {}
         self._cell_readers: Dict[Cell, Set[Tuple]] = {}
@@ -267,16 +251,11 @@ class ValueFlowAnalysis:
         self.body_profile: Dict[str, Dict[str, float]] = {}
         self._profile_stack: List[list] = []
 
-        #: compiled kernel (bitset taints + flat opcode programs); the
-        #: object-domain body below stays the byte-identity oracle and
-        #: the fallback target (see repro.valueflow.kernel)
-        self._kernel = None
-        if getattr(self.config, "kernel", "compiled") == "compiled":
-            from .kernel import KernelState
+        #: compiled kernel (bitset taints + flat opcode programs) that
+        #: runs every body (see repro.valueflow.kernel)
+        from .kernel import KernelState
 
-            self._kernel = KernelState(
-                self, width=getattr(self.config, "kernel_width", 256)
-            )
+        self._kernel = KernelState(self)
         self._value_node_memo: Dict[Tuple[Function, Value], VFGNode] = {}
 
         if summary_store is not None:
@@ -331,20 +310,9 @@ class ValueFlowAnalysis:
                 self.vfg._engine = _FINISHED
 
     def _run(self) -> "ValueFlowAnalysis":
-        """Outer fixpoint over the interprocedural cell/taint state.
-
-        Dense mode (``sparse_fixpoint=False``) is the reference loop:
-        snapshot the cell map, wipe every memo, re-run every root, stop
-        when nothing moved. Sparse mode keeps the memo table across
-        iterations and, between sweeps, evicts exactly the bodies whose
-        *consulted* cells were dirtied (or whose merged inputs grew)
-        and re-runs them directly from their recorded inputs; a re-run
-        whose result actually moved evicts the bodies that observed the
-        old result, and so on until the queue drains. Taints only grow,
-        so a body none of whose inputs changed would recompute the same
-        result; skipping it is behavior-preserving and the reports come
-        out byte-identical.
-        """
+        """Outer fixpoint over the interprocedural cell/taint state (see
+        :meth:`_converge`), then the report artifacts and the summary
+        store's flush."""
         store = self.summary_store
         if store is not None and hasattr(store, "begin_run"):
             # incremental invalidation: hand the store every defined
@@ -358,32 +326,7 @@ class ValueFlowAnalysis:
             })
             if self._trust_replay:
                 self._apply_merged_seeds(store)
-        roots = self._roots()
-        sparse = self._sparse
-        for iteration in range(_MAX_OUTER_ITERATIONS):
-            check_deadline()  # resource-guard budget (no-op unarmed)
-            self.kernel_counters["outer_iterations"] = iteration + 1
-            if sparse:
-                if iteration:
-                    self._invalidate_stale()
-            else:
-                snapshot = {c: t for c, t in self.cell_taint.items()}
-                self._memo.clear()
-                self._failures.clear()
-            self._in_progress.clear()
-            self._inputs_changed = False
-            if sparse and iteration:
-                self._revalidate()
-            else:
-                for root in roots:
-                    args = tuple(SAFE for _ in root.arguments)
-                    self._analyze(root, EMPTY_CONTEXT, args)
-            if sparse:
-                self.kernel_counters["cells_dirtied"] += len(self._dirty_cells)
-                if not self._dirty_cells and not self._inputs_changed:
-                    break
-            elif self._stable(snapshot) and not self._inputs_changed:
-                break
+        self._converge(self._roots())
         if self._trust_replay and not (self._validate_deferred()
                                        and self._verify_merged_seeds()):
             # some trusted read (or applied merged-input seed) does not
@@ -398,11 +341,8 @@ class ValueFlowAnalysis:
             if hasattr(store, "hold_merged_seeds"):
                 store.hold_merged_seeds(None)
             return self
-        self.contexts_analyzed = (
-            self._reachable_contexts() if sparse else len(self._memo)
-        )
-        if self._kernel is not None:
-            self._kernel.publish_counters(self.kernel_counters)
+        self.contexts_analyzed = self._reachable_contexts()
+        self._kernel.publish_counters(self.kernel_counters)
         self._finalize()
         if self.summary_store is not None:
             if self._track_couplings:
@@ -414,6 +354,32 @@ class ValueFlowAnalysis:
                 self.summary_store.hold_merged_seeds(
                     self._harvest_merged_seeds())
         return self
+
+    def _converge(self, roots: List[Function]) -> None:
+        """Sparse outer fixpoint: the first sweep analyzes every root;
+        the memo table survives across sweeps, and between sweeps
+        exactly the bodies whose *consulted* cells were dirtied (or
+        whose merged inputs grew) are evicted and re-run directly from
+        their recorded inputs. A re-run whose result actually moved
+        evicts the bodies that observed the old result, and so on until
+        the queue drains. Taints only grow, so a body none of whose
+        inputs changed would recompute the same result; skipping it is
+        behavior-preserving."""
+        for iteration in range(_MAX_OUTER_ITERATIONS):
+            check_deadline()  # resource-guard budget (no-op unarmed)
+            self.kernel_counters["outer_iterations"] = iteration + 1
+            self._in_progress.clear()
+            self._inputs_changed = False
+            if iteration:
+                self._invalidate_stale()
+                self._revalidate()
+            else:
+                for root in roots:
+                    args = tuple(SAFE for _ in root.arguments)
+                    self._analyze(root, EMPTY_CONTEXT, args)
+            self.kernel_counters["cells_dirtied"] += len(self._dirty_cells)
+            if not self._dirty_cells and not self._inputs_changed:
+                break
 
     def _validate_deferred(self) -> bool:
         """Re-check every read a trusted replay deferred, against the
@@ -458,7 +424,7 @@ class ValueFlowAnalysis:
         """Start the merged-input joins at the previous run's converged
         values, minus the dirty cone's downward call closure."""
         seeds = getattr(store, "merged_seeds", None)
-        if not seeds or not self._sparse:
+        if not seeds:
             return
         drop = set(getattr(store, "last_cone", ()))
         drop |= set(getattr(store, "last_seeds", ()))
@@ -496,13 +462,11 @@ class ValueFlowAnalysis:
             applied += 1
         self.kernel_counters["merged_seeds_applied"] = applied
 
-    def _harvest_merged_seeds(self) -> Optional[dict]:
+    def _harvest_merged_seeds(self) -> dict:
         """The converged joins of this run, keyed by function name,
         plus the name-level dispatch adjacency (so the next run can
         drop seeds downstream of edits even when the caller's bodies
         were merged and left no persisted segment)."""
-        if not self._sparse:
-            return None
         funcs: Dict[str, tuple] = {}
         for func in (set(self._merged_inputs) | set(self._summary_args)
                      | set(self._ctx_counts)):
@@ -553,14 +517,6 @@ class ValueFlowAnalysis:
             if func not in reachable and func not in roots:
                 roots.append(func)
         return roots
-
-    def _stable(self, snapshot: Dict[Cell, Taint]) -> bool:
-        if len(snapshot) != len(self.cell_taint):
-            return False
-        for cell, taint in self.cell_taint.items():
-            if snapshot.get(cell) != taint:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # sparse-fixpoint bookkeeping
@@ -742,17 +698,15 @@ class ValueFlowAnalysis:
     def _finish_body(self, key: Tuple, ret: Taint) -> None:
         """Publish a completed body result.
 
-        In sparse mode, when the body was re-validating an evicted
-        entry and the result actually changed (an identity check —
-        taints are interned), every observer of the old result is
-        evicted and queued. Observers currently mid-run are left alone:
-        they are consuming the fresh result through the very dispatch
-        that triggered this run, or will hit the refreshed memo entry
-        when they get there."""
+        When the body was re-validating an evicted entry and the result
+        actually changed (an identity check — taints are interned),
+        every observer of the old result is evicted and queued.
+        Observers currently mid-run are left alone: they are consuming
+        the fresh result through the very dispatch that triggered this
+        run, or will hit the refreshed memo entry when they get
+        there."""
         self._memo[key] = ret
         self._in_progress.discard(key)
-        if not self._sparse:
-            return
         old = self._stale.pop(key, _NO_RESULT)
         if old is _NO_RESULT or ret == old:
             return
@@ -769,8 +723,9 @@ class ValueFlowAnalysis:
 
         Stale keys (a (function, context, args) combination the final
         call graph no longer produces) stay in the memo table but are
-        unreachable; excluding them makes ``contexts_analyzed`` match
-        what a dense run's final sweep would have memoized.
+        unreachable; excluding them makes ``contexts_analyzed`` count
+        exactly the bodies a from-scratch sweep over the converged
+        state would memoize.
         """
         seen: Set[Tuple] = set()
         work = [key for key in self._root_keys if key in self._memo]
@@ -799,11 +754,10 @@ class ValueFlowAnalysis:
         else:
             key = (func, eff_ctx, arg_taints)
         caller = self._body_stack[-1] if self._body_stack else None
-        if self._sparse:
-            self._note_dispatch(caller, key)
+        self._note_dispatch(caller, key)
         if key in self._memo and key not in self._in_progress:
             self.kernel_counters["body_memo_hits"] += 1
-            if self._sparse and caller is not None:
+            if caller is not None:
                 # the caller consumed a finished result: if it is ever
                 # evicted, the caller must re-run too
                 self._result_observers.setdefault(key, set()).add(caller)
@@ -816,17 +770,15 @@ class ValueFlowAnalysis:
         self._in_progress.add(key)
         self._memo[key] = SAFE
         seen = self._ctx_counts.setdefault(func, set())
-        if self._sparse and len(key) == 1 and eff_ctx not in seen:
+        if len(key) == 1 and eff_ctx not in seen:
             # a context admitted through the merged path is now "seen",
             # so the budget check routes later dispatches of that
             # context context-sensitively; callers bound to the merged
-            # body must re-bind next sweep (dense re-binds by re-running
-            # everything)
+            # body must re-bind next sweep
             self._merged_dirty.add(func)
         seen.add(eff_ctx)
         self._func_keys.setdefault(func, set()).add(key)
-        if self._sparse:
-            self._key_inputs[key] = (func, eff_ctx, arg_taints)
+        self._key_inputs[key] = (func, eff_ctx, arg_taints)
         self._begin_body(key)
         try:
             ret = self._analyze_body(func, eff_ctx, arg_taints)
@@ -834,7 +786,7 @@ class ValueFlowAnalysis:
             self._end_body(key)
 
         self._finish_body(key, ret)
-        if self._sparse and caller is not None:
+        if caller is not None:
             self._result_observers.setdefault(key, set()).add(caller)
         return ret
 
@@ -916,8 +868,7 @@ class ValueFlowAnalysis:
         caller = self._body_stack[-1] if self._body_stack else None
         merged = self._merge_summary_args(func, arg_taints)
         summary_key = (func, eff_ctx, "summary")
-        if self._sparse:
-            self._note_dispatch(caller, summary_key)
+        self._note_dispatch(caller, summary_key)
         if summary_key in self._in_progress:
             # recursion: placeholder result, no observer edge (see
             # the matching branch in _analyze)
@@ -933,8 +884,7 @@ class ValueFlowAnalysis:
                 Taint(data=frozenset({self._placeholder(func, i)}))
                 for i in range(len(arg_taints))
             )
-            if self._sparse:
-                self._key_inputs[summary_key] = (func, eff_ctx, placeholders)
+            self._key_inputs[summary_key] = (func, eff_ctx, placeholders)
             self._begin_body(summary_key)
             try:
                 ret = self._run_summary_body(
@@ -948,15 +898,13 @@ class ValueFlowAnalysis:
 
         if any(not t.is_safe for t in merged):
             effects_key = (func, eff_ctx, "effects")
-            if self._sparse:
-                self._note_dispatch(caller, effects_key)
+            self._note_dispatch(caller, effects_key)
             if effects_key not in self._memo and \
                     effects_key not in self._in_progress:
                 self._in_progress.add(effects_key)
                 self._memo[effects_key] = SAFE
                 self._func_keys.setdefault(func, set()).add(effects_key)
-                if self._sparse:
-                    self._key_inputs[effects_key] = (func, eff_ctx, merged)
+                self._key_inputs[effects_key] = (func, eff_ctx, merged)
                 self._begin_body(effects_key)
                 try:
                     ret = self._run_summary_body(
@@ -966,7 +914,7 @@ class ValueFlowAnalysis:
                     self._end_body(effects_key)
                 self._finish_body(effects_key, ret)
 
-        if self._sparse and caller is not None:
+        if caller is not None:
             self._result_observers.setdefault(summary_key, set()).add(caller)
         return self._substitute_summary(self._memo[summary_key], arg_taints)
 
@@ -1133,11 +1081,11 @@ class ValueFlowAnalysis:
                 return None
             writes.append((cell, taint))
         cmap = self.cell_taint
-        sparse = self._sparse and bool(self._body_stack)
+        in_body = bool(self._body_stack)
         trusted = self._trust_replay
         if not trusted:
             for cell, expected in reads:
-                if sparse:
+                if in_body:
                     # replayed reads are real input dependencies of the
                     # replaying body; register them for sparse
                     # invalidation
@@ -1164,7 +1112,7 @@ class ValueFlowAnalysis:
             # above were still compared — a callee that really moved
             # forces a recompute before any effect lands).
             for cell, expected in reads:
-                if sparse:
+                if in_body:
                     self._note_cell_read(cell)
                 marker = (cell, expected)
                 if marker not in self._deferred_seen:
@@ -1250,190 +1198,9 @@ class ValueFlowAnalysis:
 
     def _analyze_body(self, func: Function, ctx: Context,
                       arg_taints: Tuple[Taint, ...]) -> Taint:
-        """One intra-function local fixpoint; compiled when possible.
-
-        The compiled kernel returns ``None`` to request fallback (the
-        function is uncompilable or the bitset domain overflowed its
-        width); the object-domain body then re-runs from scratch, which
-        is safe because every compiled effect is an idempotent,
-        monotone join.
-        """
-        kernel = self._kernel
-        if kernel is not None and kernel.enabled:
-            ret = kernel.run_body(func, ctx, arg_taints)
-            if ret is not None:
-                return ret
-        return self._analyze_body_object(func, ctx, arg_taints)
-
-    def _analyze_body_object(self, func: Function, ctx: Context,
-                             arg_taints: Tuple[Taint, ...]) -> Taint:
-        taints: Dict[Value, Taint] = {}
-        deps = control_dependence(func)
-
-        def vt(value: Value) -> Taint:
-            if isinstance(value, Argument):
-                if value.index < len(arg_taints):
-                    return arg_taints[value.index]
-                return SAFE
-            if isinstance(value, (Constant, UndefValue, GlobalVariable,
-                                  Function)):
-                return SAFE
-            return taints.get(value, SAFE)
-
-        ret_taint = SAFE
-        for _ in range(_MAX_LOCAL_PASSES):
-            changed = False
-            for block in func.blocks:
-                block_ctl, controllers = self._block_control(block, deps, vt)
-                phi_ctl, phi_conds = self._phi_control(block, deps, vt)
-                for inst in block.instructions:
-                    if isinstance(inst, Phi):
-                        new = self._transfer(func, inst, ctx, vt, phi_ctl)
-                        if new and phi_ctl:
-                            for cond in phi_conds:
-                                self._edge_value(func, cond, inst, "control")
-                    else:
-                        new = self._transfer(func, inst, ctx, vt, block_ctl)
-                    if new is None:
-                        continue
-                    if taints.get(inst, SAFE) != new:
-                        taints[inst] = new
-                        changed = True
-            if not changed:
-                break
-
-        ret_node = VFGNode("value", f"return of {func.name}", "")
-        for block in func.blocks:
-            term = block.terminator
-            if isinstance(term, Ret) and term.value is not None:
-                # which return executes is decided by the branches this
-                # block is control dependent on: the summary carries
-                # their taint as control provenance (this is how the
-                # paper's decision() example becomes unsafe, §3.3)
-                block_ctl, controllers = self._block_control(block, deps, vt)
-                if vt(term.value):
-                    self.vfg.add_edge(
-                        self._value_node(func, term.value), ret_node, "data"
-                    )
-                for cond in controllers:
-                    self.vfg.add_edge(
-                        self._value_node(func, cond), ret_node, "control"
-                    )
-                ret_taint = ret_taint.join(vt(term.value)).join(block_ctl)
-        return ret_taint
-
-    def _phi_control(self, block: BasicBlock,
-                     deps: Dict[BasicBlock, Set[BasicBlock]], vt):
-        """Control taint governing *which incoming value* a phi selects.
-
-        The merge block itself executes unconditionally, so its own
-        control dependence is not enough: the selection is decided by
-        the branches its predecessors are control dependent on, plus
-        any predecessor that itself ends in a conditional branch.
-        """
-        if not self.config.track_control_dependence:
-            return SAFE, []
-        result = SAFE
-        controllers = []
-        for pred in block.predecessors():
-            pred_ctl, pred_conds = self._block_control(pred, deps, vt)
-            result = result.join(pred_ctl)
-            controllers.extend(pred_conds)
-            term = pred.terminator
-            if isinstance(term, CondBranch):
-                cond_taint = vt(term.condition)
-                if cond_taint:
-                    controllers.append(term.condition)
-                result = result.join(cond_taint.as_control())
-        return result, controllers
-
-    def _block_control(self, block: BasicBlock,
-                       deps: Dict[BasicBlock, Set[BasicBlock]], vt):
-        """Control taint of a block plus the tainted branch conditions."""
-        if not self.config.track_control_dependence:
-            return SAFE, []
-        result = SAFE
-        controllers = []
-        for controller in deps.get(block, ()):
-            term = controller.terminator
-            if isinstance(term, CondBranch):
-                cond_taint = vt(term.condition)
-                if cond_taint:
-                    controllers.append(term.condition)
-                result = result.join(cond_taint.as_control())
-        return result, controllers
-
-    # ------------------------------------------------------------------
-    # transfer functions
-    # ------------------------------------------------------------------
-
-    def _transfer(self, func: Function, inst: Instruction, ctx: Context,
-                  vt, block_ctl: Taint) -> Optional[Taint]:
-        if isinstance(inst, Load):
-            return self._transfer_load(func, inst, ctx, vt, block_ctl)
-        if isinstance(inst, Store):
-            self._transfer_store(func, inst, ctx, vt, block_ctl)
-            return None
-        if isinstance(inst, (BinOp, UnaryOp, Cmp, Cast, FieldAddr, IndexAddr)):
-            taint = join_all(vt(op) for op in inst.operands)
-            if taint:
-                for op in inst.operands:
-                    if vt(op):
-                        self._edge_value(func, op, inst, "data")
-            return taint
-        if isinstance(inst, Phi):
-            taint = join_all(vt(v) for v in inst.incoming.values())
-            if block_ctl:
-                taint = taint.join(block_ctl)
-            if taint:
-                for value in inst.incoming.values():
-                    if vt(value):
-                        self._edge_value(func, value, inst, "data")
-            return taint
-        if isinstance(inst, Call):
-            return self._transfer_call(func, inst, ctx, vt, block_ctl)
-        return None
-
-    def _transfer_load(self, func: Function, inst: Load, ctx: Context,
-                       vt, block_ctl: Taint) -> Taint:
-        regions = self.shm.regions_of(func, inst.pointer)
-        if regions:
-            unmonitored = [
-                name for name in regions
-                if self.shm.regions[name].noncore and name not in ctx
-            ]
-            if unmonitored:
-                sources = set()
-                for name in unmonitored:
-                    source = self._record_warning(func, inst, name)
-                    sources.add(source)
-                    self._edge_source(source, func, inst)
-                return Taint(data=frozenset(sources)).join(block_ctl)
-            # all regions are core or assumed core in this context
-            core_regions = [
-                name for name in regions if not self.shm.regions[name].noncore
-            ]
-            if core_regions:
-                # core shared memory behaves like ordinary memory: taint
-                # written by the core component flows back out of it
-                cell = self.points_to.target_of(inst.pointer)
-                stored = self.cell_taint.get(cell, SAFE) if cell else SAFE
-                if stored:
-                    self._edge_cell(cell, func, inst)
-                return stored.join(block_ctl)
-            return block_ctl  # monitored non-core read: safe (§2)
-        ptr_taint = vt(inst.pointer)
-        cell = self.points_to.target_of(inst.pointer)
-        if cell is None:
-            stored = SAFE
-        elif inst.type.is_aggregate:
-            # a struct/array copy reads every field: join field taints
-            stored = self._deep_cell_taint(cell)
-        else:
-            stored = self.cell_taint.get(cell, SAFE)
-        if stored and cell is not None:
-            self._edge_cell(cell, func, inst)
-        return stored.join(ptr_taint).join(block_ctl)
+        """One intra-function local fixpoint, run by the compiled
+        kernel."""
+        return self._kernel.run_body(func, ctx, arg_taints)
 
     def _field_cells(self, cell):
         """The cell plus every transitively nested field cell."""
@@ -1447,111 +1214,25 @@ class ValueFlowAnalysis:
             yield current
             work.extend(current.fields().values())
 
-    def _deep_cell_taint(self, cell) -> Taint:
-        result = SAFE
-        for member in self._field_cells(cell):
-            result = result.join(self.cell_taint.get(member, SAFE))
-        return result
+    # ------------------------------------------------------------------
+    # object-domain transfers the compiled kernel delegates
+    # ------------------------------------------------------------------
 
-    def _transfer_store(self, func: Function, inst: Store, ctx: Context,
-                        vt, block_ctl: Taint) -> None:
-        regions = self.shm.regions_of(func, inst.pointer)
-        taint = vt(inst.value).join(block_ctl.as_control())
-        if regions:
-            noncore = [n for n in regions if self.shm.regions[n].noncore]
-            if noncore and len(noncore) == len(regions):
-                # write to non-core shm: does not change core/noncore (§2)
-                return
-        taint = self.strip_placeholders(taint)
-        if not taint:
-            return
-        cell = self.points_to.target_of(inst.pointer)
-        if cell is None:
-            return
-        # an aggregate store overwrites every field; fan the (joined)
-        # taint out so later per-field loads observe it
-        targets = (list(self._field_cells(cell))
-                   if inst.value.type.is_aggregate else [cell])
-        for target in targets:
-            old = self.cell_taint.get(target, SAFE)
-            new = old.join(taint)
-            if new != old:
-                self.cell_taint[target] = new
-            elif self.summary_store is not None:
-                self._note_elided_write(target, new)
-        if vt(inst.value):
-            self._edge_value_to_cell(func, inst.value, cell)
-
-    def _transfer_call(self, func: Function, inst: Call, ctx: Context,
-                       vt, block_ctl: Taint) -> Taint:
+    def _generic_transfer(self, inst: Call):
+        """The object-domain transfer of a call the compiled kernel
+        does not lower (:data:`~repro.valueflow.opcodes.OP_GENERIC`),
+        or ``None`` for every other call. Each transfer takes
+        ``(func, inst, ctx, vt, block_ctl)`` and returns the call's
+        result taint."""
         name = inst.callee_name
-        if name == ASSERT_SAFE_MARKER:
-            if inst.operands:
-                self._check_critical(func, inst, vt(inst.operands[0]),
-                                     self._assert_variable(inst))
-            return SAFE
-        if name in IMPLICIT_CRITICAL_CALLS:
-            for index in IMPLICIT_CRITICAL_CALLS[name]:
-                if index < len(inst.operands):
-                    self._check_critical(
-                        func, inst, vt(inst.operands[index]),
-                        f"{name}() argument {index}",
-                    )
-            return SAFE
         if name in COPY_CALLS and len(inst.operands) >= 2:
-            return self._transfer_copy(func, inst, ctx, vt, block_ctl)
+            return self._transfer_copy
         if name in ("recv", "read") and self.config.message_passing_extension:
             # §3.4.3: message passing and I/O reads share the treatment
-            return self._transfer_recv(func, inst, vt, block_ctl)
-
+            return self._transfer_recv
         if self._is_degraded_callee(name, inst):
-            return self._transfer_degraded_call(
-                func, inst, name, vt, block_ctl)
-
-        targets: List[Function] = []
-        if isinstance(inst.callee, Function) and not inst.callee.is_declaration:
-            targets = [inst.callee]
-        else:
-            for site in self.shm.callgraph.sites_in(func):
-                if site.call is inst:
-                    targets = list(site.targets)
-                    break
-        if targets:
-            result = SAFE
-            args = tuple(vt(op) for op in inst.operands)
-            for target in targets:
-                padded = tuple(
-                    args[i] if i < len(args) else SAFE
-                    for i in range(len(target.arguments))
-                )
-                # provenance: tainted actuals flow into the callee's
-                # formals (needed for cross-function witness paths)
-                for i, op in enumerate(inst.operands):
-                    if i < len(target.arguments) and args[i]:
-                        self.vfg.add_edge(
-                            self._value_node(func, op),
-                            self._value_node(target, target.arguments[i]),
-                            "data",
-                        )
-                child = self._dispatch_call(target, ctx, padded)
-                result = result.join(child)
-            if result:
-                self._edge_call(func, inst, result)
-            return result.join(block_ctl)
-        # unknown external: the result may depend on its arguments and
-        # on anything reachable through its pointer arguments
-        result = join_all(vt(op) for op in inst.operands)
-        for op in inst.operands:
-            if vt(op):
-                self._edge_value(func, op, inst, "data")
-            if op.type.is_pointer:
-                cell = self.points_to.target_of(op)
-                if cell is not None:
-                    stored = self.cell_taint.get(cell, SAFE)
-                    if stored:
-                        self._edge_cell(cell, func, inst)
-                    result = result.join(stored)
-        return result.join(block_ctl)
+            return self._transfer_degraded_call
+        return None
 
     def _is_degraded_callee(self, name: Optional[str], inst: Call) -> bool:
         """Must this call be treated fail-closed (see repro.degrade)?
@@ -1575,7 +1256,7 @@ class ValueFlowAnalysis:
         return not defined
 
     def _transfer_degraded_call(self, func: Function, inst: Call,
-                                name: str, vt, block_ctl: Taint) -> Taint:
+                                ctx: Context, vt, block_ctl: Taint) -> Taint:
         """Fail-closed transfer for a call into degraded code.
 
         The result joins a synthetic ``degraded:<callee>`` taint source
@@ -1584,6 +1265,7 @@ class ValueFlowAnalysis:
         could have touched is unmonitored non-core flow, so the final
         verdict can only get stricter.
         """
+        name = inst.callee_name
         location = inst.location
         source = TaintSource(
             region=degraded_region(name),
@@ -1642,8 +1324,8 @@ class ValueFlowAnalysis:
                 self._edge_value_to_cell(func, src, dest_cell)
         return taint
 
-    def _transfer_recv(self, func: Function, inst: Call, vt,
-                       block_ctl: Taint) -> Taint:
+    def _transfer_recv(self, func: Function, inst: Call, ctx: Context,
+                       vt, block_ctl: Taint) -> Taint:
         """§3.4.3 extension: recv on a noncore socket taints the buffer."""
         if len(inst.operands) < 2:
             return SAFE
@@ -1864,7 +1546,7 @@ class ValueFlowAnalysis:
     def _value_node(self, func: Function, value: Value) -> VFGNode:
         # memoized: the unnamed-temp branch walks the parent block's
         # instruction list, and edge-heavy bodies resolve the same
-        # nodes every pass (both kernels go through here)
+        # nodes every pass
         memo_key = (func, value)
         cached = self._value_node_memo.get(memo_key)
         if cached is not None:
@@ -1914,11 +1596,6 @@ class ValueFlowAnalysis:
                             cell: Cell) -> None:
         node = VFGNode("cell", cell.label, "")
         self.vfg.add_edge(self._value_node(func, value), node, "data")
-
-    def _edge_call(self, func: Function, inst: Call, taint: Taint) -> None:
-        callee = inst.callee_name or "<indirect>"
-        node = VFGNode("value", f"return of {callee}", "")
-        self.vfg.add_edge(node, self._value_node(func, inst), "data")
 
     def _edge_sink(self, func: Function, inst: Instruction, taint: Taint,
                    variable: str) -> None:

@@ -1,42 +1,41 @@
 """Compiled value-flow kernels: flat opcode programs over bitset taints.
 
-The object-domain body analysis (``ValueFlowAnalysis._analyze_body_object``)
-re-discovers, on every pass over every instruction, facts that never
-change during a body run: the instruction's transfer kind, its shared-
-memory regions, its points-to cell, the branch conditions its block is
-control-dependent on, and the value-flow-graph nodes its effects touch.
-This module hoists all of that into a one-time *compile* step: each
-(function, effective context) pair is lowered to a flat tuple of opcode
-tuples per basic block (see :mod:`repro.valueflow.opcodes` for the
-codes), and one tight interpreter loop runs the local fixpoint over
-``list``-indexed integer bitsets (:mod:`repro.valueflow.bitdomain`)
-instead of hash-consed :class:`Taint` objects in a dict.
+A body analysis that walks the IR re-discovers, on every pass over
+every instruction, facts that never change during a body run: the
+instruction's transfer kind, its shared-memory regions, its points-to
+cell, the branch conditions its block is control-dependent on, and the
+value-flow-graph nodes its effects touch. This module hoists all of
+that into a one-time *compile* step: each (function, effective
+context) pair is lowered to a flat tuple of opcode tuples per basic
+block (see :mod:`repro.valueflow.opcodes` for the codes), and one tight
+interpreter loop runs the local fixpoint over ``list``-indexed integer
+bitsets (:mod:`repro.valueflow.bitdomain`) instead of hash-consed
+:class:`Taint` objects in a dict. It is the only body analysis the
+engine runs; the object-domain reference implementation it must agree
+with lives with the differential tests (``tests/oracles``).
 
-Everything observable is preserved:
+Everything observable goes through the engine:
 
 - memory-cell reads/writes go through the engine's hooked cell map, so
-  sparse-fixpoint read dependencies and summary recorders fire exactly
-  as in the object domain;
+  sparse-fixpoint read dependencies and summary recorders fire on
+  every access;
 - call dispatch delegates to ``engine._dispatch_call`` with taints
   decoded back to interned objects, so memoization keys, context
-  budgets and summary records are shared between both kernels;
+  budgets and summary records are keyed on the lattice, not on bits;
 - warnings, critical-dependency failures and VFG edges are emitted
   through the same engine plumbing; taint-conditional edges are
-  emitted once per body run (the object domain re-adds them every
-  pass; the graph dedupes, so the final artifacts are identical).
-  Edge *nodes* are resolved lazily at emission time — compilation
-  stores IR values, and ``engine._value_node`` (memoized) renders
-  them only when a tainted fact actually flows;
+  emitted once per body run (the graph dedupes, so re-adding them
+  every pass would change nothing). Edge *nodes* are resolved lazily
+  at emission time — compilation stores IR values, and
+  ``engine._value_node`` (memoized) renders them only when a tainted
+  fact actually flows;
 - rare transfer paths (byte-copy builtins, ``recv``, degraded callees)
-  compile to :data:`~repro.valueflow.opcodes.OP_GENERIC`, which
-  delegates the single instruction to the object-domain transfer
-  function through a slot-reading ``vt`` shim.
+  compile to :data:`~repro.valueflow.opcodes.OP_GENERIC`, which hands
+  the single instruction to the engine's object-domain transfer
+  (``engine._generic_transfer``) through a slot-reading ``vt`` shim.
 
-Fallback: any :class:`KernelOverflow` (the interner ran out of width)
-disables the compiled kernel for the rest of the analysis and the body
-re-runs in the object domain. This is safe even after a partial
-compiled pass — every effect above is an idempotent, monotone join, so
-the outer fixpoint converges to the identical fixpoint.
+The bitset interner is uncapped, so every body compiles and runs here;
+there is no fallback path.
 """
 
 from __future__ import annotations
@@ -61,12 +60,8 @@ from ..ir import (
     UnaryOp,
     control_dependence,
 )
-from .bitdomain import KernelOverflow, PLACEHOLDER_PREFIX, RegionInterner
-from .engine import (
-    COPY_CALLS,
-    IMPLICIT_CRITICAL_CALLS,
-    _MAX_LOCAL_PASSES,
-)
+from .bitdomain import PLACEHOLDER_PREFIX, RegionInterner
+from .engine import IMPLICIT_CRITICAL_CALLS
 from .opcodes import (
     OP_ASSERT,
     OP_CALL_DIRECT,
@@ -87,6 +82,9 @@ from .vfg import VFGNode
 
 #: join-like instruction kinds lowered to :data:`OP_JOIN`
 _JOIN_KINDS = (BinOp, UnaryOp, Cmp, Cast, FieldAddr, IndexAddr)
+
+#: bound on the passes of one body's local fixpoint
+_MAX_LOCAL_PASSES = 64
 
 
 class _BlockProgram:
@@ -129,24 +127,21 @@ class KernelState:
     and observability counters. Owned by one :class:`ValueFlowAnalysis`;
     programs hold live IR/cell references, so they are process-local
     artifacts — cross-process reuse happens one level up, through the
-    summary store, whose fingerprints include the kernel mode and
-    opcode format version."""
+    summary store, whose fingerprints include the opcode format
+    version."""
 
-    def __init__(self, engine, width: int):
+    def __init__(self, engine):
         assert engine._PLACEHOLDER_PREFIX == PLACEHOLDER_PREFIX
         self.engine = engine
-        self.interner = RegionInterner(width)
-        self.enabled = True
-        self._programs: Dict[Tuple, Optional[CompiledBody]] = {}
+        self.interner = RegionInterner()
+        self._programs: Dict[Tuple, CompiledBody] = {}
         self.compile_seconds = 0.0
         #: wall time inside compiled execution at the outermost nesting
         #: level — inclusive of call dispatch into callee bodies,
         #: exclusive of any compilation that happens along the way
         self.execute_seconds = 0.0
         self._depth = 0
-        self.overflows = 0
         self.compiled_bodies = 0
-        self.fallback_bodies = 0
         self.passes = 0
         self.op_counts: Dict[int, int] = {}
 
@@ -154,40 +149,20 @@ class KernelState:
     # public entry
     # ------------------------------------------------------------------
 
-    def run_body(self, func: Function, ctx, arg_taints) -> Optional[Taint]:
-        """Execute one body compiled; ``None`` requests object-domain
-        fallback (uncompilable function or width overflow)."""
+    def run_body(self, func: Function, ctx, arg_taints) -> Taint:
+        """Execute one (function, context) body, compiling it first
+        on its first run."""
         key = (func, ctx)
-        programs = self._programs
-        if key in programs:
-            program = programs[key]
-        else:
-            t0 = perf_counter()
-            try:
-                program = self._compile(func, ctx)
-            except KernelOverflow:
-                program = None
-                self.overflows += 1
-            finally:
-                self.compile_seconds += perf_counter() - t0
-            programs[key] = program
+        program = self._programs.get(key)
         if program is None:
-            self.fallback_bodies += 1
-            return None
+            t0 = perf_counter()
+            program = self._programs[key] = self._compile(func, ctx)
+            self.compile_seconds += perf_counter() - t0
         t0 = perf_counter()
         c0 = self.compile_seconds
         self._depth += 1
         try:
             ret = self._execute(program, arg_taints)
-        except KernelOverflow:
-            # dynamic overflow: a cell/call/argument taint brought the
-            # interner past its width. Disable for the whole analysis —
-            # the wide taint will keep flowing — and re-run this body in
-            # the object domain (partial effects are idempotent joins).
-            self.enabled = False
-            self.overflows += 1
-            self.fallback_bodies += 1
-            return None
         finally:
             self._depth -= 1
             if self._depth == 0:
@@ -199,11 +174,7 @@ class KernelState:
 
     def publish_counters(self, counters: Dict[str, int]) -> None:
         counters["kernel_compiled_bodies"] = self.compiled_bodies
-        counters["kernel_fallback_bodies"] = self.fallback_bodies
-        counters["kernel_fallbacks"] = self.overflows
-        counters["kernel_compiled_programs"] = sum(
-            1 for p in self._programs.values() if p is not None
-        )
+        counters["kernel_compiled_programs"] = len(self._programs)
         counters["kernel_interner_bits"] = len(self.interner)
         counters["kernel_passes"] = self.passes
         counters["kernel_opcode_dispatches"] = sum(self.op_counts.values())
@@ -216,13 +187,13 @@ class KernelState:
     # compiler
     # ------------------------------------------------------------------
 
-    def _compile(self, func: Function, ctx) -> Optional[CompiledBody]:
+    def _compile(self, func: Function, ctx) -> CompiledBody:
         engine = self.engine
         shm = engine.shm
         regions_of = shm.regions_of
         shm_regions = shm.regions
         target_of = engine.points_to.target_of
-        interner_bit = self.interner.bit
+        data_bit = self.interner.data_bit
         track = engine.config.track_control_dependence
         deps = control_dependence(func)
 
@@ -307,7 +278,7 @@ class KernelState:
                 elif kind is Load:
                     op, n_sites = self._compile_load(
                         engine, shm_regions, regions_of, target_of,
-                        interner_bit, func, ctx, inst, slot_get,
+                        data_bit, func, ctx, inst, slot_get,
                         slot_of[inst], n_sites)
                     if op is not None:
                         ops.append(op)
@@ -374,7 +345,7 @@ class KernelState:
         return prog
 
     def _compile_load(self, engine, shm_regions, regions_of, target_of,
-                      interner_bit, func, ctx, inst, slot_get, dslot,
+                      data_bit, func, ctx, inst, slot_get, dslot,
                       n_sites):
         regions = regions_of(func, inst.pointer)
         if regions:
@@ -394,7 +365,7 @@ class KernelState:
                                   else "<unknown>"),
                         line=location.line if location else 0,
                     )
-                    bits |= 1 << interner_bit(source)
+                    bits |= data_bit(source)
                     entries.append(source)
                 return ((OP_LOAD_UNMON, dslot, bits, tuple(entries),
                          inst), n_sites)
@@ -457,13 +428,9 @@ class KernelState:
             if checks:
                 return (OP_CRITICAL, checks), n_sites, False
             return None, n_sites, False
-        if name in COPY_CALLS and len(inst.operands) >= 2:
-            return (OP_GENERIC, dslot, inst), n_sites, True
-        if name in ("recv", "read") and \
-                engine.config.message_passing_extension:
-            return (OP_GENERIC, dslot, inst), n_sites, True
-        if engine._is_degraded_callee(name, inst):
-            return (OP_GENERIC, dslot, inst), n_sites, True
+        transfer = engine._generic_transfer(inst)
+        if transfer is not None:
+            return (OP_GENERIC, dslot, inst, transfer), n_sites, True
 
         targets: List[Function] = []
         if isinstance(inst.callee, Function) and \
@@ -529,8 +496,7 @@ class KernelState:
         interner = self.interner
         encode = interner.encode
         decode = interner.decode
-        shift = interner.width
-        dmask = interner.data_mask
+        as_control = interner.as_control
         cmap = engine.cell_taint
         cmap_get = cmap.get
         recording = engine.summary_store is not None
@@ -560,8 +526,7 @@ class KernelState:
                     orb = 0
                     for s in block.ctl_slots:
                         orb |= slots[s]
-                    ctl = ((orb | orb >> shift) & dmask) << shift \
-                        if orb else 0
+                    ctl = as_control(orb) if orb else 0
                 else:
                     ctl = 0
                 phi_ctl = 0
@@ -570,7 +535,7 @@ class KernelState:
                     for s in block.phi_slots:
                         orb |= slots[s]
                     if orb:
-                        phi_ctl = ((orb | orb >> shift) & dmask) << shift
+                        phi_ctl = as_control(orb)
                 for op in block.ops:
                     code = op[0]
                     if code == OP_JOIN:
@@ -740,8 +705,7 @@ class KernelState:
                             engine._check_critical(
                                 func, inst, decode(slots[s]), label)
                     else:  # OP_GENERIC
-                        res = engine._transfer(func, op[2], ctx, vt,
-                                               decode(ctl))
+                        res = op[3](func, op[2], ctx, vt, decode(ctl))
                         if res is not None:
                             v = encode(res)
                             dst = op[1]
@@ -769,7 +733,7 @@ class KernelState:
                 if cb:
                     add_edge(value_node(func, cond), ret_node, "control")
             if orb:
-                ret |= vb | ((orb | orb >> shift) & dmask) << shift
+                ret |= vb | as_control(orb)
             else:
                 ret |= vb
         return decode(ret)

@@ -8,19 +8,20 @@ version without pulling in the engine.
 
 ``OPCODE_FORMAT_VERSION`` names the on-the-wire shape of compiled
 programs *and* of everything the kernel's bitset encoding can leak
-into persisted state. It is folded into :func:`repro.perf.fingerprint.
-config_fingerprint` whenever ``AnalysisConfig.kernel == "compiled"``,
-so summary records written by one program format are never replayed
-into another. Bump it on any change to the opcode layouts or the
-lattice encoding.
+into persisted state. It is folded into every
+:func:`repro.perf.fingerprint.config_fingerprint`, so summary records
+written by one program format are never replayed into another. Bump
+it on any change to the opcode layouts or the lattice encoding.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-#: bump on any change to opcode layouts or the bitset lattice encoding
-OPCODE_FORMAT_VERSION = 1
+#: bump on any change to opcode layouts or the bitset lattice encoding.
+#: 2: interleaved data/control bits per source, OP_GENERIC carries its
+#: transfer
+OPCODE_FORMAT_VERSION = 2
 
 #: pure dataflow join over operand slots (BinOp/UnaryOp/Cmp/Cast/
 #: FieldAddr/IndexAddr)

@@ -5,10 +5,13 @@ from pathlib import Path
 
 import pytest
 
-# allow running the tests without installation
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+# allow running the tests without installation; the reference engines
+# of the differential tests import as ``oracles`` (tests/oracles)
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+for path in (SRC, TESTS):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 from repro import AnalysisConfig, SafeFlow  # noqa: E402
 from repro.frontend import load_source  # noqa: E402

@@ -5,7 +5,8 @@ fixpoint are all pure performance work: every observable report must be
 byte-identical to the reference (dense, uncached) computation. These
 tests pin that down directly — algebraic laws for the taint lattice,
 fresh-solve cross-checks for the solver cache on randomized systems,
-and whole-report comparisons for the sparse engine.
+and whole-report comparisons of the sparse engine against the dense
+oracle (``tests/oracles``).
 """
 
 import pickle
@@ -24,6 +25,8 @@ from repro.restrictions.solver import (
     solver_cache_stats,
 )
 from repro.valueflow.taint import SAFE, Taint, TaintSource, taint_cache_stats
+
+import oracles
 
 
 def _src(region, line=1):
@@ -172,12 +175,12 @@ class TestSparseFixpoint:
     def test_reports_byte_identical_to_dense(self, kwargs):
         program = generate_core(**kwargs)
         reports = {}
-        for sparse in (True, False):
-            config = AnalysisConfig(sparse_fixpoint=sparse)
-            reports[sparse] = SafeFlow(config).analyze_source(
-                program.source, name="g"
-            )
-        sparse_r, dense_r = reports[True], reports[False]
+        for fixpoint in oracles.FIXPOINTS:
+            with oracles.installed(fixpoint=fixpoint):
+                reports[fixpoint] = SafeFlow().analyze_source(
+                    program.source, name="g"
+                )
+        sparse_r, dense_r = reports["sparse"], reports["dense"]
         assert sparse_r.render(verbose=True) == dense_r.render(verbose=True)
         assert sparse_r.witness_graphs == dense_r.witness_graphs
         assert (sparse_r.stats.contexts_analyzed
@@ -191,11 +194,12 @@ class TestSparseFixpoint:
     def test_sparse_reanalyzes_fewer_bodies(self):
         program = generate_core(pipeline_stages=10, filler_functions=8)
         counts = {}
-        for sparse in (True, False):
-            config = AnalysisConfig(sparse_fixpoint=sparse)
-            report = SafeFlow(config).analyze_source(program.source)
-            counts[sparse] = report.stats.kernel_counters["bodies_analyzed"]
-        assert counts[True] < counts[False]
+        for fixpoint in oracles.FIXPOINTS:
+            with oracles.installed(fixpoint=fixpoint):
+                report = SafeFlow().analyze_source(program.source)
+            counts[fixpoint] = report.stats.kernel_counters[
+                "bodies_analyzed"]
+        assert counts["sparse"] < counts["dense"]
 
 
 # ----------------------------------------------------------------------

@@ -201,6 +201,7 @@ class TestErrors:
         {"source": "x", "files": ["y.c"]},      # both
         {"files": []},                          # empty
         {"source": "x", "config": {"bogus": 1}},
+        {"source": "x", "config": {"sparse_fixpoint": False}},
         {"source": "x", "deadline": -1},
         {"source": "x", "job_id": ""},
     ])

@@ -36,6 +36,8 @@ from repro.valueflow.engine import ValueFlowAnalysis
 from repro.valueflow.kernel import KernelState
 from tests.conftest import FIGURE2_SOURCE
 
+import oracles
+
 #: qualified-name prefixes of the closures that used to recurse
 _RECURSIVE_CLOSURES = ("promote_to_ssa.", "DominatorTree._reverse_postorder.")
 
@@ -66,15 +68,16 @@ def _cyclic_garbage_of(run):
             gc.enable()
 
 
-@pytest.mark.parametrize("options", [
-    {}, {"kernel": "object"}, {"summary_mode": True},
+@pytest.mark.parametrize("options, kernel", [
+    ({}, "compiled"), ({}, "object"), ({"summary_mode": True}, "compiled"),
 ], ids=["compiled", "object", "summary-store"])
-def test_cold_verdict_leaves_no_transient_cycles(options, tmp_path):
+def test_cold_verdict_leaves_no_transient_cycles(options, kernel, tmp_path):
     if options.get("summary_mode"):
         options = dict(options, cache_dir=str(tmp_path))
     analyzer = SafeFlow(AnalysisConfig(**options))
-    garbage = _cyclic_garbage_of(
-        lambda: analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c"))
+    with oracles.installed(kernel=kernel):
+        garbage = _cyclic_garbage_of(
+            lambda: analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c"))
     leaked = sorted({getattr(o, "__qualname__", type(o).__qualname__)
                      for o in garbage if _transient(o)})
     assert leaked == []

@@ -1,17 +1,17 @@
 """The compiled kernel must be invisible in results.
 
 The bitset lattice (:mod:`repro.valueflow.bitdomain`) and the opcode
-programs (:mod:`repro.valueflow.kernel`) are pure performance work: the
-object-domain engine stays the oracle, and every observable report must
-be byte-identical between ``kernel="object"`` and ``kernel="compiled"``
-— including past the interner's width cap, where the compiled kernel
-falls back to the object domain mid-analysis.
+programs (:mod:`repro.valueflow.kernel`) are pure performance work:
+every observable report must be byte-identical to the object-domain
+oracle and the dense-fixpoint oracle (``tests/oracles``), however many
+taint sources the interner holds.
 
 Covers: randomized algebraic laws of the bitset encoding against the
-interned ``Taint`` lattice, whole-report differential sweeps (kernel x
-fixpoint, the bundled corpus, degraded inputs), the kernel counters and
-their daemon aggregation, and cache fingerprinting (summaries recorded
-under one kernel are never replayed into the other).
+interned ``Taint`` lattice (on a fresh interner and on one holding
+5,000 sources), whole-report differential sweeps over the four (kernel
+x fixpoint) combinations (generated programs, the bundled corpus,
+degraded inputs, a program with more than 256 taint sources), the kernel
+counters and their daemon aggregation, and cache fingerprinting.
 """
 
 import gc
@@ -23,19 +23,12 @@ import pytest
 from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
 from repro.corpus import generate_core, load_all
-from repro.frontend import load_source
 from repro.perf.fingerprint import config_fingerprint
 from repro.perf.gcpause import gc_paused
-from repro.perf.summary_store import SummaryStore
-from repro.shm.propagation import ShmAnalysis
-from repro.valueflow.bitdomain import (
-    DEFAULT_WIDTH,
-    KernelOverflow,
-    PLACEHOLDER_PREFIX,
-    RegionInterner,
-)
-from repro.valueflow.engine import ValueFlowAnalysis
+from repro.valueflow.bitdomain import PLACEHOLDER_PREFIX, RegionInterner
 from repro.valueflow.taint import SAFE, Taint, TaintSource
+
+import oracles
 
 
 def _source(i: int, placeholder: bool = False) -> TaintSource:
@@ -54,10 +47,19 @@ def _random_taint(rng: random.Random, pool) -> Taint:
 # ----------------------------------------------------------------------
 
 class TestBitdomain:
+    """The laws on a fresh interner that interns its pool on first use."""
+
+    def domain(self, size: int):
+        """An interner plus a pool of ``size`` sources to draw from."""
+        return RegionInterner(), [_source(i) for i in range(size)]
+
+    def strip_pair(self):
+        """A real source and a placeholder source."""
+        return _source(1), _source(2, placeholder=True)
+
     def test_encode_decode_round_trips_to_the_same_object(self):
         rng = random.Random(11)
-        interner = RegionInterner(32)
-        pool = [_source(i) for i in range(8)]
+        interner, pool = self.domain(8)
         for _ in range(200):
             t = _random_taint(rng, pool)
             enc = interner.encode(t)
@@ -65,8 +67,7 @@ class TestBitdomain:
 
     def test_join_is_bitwise_or(self):
         rng = random.Random(12)
-        interner = RegionInterner(32)
-        pool = [_source(i) for i in range(8)]
+        interner, pool = self.domain(8)
         for _ in range(200):
             a = _random_taint(rng, pool)
             b = _random_taint(rng, pool)
@@ -76,8 +77,7 @@ class TestBitdomain:
 
     def test_as_control_mirrors_object_lattice(self):
         rng = random.Random(13)
-        interner = RegionInterner(32)
-        pool = [_source(i) for i in range(8)]
+        interner, pool = self.domain(8)
         for _ in range(200):
             t = _random_taint(rng, pool)
             mirrored = interner.decode(
@@ -86,8 +86,7 @@ class TestBitdomain:
 
     def test_distinct_taints_get_distinct_encodings(self):
         rng = random.Random(14)
-        interner = RegionInterner(64)
-        pool = [_source(i) for i in range(10)]
+        interner, pool = self.domain(10)
         seen = {}
         for _ in range(300):
             t = _random_taint(rng, pool)
@@ -95,9 +94,8 @@ class TestBitdomain:
             assert seen.setdefault(enc, t) is t
 
     def test_keep_mask_strips_exactly_the_placeholder_bits(self):
-        interner = RegionInterner(16)
-        real = _source(1)
-        ph = _source(2, placeholder=True)
+        interner, _ = self.domain(0)
+        real, ph = self.strip_pair()
         t = Taint(frozenset({real, ph}), frozenset({ph}))
         stripped = interner.decode(
             interner.encode(t) & interner.keep_mask)
@@ -108,31 +106,48 @@ class TestBitdomain:
             interner.encode(only) & interner.keep_mask) is SAFE
 
     def test_safe_is_zero(self):
-        interner = RegionInterner(8)
+        interner, _ = self.domain(0)
         assert interner.encode(SAFE) == 0
         assert interner.decode(0) is SAFE
 
-    def test_interning_past_the_width_cap_raises(self):
-        interner = RegionInterner(4)
-        for i in range(4):
-            interner.bit(_source(i))
-        with pytest.raises(KernelOverflow):
-            interner.bit(_source(99))
-        # the encode path hits the same cap
-        fat = Taint(frozenset({_source(100 + i) for i in range(5)}))
-        with pytest.raises(KernelOverflow):
-            RegionInterner(4).encode(fat)
 
-    def test_exactly_at_the_width_cap_still_works(self):
-        width = 6
-        interner = RegionInterner(width)
-        sources = [_source(i) for i in range(width)]
-        t = Taint(frozenset(sources), frozenset(sources[:2]))
-        assert interner.decode(interner.encode(t)) is t
-        assert len(interner) == width
+#: sources a wide interner holds before any law is checked
+WIDE = 5000
 
-    def test_default_width_matches_config_default(self):
-        assert AnalysisConfig().kernel_width == DEFAULT_WIDTH
+
+def _is_wide_placeholder(i: int) -> bool:
+    return i > 256 and i % 97 == 0
+
+
+class TestWideBitdomain(TestBitdomain):
+    """The same laws on an interner already holding :data:`WIDE`
+    sources, placeholders among them (all past index 256), with pools
+    drawn from the whole range: encodings thousands of bits wide."""
+
+    def domain(self, size: int):
+        interner = RegionInterner()
+        sources = [_source(i, _is_wide_placeholder(i)) for i in range(WIDE)]
+        for source in sources:
+            interner.data_bit(source)
+        assert len(interner) == WIDE
+        return interner, random.Random(size).sample(sources[257:], size)
+
+    def strip_pair(self):
+        assert _is_wide_placeholder(97 * 30)
+        return _source(WIDE - 1), _source(97 * 30, placeholder=True)
+
+    def test_every_interned_source_round_trips(self):
+        interner = RegionInterner()
+        sources = [_source(i) for i in range(WIDE)]
+        t = Taint(frozenset(sources), frozenset(sources[::3]))
+        enc = interner.encode(t)
+        assert len(interner) == WIDE
+        assert interner.decode(enc) is t
+        assert interner.decode(interner.as_control(enc)) is t.as_control()
+        # a source interned later only adds bits above the existing ones
+        late = interner.encode(Taint(frozenset({_source(WIDE)})))
+        assert late > enc and late & enc == 0
+        assert interner.decode(enc) is t
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +167,12 @@ def _signature(report):
 
 
 def _sweep_configs(**overrides):
-    for kernel in ("object", "compiled"):
-        for sparse in (True, False):
-            yield AnalysisConfig(
-                kernel=kernel, sparse_fixpoint=sparse, **overrides)
+    """The same config once per (kernel x fixpoint) engine, each
+    yielded while its engine is installed."""
+    config = AnalysisConfig(**overrides)
+    for kernel, fixpoint in oracles.COMBINATIONS:
+        with oracles.installed(kernel, fixpoint):
+            yield config
 
 
 WORKLOADS = [
@@ -214,17 +231,18 @@ class TestDifferentialParity:
             signatures.add(_signature(report))
         assert len(signatures) == 1
 
-    def test_width_cap_fallback_is_byte_identical(self):
-        source = generate_core(**WORKLOADS[0]).source
-        oracle = _signature(
-            SafeFlow(AnalysisConfig(kernel="object"))
-            .analyze_source(source, name="w"))
-        capped_cfg = AnalysisConfig(kernel="compiled", kernel_width=1)
-        capped = SafeFlow(capped_cfg).analyze_source(source, name="w")
-        assert _signature(capped) == oracle
-        counters = capped.stats.kernel_counters
-        assert counters["kernel_fallbacks"] > 0
-        assert counters["kernel_fallback_bodies"] > 0
+    def test_past_the_old_width_cap_is_byte_identical(self):
+        # 260 unmonitored reads, so more than 256 interned taint
+        # sources: encodings wider than 512 bits
+        source = generate_core(data_error_regions=140,
+                               benign_read_regions=120).source
+        reports = [SafeFlow(cfg).analyze_source(source, name="w")
+                   for cfg in _sweep_configs()]
+        production = reports[0].stats.kernel_counters
+        assert production["kernel_interner_bits"] > 256
+        assert production["kernel_compiled_bodies"] == production[
+            "bodies_analyzed"]
+        assert len({_signature(r) for r in reports}) == 1
 
 
 # ----------------------------------------------------------------------
@@ -234,9 +252,7 @@ class TestDifferentialParity:
 class TestKernelCounters:
     def test_compiled_run_exposes_kernel_counters(self):
         source = generate_core(**WORKLOADS[0]).source
-        report = SafeFlow(
-            AnalysisConfig(kernel="compiled")
-        ).analyze_source(source, name="w")
+        report = SafeFlow().analyze_source(source, name="w")
         counters = report.stats.kernel_counters
         assert counters["kernel_compiled_bodies"] > 0
         assert counters["kernel_compiled_programs"] > 0
@@ -246,7 +262,9 @@ class TestKernelCounters:
         assert counters["kernel_interner_bits"] > 0
         assert counters["kernel_compile_us"] >= 0
         assert counters["kernel_execute_us"] >= 0
-        assert counters["kernel_fallbacks"] == 0
+        # every body the engine ran, ran compiled
+        assert counters["kernel_compiled_bodies"] == counters[
+            "bodies_analyzed"]
         # per-opcode histogram entries sum to the dispatch total
         per_op = sum(v for k, v in counters.items()
                      if k.startswith("kernel_op_"))
@@ -254,18 +272,15 @@ class TestKernelCounters:
 
     def test_object_run_has_no_kernel_counters(self):
         source = generate_core(**WORKLOADS[0]).source
-        report = SafeFlow(
-            AnalysisConfig(kernel="object")
-        ).analyze_source(source, name="w")
+        with oracles.installed(kernel="object"):
+            report = SafeFlow().analyze_source(source, name="w")
         assert "kernel_compiled_bodies" not in report.stats.kernel_counters
 
     def test_server_metrics_fold_kernel_counters(self):
         from repro.server.metrics import ServerMetrics
 
         source = generate_core(**WORKLOADS[0]).source
-        report = SafeFlow(
-            AnalysisConfig(kernel="compiled")
-        ).analyze_source(source, name="w")
+        report = SafeFlow().analyze_source(source, name="w")
         metrics = ServerMetrics()
         stats_json = report.stats.to_json()
         metrics.observe_analysis(stats_json)
@@ -278,101 +293,25 @@ class TestKernelCounters:
 
 
 # ----------------------------------------------------------------------
-# cache fingerprints: kernel mode separates summary namespaces
+# cache fingerprints: the opcode format separates summary namespaces
 # ----------------------------------------------------------------------
 
-SUMMARY_PROGRAM = r"""
-typedef struct { double v; } R;
-R *nc;
-void emit(double v);
-void initShm(void)
-/***SafeFlow Annotation shminit /***/
-{
-    nc = (R *) shmat(shmget(7, sizeof(R), 0666), 0, 0);
-    /***SafeFlow Annotation
-        assume(shmvar(nc, sizeof(R)));
-        assume(noncore(nc)) /***/
-}
-
-double leaf(double a) { return a * 2.0; }
-double helper(double a) { return leaf(a) + 1.0; }
-
-int main(void)
-{
-    double x;
-    double y;
-    initShm();
-    x = nc->v;
-    y = helper(x);
-    /***SafeFlow Annotation assert(safe(y)); /***/
-    emit(y);
-    return 0;
-}
-"""
-
-
-def _run_with_store(kernel: str, store_path: str) -> ValueFlowAnalysis:
-    config = AnalysisConfig(summary_mode=True, kernel=kernel)
-    program = load_source(SUMMARY_PROGRAM, filename="prog.c")
-    shm = ShmAnalysis(program, config).run()
-    store = SummaryStore(store_path)
-    return ValueFlowAnalysis(program, shm, config,
-                             summary_store=store).run()
-
-
-def _outcomes(vf: ValueFlowAnalysis, wanted: str):
-    return {func for func, _, outcome in vf.summary_events
-            if outcome == wanted}
-
-
 class TestKernelFingerprinting:
-    def test_kernel_mode_changes_the_config_fingerprint(self):
-        fp_object = config_fingerprint(AnalysisConfig(kernel="object"))
-        fp_compiled = config_fingerprint(AnalysisConfig(kernel="compiled"))
-        assert fp_object != fp_compiled
-
     def test_compiled_fingerprint_tracks_opcode_format_version(self):
         from repro.valueflow import opcodes
 
-        fp_before = config_fingerprint(AnalysisConfig(kernel="compiled"))
+        fp_before = config_fingerprint(AnalysisConfig())
         original = opcodes.OPCODE_FORMAT_VERSION
         opcodes.OPCODE_FORMAT_VERSION = original + 1
         try:
-            fp_after = config_fingerprint(
-                AnalysisConfig(kernel="compiled"))
+            fp_after = config_fingerprint(AnalysisConfig())
         finally:
             opcodes.OPCODE_FORMAT_VERSION = original
         assert fp_before != fp_after
 
     def test_report_preserving_knobs_are_cache_only(self):
         base = config_fingerprint(AnalysisConfig())
-        assert config_fingerprint(AnalysisConfig(kernel_width=7)) == base
         assert config_fingerprint(AnalysisConfig(pause_gc=False)) == base
-        assert config_fingerprint(
-            AnalysisConfig(sparse_fixpoint=False)) == base
-
-    def test_kernel_flip_never_replays_recorded_summaries(self, tmp_path):
-        store_path = str(tmp_path / "summaries.pkl")
-        cold = _run_with_store("compiled", store_path)
-        assert _outcomes(cold, "hit") == set()
-        recorded = _outcomes(cold, "miss")
-        assert {"main", "helper", "leaf"} <= recorded
-
-        # same kernel: everything replays
-        warm = _run_with_store("compiled", store_path)
-        assert _outcomes(warm, "miss") == set()
-        assert _outcomes(warm, "hit") == recorded
-
-        # flipped kernel: nothing recorded under "compiled" is reused
-        flipped = _run_with_store("object", store_path)
-        assert _outcomes(flipped, "hit") == set()
-        assert _outcomes(flipped, "miss") == recorded
-
-        # and the object-mode records now coexist with the compiled ones
-        warm_object = _run_with_store("object", store_path)
-        assert _outcomes(warm_object, "miss") == set()
-        warm_compiled = _run_with_store("compiled", store_path)
-        assert _outcomes(warm_compiled, "miss") == set()
 
 
 # ----------------------------------------------------------------------
