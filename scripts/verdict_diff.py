@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Compare the verdicts of the working tree with those of a git rev.
+
+The rev is checked out with ``git worktree add`` into a temporary
+directory (removed again afterwards). Both trees analyse the same
+inputs, each in its own interpreter, with a plain cold ``SafeFlow()``:
+
+- the three bundled corpus systems;
+- the four ``benchmarks/bench_kernels.py`` rungs (medium to xxlarge);
+- the 128 ``perfbench`` ``service_mix`` sources (80 micro units, 45
+  generated controllers and the corpus systems, counted once).
+
+Per input it compares the default ``render()``, ``counts()`` and the
+restriction results byte for byte, and ``render(verbose=True)`` and
+``to_json()`` without its timings, kernel counters and cache counters.
+``--ssa-labels`` accepts a change of SSA value names in the last two:
+it normalises ``%name.N`` to ``%name.#`` and the block index of
+unnamed temps (``@L<line>.<block>.N``) to ``#``, and drops the
+instruction count, which counts the dead phis an older SSA
+construction left.
+
+Run from the repository root::
+
+    python scripts/verdict_diff.py --rev HEAD~1 --ssa-labels
+
+Exit status 0 when every input matches, 1 otherwise.
+"""
+
+import argparse
+import json
+import os
+import random
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: stats fields that observe speed or caches, not the verdict
+_VOLATILE_STATS = ("phase_timings", "kernel_counters", "hotspots",
+                   "frontend_cache_hits", "frontend_cache_misses",
+                   "summary_cache_hits", "summary_cache_misses",
+                   "cache_integrity_evictions")
+
+_SSA_NAME = re.compile(r"%([A-Za-z_][\w.]*)\.\d+\b")
+_TEMP_INDEX = re.compile(r"(@L(?:\d+|\?)\.[\w.]+)\.\d+\b")
+
+#: child body: analyse every input of a manifest with the tree whose
+#: ``src`` is the first argument, write the results as JSON
+_CHILD = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro import SafeFlow
+
+with open(sys.argv[2]) as f:
+    manifest = json.load(f)
+results = {}
+for item in manifest:
+    analyzer = SafeFlow()
+    if item["files"]:
+        report = analyzer.analyze_files(item["files"], name=item["label"])
+    else:
+        with open(item["source"]) as f:
+            text = f.read()
+        report = analyzer.analyze_source(
+            text, filename=item["label"] + ".c", name=item["label"])
+    results[item["label"]] = {
+        "render": report.render(),
+        "verbose": report.render(verbose=True),
+        "json": report.to_json(),
+    }
+with open(sys.argv[3], "w") as f:
+    json.dump(results, f)
+"""
+
+
+def _inputs():
+    """(label, files, source) for every input, generated with the
+    working tree's generators so both sides see the same text."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+    from repro.corpus import SYSTEM_KEYS, generate_core, load_system
+    import bench_kernels
+    import service_mix
+
+    items = []
+    for key in SYSTEM_KEYS:
+        files = [str(p) for p in load_system(key).core_files]
+        items.append((key, files, None))
+    for spec in bench_kernels.CONFIGS:
+        params = {k: v for k, v in spec.items() if k != "name"}
+        items.append((f"rung-{spec['name']}", None,
+                      generate_core(**params).source))
+    # the fixed half of service_mix.Mix: the same 128 sources every seed
+    fixed = random.Random(0)
+    for i in range(service_mix.MICRO):
+        src = service_mix._micro(i, fixed)
+        items.append((src.label, None, src.source))
+    for i in range(service_mix.CONTROLLERS):
+        src = service_mix._controller(f"ctl{i}", i, fixed, False)
+        items.append((src.label, None, src.source))
+    return items
+
+
+def _analyse(src_dir, manifest_path, out_path):
+    subprocess.run([sys.executable, "-c", _CHILD, src_dir, manifest_path,
+                    out_path], check=True)
+    with open(out_path) as f:
+        return json.load(f)
+
+
+def _normalise(result, ssa_labels):
+    data = json.loads(json.dumps(result["json"]))
+    for key in _VOLATILE_STATS:
+        data["stats"].pop(key, None)
+    verbose = result["verbose"]
+    if ssa_labels:
+        data["stats"].pop("instructions", None)
+        text = json.dumps(data, sort_keys=True)
+        text = _TEMP_INDEX.sub(r"\1.#", _SSA_NAME.sub(r"%\1.#", text))
+        data = json.loads(text)
+        verbose = _TEMP_INDEX.sub(r"\1.#", _SSA_NAME.sub(r"%\1.#", verbose))
+    return {"render": result["render"],
+            "counts": result["json"]["counts"],
+            "restrictions": result["json"]["violations"],
+            "verbose": verbose, "json": data}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rev", default="HEAD",
+                        help="git rev to compare against (default HEAD)")
+    parser.add_argument("--ssa-labels", action="store_true",
+                        help="ignore SSA value numbering in witness labels")
+    parser.add_argument("--tmp", default=None,
+                        help="directory for the worktree and outputs")
+    args = parser.parse_args(argv)
+
+    work = tempfile.mkdtemp(prefix="verdict-diff-", dir=args.tmp)
+    tree = os.path.join(work, "rev")
+    try:
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
+                        "--quiet", tree, args.rev], check=True)
+        manifest = []
+        for label, files, source in _inputs():
+            path = None
+            if source is not None:
+                path = os.path.join(work, label + ".c")
+                with open(path, "w") as f:
+                    f.write(source)
+            manifest.append({"label": label, "files": files,
+                             "source": path})
+        manifest_path = os.path.join(work, "manifest.json")
+        with open(manifest_path, "w") as f:
+            json.dump(manifest, f)
+        before = _analyse(os.path.join(tree, "src"), manifest_path,
+                          os.path.join(work, "rev.json"))
+        after = _analyse(os.path.join(ROOT, "src"), manifest_path,
+                         os.path.join(work, "tree.json"))
+    finally:
+        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
+                        tree], check=False)
+        shutil.rmtree(work, ignore_errors=True)
+
+    differ = 0
+    for item in manifest:
+        label = item["label"]
+        old = _normalise(before[label], args.ssa_labels)
+        new = _normalise(after[label], args.ssa_labels)
+        parts = [part for part in old if old[part] != new[part]]
+        if parts:
+            differ += 1
+            print(f"DIFF {label}: {', '.join(parts)}")
+    print(f"{len(manifest) - differ}/{len(manifest)} inputs identical "
+          f"against {args.rev}"
+          + (" (SSA labels normalised)" if args.ssa_labels else ""))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -88,6 +88,8 @@ class SafeFlow:
             finally:
                 if memo is not None:
                     memo.release(memo_key, program)
+                else:  # pooled by nobody (the IR cache holds it pickled)
+                    program.module.release()
                 # drop the frame's reference now, so the program's
                 # acyclic parts die by refcount before the guard exits
                 program = None
@@ -130,6 +132,8 @@ class SafeFlow:
             finally:
                 if memo is not None:
                     memo.release(memo_key, program)
+                else:  # pooled by nobody (the IR cache holds it pickled)
+                    program.module.release()
                 # drop the frame's reference now, so the program's
                 # acyclic parts die by refcount before the guard exits
                 program = None

@@ -7,14 +7,16 @@ logicals and the conditional operator, and structured control flow
 (``if``/``while``/``do``/``for``/``switch``/``break``/``continue``).
 ``goto`` is outside the subset and is rejected with a clear error.
 
-Every local starts as an ``alloca``; :func:`repro.ir.ssa.build_ssa`
-then promotes scalars whose address never escapes, which recovers the
-flow-sensitivity the value-flow phase relies on.
+It emits SSA directly (Braun et al., "Simple and Efficient
+Construction of SSA Form", CC 2013): a scalar local whose address
+never escapes is an SSA variable from the start, which makes the
+value-flow phase flow-sensitive for registers; aggregates and
+address-taken scalars stay in memory as an ``alloca``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from pycparser import c_ast
 
@@ -43,6 +45,7 @@ from ..ir import (
     Jump,
     Load,
     Module,
+    Phi,
     PointerType,
     Ret,
     Store,
@@ -51,7 +54,6 @@ from ..ir import (
     UndefValue,
     Value,
     VoidType,
-    build_ssa,
 )
 from ..ir import types as T
 from ..ir.source import SourceLocation
@@ -295,6 +297,16 @@ class _LoopContext:
         self.continue_block = continue_block
 
 
+#: what a variable holds where no definition reaches (a read of it
+#: becomes an ``UndefValue`` when the function is finished)
+_NO_DEF = object()
+
+
+class _AddressTaken(Exception):
+    """A promoted local's address escapes (``args[0]``: its declaring
+    node): lower the function again with that local in memory."""
+
+
 class ModuleLowerer:
     """Lowers one or more parsed units into a single IR module."""
 
@@ -429,10 +441,25 @@ class ModuleLowerer:
                     continue
                 param_decls.append(param)
 
-        lowerer = FunctionLowerer(self, func, types, unit)
-        lowerer.lower_body(param_decls, funcdef.body)
-        if self.run_ssa:
-            build_ssa(func)
+        # scalars are promoted optimistically; one whose address turns
+        # out to escape is pinned to memory and the body lowered again
+        pinned: Set[object] = set()
+        anon_counter = types._anon_counter
+        while True:
+            lowerer = FunctionLowerer(self, func, types, unit, pinned)
+            try:
+                lowerer.lower_body(param_decls, funcdef.body)
+                return
+            except _AddressTaken as exc:
+                pinned.add(exc.args[0])
+            types._anon_counter = anon_counter
+            for block in func.blocks:
+                block.instructions.clear()
+            func.blocks = []
+            func.arguments = []
+            func._next_temp = 0
+            func._next_block = 0
+            func.invalidate_analyses()
 
     def _lower_funcdef_recover(self, funcdef: c_ast.FuncDef,
                                types: TypeBuilder, unit: ParsedUnit) -> None:
@@ -471,7 +498,7 @@ class FunctionLowerer:
     """Lowers one function body."""
 
     def __init__(self, parent: ModuleLowerer, func: Function,
-                 types: TypeBuilder, unit: ParsedUnit):
+                 types: TypeBuilder, unit: ParsedUnit, pinned: Set[object]):
         self.parent = parent
         self.module = parent.module
         self.func = func
@@ -481,6 +508,24 @@ class FunctionLowerer:
         self.block: Optional[BasicBlock] = None
         self.loops: List[_LoopContext] = []
         self.current_loc: Optional[SourceLocation] = None
+        #: declarations whose address an earlier attempt saw escape
+        self.pinned = pinned
+        # SSA construction state: the promoted locals (allocas never
+        # inserted in a block) with their declaration order and node,
+        # each block's predecessors reachable from the entry, its
+        # variable definitions, the loop headers still waiting for back
+        # edges with their operandless phis, each phi's variable, and
+        # the trivial phis removed so far with their replacement
+        self._promoted: Dict[Alloca, Tuple[int, object]] = {}
+        self._entry: Optional[BasicBlock] = None
+        self._preds: Dict[BasicBlock, List[BasicBlock]] = {}
+        self._defs: Dict[BasicBlock, Dict[Alloca, object]] = {}
+        self._incomplete: Dict[BasicBlock, Dict[Alloca, Phi]] = {}
+        self._phi_var: Dict[Phi, Alloca] = {}
+        self._forward: Dict[Phi, object] = {}
+        # each read of a promoted variable (a load never inserted) and
+        # the definition it reads
+        self._reads: Dict[Load, object] = {}
 
     # -- plumbing ------------------------------------------------------
 
@@ -489,23 +534,61 @@ class FunctionLowerer:
             else self.current_loc
         return LoweringError(message, loc)
 
-    def emit(self, inst: Instruction) -> Instruction:
+    def current_block(self) -> BasicBlock:
         if self.block is None:
             # unreachable code (after return/break); park it in a fresh
             # block which dead-block removal will discard.
             self.block = self.func.new_block("dead")
+        return self.block
+
+    def emit(self, inst: Instruction) -> Instruction:
+        block = self.current_block()
         inst.location = self.current_loc
-        self.block.append(inst)
+        block.append(inst)
         return inst
 
-    def set_block(self, block: Optional[BasicBlock]) -> None:
+    def set_block(self, block: Optional[BasicBlock], seal: bool = True) -> None:
+        """Enter ``block``: sealed, since it has all its predecessors,
+        unless it is a loop header (see :meth:`seal`)."""
         self.block = block
+        if not seal:
+            self._incomplete[block] = {}
 
     def terminate(self, inst: Instruction) -> None:
-        if self.block is not None and not self.block.is_terminated:
+        block = self.block
+        if block is not None and not block.is_terminated:
             inst.location = self.current_loc
-            self.block.append(inst)
+            block.append(inst)
+            # edges out of unreachable code add no phi operands: only a
+            # block with a live predecessor (or the entry) is live
+            if block is self._entry or block in self._preds:
+                for succ in block.successors():
+                    self._preds.setdefault(succ, []).append(block)
         self.block = None
+
+    def load(self, addr, name: str = "") -> Value:
+        read = Load(addr, name)
+        if addr not in self._promoted:
+            return self.emit(read)
+        # a promoted variable's load is made but never inserted, so
+        # lowering takes the decisions it takes on a load; once the
+        # function is finished its uses get the value it reads
+        tasks: List[list] = []
+        self._reads[read] = self._lookup(addr, self.current_block(), tasks)
+        self._fill(addr, tasks)
+        return read
+
+    def store(self, value: Value, addr) -> None:
+        if addr in self._promoted:
+            self._defs.setdefault(self.current_block(), {})[addr] = value
+        else:
+            self.emit(Store(value, addr))
+
+    def address(self, addr):
+        """``addr`` used as an address value, not loaded or stored."""
+        if addr in self._promoted:
+            raise _AddressTaken(self._promoted[addr][1])
+        return addr
 
     def lookup(self, name: str) -> Optional[Value]:
         for scope in reversed(self.scopes):
@@ -518,9 +601,17 @@ class FunctionLowerer:
             return func
         return None
 
-    def declare_local(self, name: str, type_: CType) -> Alloca:
+    def declare_local(self, name: str, type_: CType, decl=None) -> Alloca:
+        """A new local. ``decl`` is its declaring node (None for temps,
+        whose address never escapes). A promoted scalar's alloca is
+        never inserted: it only names the SSA variable."""
         alloca = Alloca(type_, name)
         alloca.location = self.current_loc
+        self.scopes[-1][name] = alloca
+        if self.parent.run_ssa and type_.is_scalar \
+                and decl not in self.pinned:
+            self._promoted[alloca] = (len(self._promoted), decl)
+            return alloca
         entry = self.func.entry
         insert_at = 0
         for i, inst in enumerate(entry.instructions):
@@ -530,21 +621,20 @@ class FunctionLowerer:
                 break
         alloca.parent = entry
         entry.instructions.insert(insert_at, alloca)
-        self.scopes[-1][name] = alloca
         return alloca
 
     # -- body ----------------------------------------------------------
 
     def lower_body(self, param_decls, body: c_ast.Compound) -> None:
-        entry = self.func.new_block("entry")
+        entry = self._entry = self.func.new_block("entry")
         self.set_block(entry)
         for i, param in enumerate(param_decls):
             ptype = self.func.ftype.params[i] if i < len(self.func.ftype.params) \
                 else T.INT
             name = param.name or f"arg{i}"
             arg = self.func.add_argument(ptype, name)
-            slot = self.declare_local(name, ptype)
-            self.emit(Store(arg, slot))
+            slot = self.declare_local(name, ptype, param)
+            self.store(arg, slot)
         self.lower_stmt(body)
         # close any dangling fall-off-the-end path
         if self.block is not None and not self.block.is_terminated:
@@ -553,7 +643,152 @@ class FunctionLowerer:
                 self.terminate(Ret())
             else:
                 self.terminate(Ret(_zero_of(ret_type)))
-        self.func.remove_unreachable_blocks()
+        for dead in self.func.remove_unreachable_blocks():
+            dead.instructions.clear()  # so it dies by refcount
+        if self._promoted:
+            self._finish_ssa()
+
+    # -- SSA construction (Braun et al.) ---------------------------------
+    #
+    # Every walk below runs on an explicit stack: a chain of thousands
+    # of branches is as deep as it is long.
+
+    def seal(self, block: BasicBlock) -> None:
+        """All of ``block``'s predecessors exist: fill its open phis."""
+        for var, phi in self._incomplete.pop(block).items():
+            self._fill(var, [[phi, self._preds.get(block, []), 0]])
+
+    def _lookup(self, var: Alloca, block: BasicBlock, tasks: List[list]):
+        """The definition of ``var`` reaching the end of ``block``: up
+        single-predecessor chains to a definition, an open loop header
+        (an operandless phi) or a join (a phi, its operands pushed onto
+        ``tasks``). Every block walked through remembers the answer."""
+        walked = []
+        while (value := self._defs.get(block, {}).get(var)) is None:
+            walked.append(block)
+            preds = self._preds.get(block)
+            if block in self._incomplete:
+                value = self._incomplete[block][var] = \
+                    self._new_phi(var, block)
+            elif not preds:
+                value = _NO_DEF
+            elif len(preds) == 1:
+                block = preds[0]
+                continue
+            else:
+                value = self._new_phi(var, block)
+                tasks.append([value, preds, 0])
+            break
+        for seen in walked:
+            self._defs.setdefault(seen, {})[var] = value
+        return value
+
+    def _fill(self, var: Alloca, tasks: List[list]) -> None:
+        """Read the operands of the phis on ``tasks``, each a list
+        [phi, predecessors, next index]; a read may push more."""
+        while tasks:
+            phi, preds, i = tasks[-1]
+            if i == len(preds):
+                tasks.pop()
+            else:
+                tasks[-1][2] = i + 1
+                phi.incoming[preds[i]] = self._lookup(var, preds[i], tasks)
+
+    def _new_phi(self, var: Alloca, block: BasicBlock) -> Phi:
+        phi = Phi(var.allocated_type, var.name)
+        phi.location = var.location
+        phi.parent = block
+        # a block's phis run in reverse declaration order
+        order = self._promoted[var][0]
+        insts = block.instructions
+        at = 0
+        while at < len(insts) and isinstance(insts[at], Phi) \
+                and self._promoted[self._phi_var[insts[at]]][0] > order:
+            at += 1
+        insts.insert(at, phi)
+        self._phi_var[phi] = var
+        return phi
+
+    def _resolve(self, value, final: bool = True):
+        """What ``value`` stands for once removed phis are forwarded.
+
+        A read no definition reaches is its own undefined value; a phi
+        operand no definition reaches stays ``_NO_DEF``. Unless
+        ``final``, a read of a phi is itself, because the phi may yet
+        turn out to have no definition.
+        """
+        read = None
+        while True:
+            if type(value) is Load and value in self._reads:
+                read = value
+                value = self._reads[value]
+            elif type(value) is Phi and value in self._forward:
+                value = self._forward[value]
+            else:
+                break
+        if value is _NO_DEF and read is not None:
+            var = read.pointer
+            value = self._reads[read] = UndefValue(var.allocated_type,
+                                                   var.name)
+        if read is not None and not final and type(value) is Phi:
+            return read
+        return value
+
+    def _remove_if_trivial(self, phi: Phi, final: bool) -> bool:
+        """Remove ``phi`` if it merges one value (besides itself)."""
+        same = None
+        for value in phi.incoming.values():
+            value = self._resolve(value, final)
+            if value is phi or value is same or (
+                    same is not None and value == same):
+                continue
+            if same is not None:
+                return False
+            same = value
+        phi.parent.instructions.remove(phi)
+        # a loop header's phi is often its own operand: drop the cycle
+        phi.parent = None
+        phi.incoming = {}
+        self._forward[phi] = _NO_DEF if same is None else same
+        return True
+
+    def _finish_ssa(self) -> None:
+        """Remove the trivial phis (until none is left), replace every
+        read by its value, and name the phis that remain.
+
+        Reads of phis compare as distinct until no phi is left that
+        could turn out to have no definition: two reads of one such phi
+        are two undefined values, which a phi does not merge.
+        """
+        phis = [phi for block in self.func.blocks for phi in block.phis()]
+        for final in (False, True):
+            while any([self._remove_if_trivial(phi, final) for phi in phis
+                       if phi.parent is not None]):
+                pass
+        for block in self.func.blocks:
+            for inst in block.instructions:
+                if type(inst) is Phi:
+                    var = self._phi_var[inst]
+                    for pred, value in inst.incoming.items():
+                        value = self._resolve(value)
+                        inst.incoming[pred] = UndefValue(
+                            var.allocated_type, var.name) \
+                            if value is _NO_DEF else value
+                    inst.operands = list(inst.incoming.values())
+                    continue
+                # only phis read a phi directly; everything else reads
+                # through a load
+                ops = inst.operands
+                for i, op in enumerate(ops):
+                    if type(op) is Load and op in self._reads:
+                        ops[i] = self._resolve(op)
+                if type(inst) is Call and inst.callee in self._reads:
+                    inst.callee = self._resolve(inst.callee)
+        # numbered after every lowering temp, variable by variable
+        phis = [phi for phi in phis if phi.parent is not None]
+        phis.sort(key=lambda phi: self._promoted[self._phi_var[phi]][0])
+        for phi in phis:
+            phi.name = self.func.temp_name(phi.name)
 
     # -- statements ------------------------------------------------------
 
@@ -584,7 +819,7 @@ class FunctionLowerer:
             if self.module.get_function(node.name) is None:
                 self.module.add_function(Function(node.name, dtype))
             return
-        slot = self.declare_local(node.name, dtype)
+        slot = self.declare_local(node.name, dtype, node)
         if node.init is not None:
             self._lower_initializer(slot, dtype, node.init)
 
@@ -604,7 +839,7 @@ class FunctionLowerer:
                     self._lower_initializer(addr, field.type, expr)
             return
         value = self.rvalue(init)
-        self.emit(Store(self.coerce(value, dtype), ptr))
+        self.store(self.coerce(value, dtype), ptr)
 
     def _stmt_If(self, node: c_ast.If) -> None:
         cond = self.to_bool(self.rvalue(node.cond))
@@ -626,13 +861,14 @@ class FunctionLowerer:
         body_block = self.func.new_block("while.body")
         exit_block = self.func.new_block("while.end")
         self.terminate(Jump(cond_block))
-        self.set_block(cond_block)
+        self.set_block(cond_block, seal=False)
         cond = self.to_bool(self.rvalue(node.cond))
         self.terminate(CondBranch(cond, body_block, exit_block))
         self.loops.append(_LoopContext(exit_block, cond_block))
         self.set_block(body_block)
         self.lower_stmt(node.stmt)
         self.terminate(Jump(cond_block))
+        self.seal(cond_block)
         self.loops.pop()
         self.set_block(exit_block)
 
@@ -642,13 +878,14 @@ class FunctionLowerer:
         exit_block = self.func.new_block("do.end")
         self.terminate(Jump(body_block))
         self.loops.append(_LoopContext(exit_block, cond_block))
-        self.set_block(body_block)
+        self.set_block(body_block, seal=False)
         self.lower_stmt(node.stmt)
         self.terminate(Jump(cond_block))
         self.loops.pop()
         self.set_block(cond_block)
         cond = self.to_bool(self.rvalue(node.cond))
         self.terminate(CondBranch(cond, body_block, exit_block))
+        self.seal(body_block)
         self.set_block(exit_block)
 
     def _stmt_For(self, node: c_ast.For) -> None:
@@ -660,7 +897,7 @@ class FunctionLowerer:
         step_block = self.func.new_block("for.step")
         exit_block = self.func.new_block("for.end")
         self.terminate(Jump(cond_block))
-        self.set_block(cond_block)
+        self.set_block(cond_block, seal=False)
         if node.cond is not None:
             cond = self.to_bool(self.rvalue(node.cond))
             self.terminate(CondBranch(cond, body_block, exit_block))
@@ -675,6 +912,7 @@ class FunctionLowerer:
         if node.next is not None:
             self.rvalue_or_void(node.next)
         self.terminate(Jump(cond_block))
+        self.seal(cond_block)
         self.set_block(exit_block)
         self.scopes.pop()
 
@@ -824,7 +1062,9 @@ class FunctionLowerer:
         declared = _declared_type(target)
         if isinstance(declared, ArrayType):
             return self.emit(IndexAddr(target, Constant(T.INT, 0)))  # decay
-        return self.emit(Load(target, self.func.temp_name(node.name)))
+        # a promoted read draws its name too: temp numbers do not
+        # depend on which locals are promoted
+        return self.load(target, self.func.temp_name(node.name))
 
     def lvalue(self, node) -> Value:
         """Address of an assignable expression."""
@@ -847,7 +1087,7 @@ class FunctionLowerer:
             return self._array_elem_addr(node)
         if isinstance(node, c_ast.Cast):
             # (T*)expr used as lvalue target — lower the cast of the address
-            inner = self.lvalue(node.expr)
+            inner = self.address(self.lvalue(node.expr))
             to_type = self.types.from_node(node.to_type)
             return self.emit(Cast(inner, PointerType(to_type)))
         raise self.error(
@@ -929,7 +1169,7 @@ class FunctionLowerer:
                 target = self.lookup(inner.name)
                 if isinstance(target, Function):
                     return target
-            return self.lvalue(inner)
+            return self.address(self.lvalue(inner))
         if op == "*":
             ptr = self.rvalue(node.expr)
             if not isinstance(ptr.type, PointerType):
@@ -963,7 +1203,7 @@ class FunctionLowerer:
 
     def _incdec(self, node: c_ast.UnaryOp) -> Value:
         addr = self.lvalue(node.expr)
-        old = self.emit(Load(addr))
+        old = self.load(addr)
         delta = Constant(T.INT, 1)
         op = "+" if "++" in node.op else "-"
         if isinstance(old.type, PointerType):
@@ -973,7 +1213,7 @@ class FunctionLowerer:
         else:
             new = self.emit(BinOp(op, old, self.coerce(delta, old.type),
                                   old.type))
-        self.emit(Store(new, addr))
+        self.store(new, addr)
         return old if node.op.startswith("p") else new
 
     def _rv_BinaryOp(self, node: c_ast.BinaryOp) -> Value:
@@ -1016,17 +1256,17 @@ class FunctionLowerer:
         rhs_block = self.func.new_block("sc.rhs")
         merge_block = self.func.new_block("sc.end")
         left = self.to_bool(self.rvalue(node.left))
-        self.emit(Store(left, result))
+        self.store(left, result)
         if node.op == "&&":
             self.terminate(CondBranch(left, rhs_block, merge_block))
         else:
             self.terminate(CondBranch(left, merge_block, rhs_block))
         self.set_block(rhs_block)
         right = self.to_bool(self.rvalue(node.right))
-        self.emit(Store(right, result))
+        self.store(right, result)
         self.terminate(Jump(merge_block))
         self.set_block(merge_block)
-        return self.emit(Load(result))
+        return self.load(result)
 
     def _rv_TernaryOp(self, node: c_ast.TernaryOp) -> Value:
         then_block = self.func.new_block("sel.then")
@@ -1038,16 +1278,16 @@ class FunctionLowerer:
         self.set_block(then_block)
         tval = self.rvalue(node.iftrue)
         slot = self.declare_local(self.func.temp_name("sel"), tval.type)
-        self.emit(Store(tval, slot))
+        self.store(tval, slot)
         self.terminate(Jump(merge_block))
 
         self.set_block(else_block)
         fval = self.rvalue(node.iffalse)
-        self.emit(Store(self.coerce(fval, tval.type), slot))
+        self.store(self.coerce(fval, tval.type), slot)
         self.terminate(Jump(merge_block))
 
         self.set_block(merge_block)
-        return self.emit(Load(slot))
+        return self.load(slot)
 
     def _rv_Assignment(self, node: c_ast.Assignment) -> Value:
         addr = self.lvalue(node.lvalue)
@@ -1056,14 +1296,14 @@ class FunctionLowerer:
         if node.op == "=":
             if isinstance(target_type, (StructType,)):
                 src = self.lvalue(node.rvalue)
-                value = self.emit(Load(src))
-                self.emit(Store(value, addr))
+                value = self.load(src)
+                self.store(value, addr)
                 return value
             value = self.coerce(self.rvalue(node.rvalue), target_type)
-            self.emit(Store(value, addr))
+            self.store(value, addr)
             return value
         binop = node.op[:-1]
-        old = self.emit(Load(addr))
+        old = self.load(addr)
         rhs = self.rvalue(node.rvalue)
         if isinstance(old.type, PointerType) and binop in ("+", "-"):
             index = rhs if binop == "+" else self.emit(
@@ -1073,7 +1313,7 @@ class FunctionLowerer:
             new = self.emit(
                 BinOp(binop, old, self.coerce(rhs, old.type), old.type)
             )
-        self.emit(Store(new, addr))
+        self.store(new, addr)
         return new
 
     def _rv_Cast(self, node: c_ast.Cast) -> Value:
@@ -1109,7 +1349,7 @@ class FunctionLowerer:
                 callee = implicit
                 ftype = implicit.ftype
             else:
-                callee = self.emit(Load(target))
+                callee = self.load(target)
                 ct = callee.type
                 if isinstance(ct, PointerType) and isinstance(ct.pointee,
                                                               FunctionType):

@@ -39,6 +39,7 @@ ANNOTATION_TAG = "SafeFlow Annotation"
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINED_RE = re.compile(r"\bdefined\s*(?:\(\s*(\w+)\s*\)|(\w+))")
+_COMMENT_OR_QUOTE = re.compile(r"[\"']|/[/*]")
 
 
 @dataclass
@@ -222,70 +223,44 @@ class Preprocessor:
     ) -> List[Tuple[str, int]]:
         """Remove comments, extracting SafeFlow annotations.
 
-        Returns (line, original_line_number) pairs.
+        Returns (line, original_line_number) pairs. A block comment
+        becomes its replacement and its newlines, so lines keep numbers.
         """
-        result: List[str] = []
+        pieces: List[str] = []
         i = 0
-        n = len(text)
-        buf: List[str] = []
-        line_no = 1  # spliced line number
-
-        def emit(ch: str) -> None:
-            nonlocal line_no
-            if ch == "\n":
-                result.append("".join(buf))
-                buf.clear()
-                line_no += 1
-            else:
-                buf.append(ch)
-
-        while i < n:
-            ch = text[i]
-            nxt = text[i + 1] if i + 1 < n else ""
-            if ch == '"' or ch == "'":
-                quote = ch
-                emit(ch)
-                i += 1
-                while i < n:
-                    emit(text[i])
-                    if text[i] == "\\" and i + 1 < n:
-                        i += 1
-                        emit(text[i])
-                    elif text[i] == quote:
-                        i += 1
-                        break
-                    i += 1
-                else:
-                    break
-                continue
-            if ch == "/" and nxt == "/":
-                while i < n and text[i] != "\n":
-                    i += 1
-                continue
-            if ch == "/" and nxt == "*":
-                start_line = line_no
-                end = text.find("*/", i + 2)
+        line_no = 1  # spliced line number of ``counted``
+        counted = 0
+        while True:
+            match = _COMMENT_OR_QUOTE.search(text, i)
+            if match is None:
+                pieces.append(text[i:])
+                break
+            start = match.start()
+            pieces.append(text[i:start])
+            token = match.group()
+            if token == "//":
+                end = text.find("\n", start)
+                i = len(text) if end < 0 else end
+            elif token == "/*":
+                line_no += text.count("\n", counted, start)
+                counted = start
+                line = _orig(splice_map, line_no)
+                end = text.find("*/", start + 2)
                 if end < 0:
                     raise PreprocessorError(
-                        "unterminated comment",
-                        SourceLocation(filename, _orig(splice_map, start_line)),
+                        "unterminated comment", SourceLocation(filename, line)
                     )
-                body = text[i + 2 : end]
-                replacement = self._handle_comment(
-                    body, filename, _orig(splice_map, start_line), out
-                )
-                newlines = body.count("\n")
-                for ch2 in replacement:
-                    emit(ch2)
-                for _ in range(newlines):
-                    emit("\n")
+                body = text[start + 2 : end]
+                pieces.append(self._handle_comment(body, filename, line, out))
+                pieces.append("\n" * body.count("\n"))
                 i = end + 2
-                continue
-            emit(ch)
-            i += 1
-        if buf:
-            result.append("".join(buf))
-        return [(line, _orig(splice_map, idx + 1)) for idx, line in enumerate(result)]
+            else:
+                i = _skip_string(text, start)
+                pieces.append(text[start:i])
+        lines = "".join(pieces).split("\n")
+        if not lines[-1]:
+            lines.pop()
+        return [(line, _orig(splice_map, idx + 1)) for idx, line in enumerate(lines)]
 
     def _handle_comment(
         self, body: str, filename: str, line: int, out: PreprocessedSource

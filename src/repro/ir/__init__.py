@@ -2,8 +2,9 @@
 
 The SafeFlow prototype in the paper analyzes LLVM 1.x bytecode; this
 package provides the equivalent substrate in pure Python: a typed
-three-address IR with explicit loads/stores and casts, a CFG, dominator
-and postdominator trees, SSA construction, and def-use chains.
+three-address IR with explicit loads/stores and casts, a CFG, and
+dominator and postdominator trees. The front end builds the SSA form
+while it lowers (:mod:`repro.frontend.lower`).
 """
 
 from .cfg import BasicBlock
@@ -33,7 +34,6 @@ from .instructions import (
 from .interp import Interpreter, InterpError
 from .printer import function_to_text, module_to_text
 from .source import SourceLocation, UNKNOWN_LOCATION
-from .ssa import build_ssa, promotable_allocas, promote_to_ssa
 from .types import (
     ArrayType,
     BOOL,
@@ -108,14 +108,11 @@ __all__ = [
     "Value",
     "VerificationError",
     "VoidType",
-    "build_ssa",
     "control_dependence",
     "dominator_tree",
     "function_to_text",
     "module_to_text",
     "pointer_compatible",
-    "promotable_allocas",
-    "promote_to_ssa",
     "verify_function",
     "verify_module",
 ]

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..errors import IRError
 from .cfg import BasicBlock
-from .instructions import Call, Instruction, Phi
+from .instructions import Call, Instruction
 from .source import SourceLocation
 from .types import CType, FunctionType, StructType
 from .values import Argument, GlobalVariable, Value
@@ -25,7 +25,7 @@ class Function(Value):
         self._next_temp = 0
         self._next_block = 0
         #: memoized derived analyses (dominator trees, control
-        #: dependence, def-use); see :meth:`cached_analysis`
+        #: dependence); see :meth:`cached_analysis`
         self._analysis_cache: Dict[object, object] = {}
 
     # -- construction -------------------------------------------------
@@ -85,8 +85,9 @@ class Function(Value):
         """Drop blocks not reachable from the entry; returns removals.
 
         Unreachable blocks arise from lowering (e.g. code after
-        ``return``). They must be removed before dominance/SSA, which
-        assume every block is reachable.
+        ``return``). They must be removed before dominance, which
+        assumes every block is reachable; no phi has an operand from
+        one (the lowerer adds no edge out of unreachable code).
         """
         if not self.blocks:
             return []
@@ -102,21 +103,7 @@ class Function(Value):
         if removed:
             self.invalidate_analyses()
         self.blocks = [b for b in self.blocks if b in reachable]
-        for dead in removed:
-            for block in self.blocks:
-                for phi in block.phis():
-                    if dead in phi.incoming:
-                        del phi.incoming[dead]
-                        phi.operands = list(phi.incoming.values())
         return removed
-
-    def compute_uses(self) -> Dict[Value, List[Tuple[Instruction, int]]]:
-        """Def-use chains: value → list of (instruction, operand index)."""
-        uses: Dict[Value, List[Tuple[Instruction, int]]] = {}
-        for inst in self.instructions():
-            for idx, op in enumerate(inst.operands):
-                uses.setdefault(op, []).append((inst, idx))
-        return uses
 
     # -- derived-analysis memoization ----------------------------------
 
@@ -125,9 +112,9 @@ class Function(Value):
 
         ``builder`` receives the function and its result is kept until
         :meth:`invalidate_analyses` — which every IR-mutating pass must
-        call. Used for dominator trees, control dependence, and def-use
-        chains so repeated analyses of one loaded Program (warm server,
-        repeated SafeFlow runs, fingerprinting) stop recomputing them.
+        call. Used for dominator trees and control dependence, so
+        repeated analyses of one loaded Program (warm server, repeated
+        SafeFlow runs, fingerprinting) stop recomputing them.
         """
         value = self._analysis_cache.get(key)
         if value is None:
@@ -138,10 +125,6 @@ class Function(Value):
     def invalidate_analyses(self) -> None:
         """Drop memoized analyses after an IR mutation."""
         self._analysis_cache.clear()
-
-    def uses(self) -> Dict[Value, List[Tuple[Instruction, int]]]:
-        """Memoized :meth:`compute_uses` (valid until IR mutation)."""
-        return self.cached_analysis("uses", Function.compute_uses)
 
     # -- teardown -----------------------------------------------------
 

@@ -4,9 +4,9 @@ The instruction set deliberately mirrors the LLVM 1.x subset the paper's
 prototype analyzed: loads/stores against explicit addresses, ``cast``
 for every type conversion (what rule P3 inspects), explicit address
 computation (:class:`FieldAddr` / :class:`IndexAddr`, together playing
-the role of ``getelementptr``), calls, and CFG terminators. After
-construction, :mod:`repro.ir.ssa` promotes scalar allocas and inserts
-:class:`Phi` nodes.
+the role of ``getelementptr``), calls, and CFG terminators. The front end
+keeps promotable scalars out of memory and places :class:`Phi` nodes
+while it lowers (:mod:`repro.frontend.lower`).
 """
 
 from __future__ import annotations

@@ -47,8 +47,9 @@ from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 
 #: bump when the fingerprint composition or the shape of a cached
 #: program changes; folded into every key. 2: programs keep no parse
-#: trees or lowerer (entries of 1 would unpickle both)
-SCHEMA_VERSION = 2
+#: trees or lowerer (entries of 1 would unpickle both). 3: the lowerer
+#: builds SSA itself (phis are numbered differently, dead phis are gone)
+SCHEMA_VERSION = 3
 
 #: AnalysisConfig fields that only steer the performance layer itself —
 #: never part of a semantic cache key. ``profile`` and ``pause_gc``

@@ -106,6 +106,41 @@ class TestAnnotationEdges:
         assert len(out.annotations) == 1
 
 
+class TestCommentStripping:
+    def test_comment_opener_inside_string_is_text(self):
+        out = pp('char *s = "a /* b";\nint x; /* gone */\n')
+        assert out.text.splitlines()[:2] == ['char *s = "a /* b";', "int x;  "]
+
+    def test_double_quote_char_literal_does_not_open_a_string(self):
+        out = pp("int q = '\"'; /* c */ int r;\n")
+        assert out.text.splitlines()[0] == "int q = '\"';   int r;"
+
+    def test_escaped_quotes_stay_inside_their_literal(self):
+        out = pp('char *s = "x\\" /* y"; char c = \'\\\'\'; // z\nint w;\n')
+        assert out.text.splitlines() == [
+            'char *s = "x\\" /* y"; char c = \'\\\'\'; ', "int w;"]
+
+    def test_line_comment_at_end_of_file_without_newline(self):
+        out = pp("int a;\nint b; // trailing")
+        assert out.text == "int a;\nint b; \n"
+        assert [loc.line for loc in out.line_map] == [1, 2]
+
+    def test_unterminated_block_comment_reports_its_opening_line(self):
+        with pytest.raises(PreprocessorError) as info:
+            pp('int a;\nchar *s = "/*";\n\nint b; /* never\nclosed\n')
+        assert "unterminated comment" in info.value.message
+        assert info.value.location.line == 4
+
+    def test_multi_line_annotation_keeps_the_line_map(self):
+        out = pp("int a;\n/***SafeFlow Annotation\n   assert(safe(a));\n"
+                 "   shminit /***/ int b;\nint c;\n")
+        lines = out.text.splitlines()
+        assert lines[1].strip() == "__safeflow_assert_safe(a);"
+        assert lines[2] == "" and lines[3] == " int b;"
+        assert [loc.line for loc in out.line_map] == [1, 2, 3, 4, 5]
+        assert [a.location.line for a in out.annotations] == [2]
+
+
 identifier = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8
 )

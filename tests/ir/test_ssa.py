@@ -1,5 +1,4 @@
-"""SSA construction (mem2reg) tests, both on hand-built IR and on IR
-lowered from C snippets."""
+"""SSA construction tests on IR lowered from C snippets."""
 
 import pytest
 
@@ -10,9 +9,9 @@ from repro.ir import (
     Store,
     UndefValue,
     module_to_text,
-    promotable_allocas,
     verify_module,
 )
+from oracles.mem2reg import promotable_allocas
 from tests.conftest import front
 
 

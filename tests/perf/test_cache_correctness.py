@@ -202,3 +202,22 @@ def test_cache_control_fields_do_not_change_results(tmp_path):
     assert a.render(verbose=True) == b.render(verbose=True)
     assert b.stats.frontend_cache_misses == 0
     assert b.stats.summary_cache_misses == 0
+
+
+def test_ir_cache_entry_of_an_older_schema_is_not_served(tmp_path,
+                                                         monkeypatch):
+    # schema 2 programs were lowered to allocas and promoted by mem2reg:
+    # their phis are numbered differently and carry dead phis
+    from repro.frontend import load_source
+    from repro.perf import ircache
+    from repro.perf.ircache import IRCache
+
+    cache = IRCache(str(tmp_path))
+    monkeypatch.setattr(ircache, "SCHEMA_VERSION", 2)
+    load_source(SIMPLE, filename="simple.c", cache=cache)
+    monkeypatch.undo()
+    assert ircache.SCHEMA_VERSION == 3
+    load_source(SIMPLE, filename="simple.c", cache=cache)
+    assert (cache.hits, cache.misses) == (0, 2)
+    load_source(SIMPLE, filename="simple.c", cache=cache)
+    assert cache.hits == 1

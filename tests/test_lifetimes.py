@@ -7,8 +7,8 @@ cyclic. A report must not pin the IR, and a :class:`Program` (what the
 IR cache and the program memo store) keeps no parser artefacts. IR
 kept past a gc guard — pooled programs, an incremental session's live
 program — is released by its owner when it drops it, so it too dies by
-refcount. The deep-CFG tests pin the explicit-stack dominance and SSA
-walks that replaced recursion.
+refcount. The deep-CFG tests pin the explicit-stack dominance walk and
+the SSA construction's worklists, which replaced recursion.
 """
 
 import gc
@@ -39,7 +39,7 @@ from tests.conftest import FIGURE2_SOURCE
 import oracles
 
 #: qualified-name prefixes of the closures that used to recurse
-_RECURSIVE_CLOSURES = ("promote_to_ssa.", "DominatorTree._reverse_postorder.")
+_RECURSIVE_CLOSURES = ("DominatorTree._reverse_postorder.",)
 
 
 def _transient(obj) -> bool:
@@ -86,6 +86,20 @@ def test_cold_verdict_leaves_no_transient_cycles(options, kernel, tmp_path):
 def _ir_garbage(garbage):
     return [o for o in garbage
             if isinstance(o, (Function, BasicBlock, Instruction))]
+
+
+def test_cold_verdict_without_a_memo_frees_its_ir():
+    analyzer = SafeFlow()
+    assert analyzer._program_memo() is None
+    garbage = _cyclic_garbage_of(
+        lambda: analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c"))
+    assert _ir_garbage(garbage) == []
+
+
+def test_analyze_program_leaves_the_callers_program_alone():
+    program = load_source(FIGURE2_SOURCE, filename="figure2.c")
+    SafeFlow().analyze_program(program)
+    assert program.module.get_function("main").blocks
 
 
 def _analyzed_program():
