@@ -94,8 +94,10 @@ SMOKE_CONFIGS = [
 #: a pre-fast-kernel tree understands) or "<kernel>[-dense|-warm]";
 #: the object kernel and the dense loop are the oracles of the tests/
 #: directory given as the fourth argument. "-warm" primes an IR cache
-#: with one untimed analysis first, then times a re-analysis against
-#: the primed cache.
+#: with one untimed analysis first, then drops the in-memory program
+#: memo (whose pooled program would replay the primed verdict) and
+#: times a kernel run against the primed cache; it fails if no body
+#: was analyzed.
 _TIMER = r"""
 import json, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
@@ -122,9 +124,13 @@ else:
         cache = tempfile.TemporaryDirectory()
         opts["cache_dir"] = cache.name
         SafeFlow(AnalysisConfig(**opts)).analyze_source(text, name="prime")
+        from repro.perf.progmemo import program_memo
+        program_memo().clear()
     with oracles.installed(kernel, fixpoint):
         elapsed, report = run(SafeFlow(AnalysisConfig(**opts)))
 counters = report.stats.kernel_counters or {}
+if mode.endswith("-warm") and not counters.get("bodies_analyzed"):
+    sys.exit(f"{mode}: no value-flow body was analyzed")
 print(json.dumps({
     "seconds": elapsed,
     "valueflow_seconds": report.stats.phase_timings.get("valueflow", 0.0),

@@ -4,9 +4,16 @@
 Starts the daemon via ``python -m repro.cli serve`` (ephemeral port,
 metrics snapshot on exit), round-trips every corpus system through
 ``SafeFlowClient``, checks each response is byte-identical to the
-in-process cold analysis, scrapes the metrics plane, asks the daemon
-to shut down over RPC, and verifies a clean exit plus a well-formed
-``--metrics-json`` file. Exits nonzero on the first discrepancy.
+in-process cold analysis, repeats one system warm, scrapes the
+metrics plane, asks the daemon to shut down over RPC, and verifies a
+clean exit plus a well-formed ``--metrics-json`` file. Exits nonzero
+on the first discrepancy.
+
+The daemon runs in summary mode, whose summary store is its own warm
+path, so the repeats override ``summary_mode`` off: a worker's memoised
+program then replays its last verdict, which must come back marked
+``verdict_replayed`` and byte-identical to the cold in-process verdict.
+A repeat under another config override must be computed.
 
 Run via ``make serve-smoke``.
 """
@@ -28,13 +35,21 @@ from repro.core.config import AnalysisConfig          # noqa: E402
 from repro.core.driver import SafeFlow                # noqa: E402
 from repro.corpus import SYSTEM_KEYS, load_system     # noqa: E402
 from repro.server import SafeFlowClient               # noqa: E402
+from verdict_diff import VOLATILE_STATS                # noqa: E402
 
 LISTEN_RE = re.compile(r"listening on .*?:(\d+)")
+WORKERS = 2
 
 
 def fail(message):
     print(f"serve-smoke: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def _comparable(report_json):
+    stats = {key: value for key, value in report_json["stats"].items()
+             if key not in VOLATILE_STATS}
+    return dict(report_json, stats=stats)
 
 
 def main():
@@ -43,7 +58,7 @@ def main():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
-         "--port", "0", "--workers", "2", "--summaries",
+         "--port", "0", "--workers", str(WORKERS), "--summaries",
          "--cache-dir", str(tmp / "cache"),
          "--metrics-json", str(metrics_path)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -71,18 +86,44 @@ def main():
                     fail(f"{key}: served report differs from cold analysis")
                 print(f"serve-smoke: {key}: byte-identical "
                       f"({'PASS' if result['passed'] else 'FAIL'} as expected)")
-            # warm repeat must show up in the metrics plane
-            client.analyze(
-                files=[str(p) for p in load_system("ip").core_files],
-                name="ip")
+            # warm repeats: every worker computes a verdict once, then
+            # one of them must replay it
+            files = [str(p) for p in load_system("ip").core_files]
+            cold = SafeFlow().analyze_files(files, name="ip")
+            expected = _comparable(cold.to_json())
+            replayed = 0
+            for attempt in range(WORKERS + 1):
+                result = client.analyze(
+                    files=files, name="ip", verbose=True,
+                    config={"summary_mode": False})
+                if (result["render"] != cold.render(verbose=True)
+                        or _comparable(result["report"]) != expected):
+                    fail(f"warm repeat {attempt} differs from cold analysis")
+                replayed += bool(
+                    result["report"]["stats"].get("verdict_replayed"))
+            if not replayed:
+                fail(f"none of {WORKERS + 1} warm repeats was replayed")
+            print(f"serve-smoke: warm repeats byte-identical, "
+                  f"{replayed} replayed")
+            result = client.analyze(
+                files=files, name="ip",
+                config={"summary_mode": False,
+                        "track_control_dependence": False})
+            if result["report"]["stats"].get("verdict_replayed"):
+                fail("a config override replayed another config's verdict")
+            analyses = len(SYSTEM_KEYS) + WORKERS + 2
             metrics = client.metrics()
             if metrics["cache"]["frontend_hits"] < 1:
                 fail("no cache hits after a warm repeat")
-            if metrics["analyses"]["completed"] != len(SYSTEM_KEYS) + 1:
+            if metrics["cache"]["verdict_replays"] != replayed:
+                fail(f"metrics count {metrics['cache']['verdict_replays']} "
+                     f"replays, responses {replayed}")
+            if metrics["analyses"]["completed"] != analyses:
                 fail(f"unexpected completion count: {metrics['analyses']}")
             print(f"serve-smoke: metrics ok "
                   f"(completed={metrics['analyses']['completed']}, "
-                  f"frontend_hits={metrics['cache']['frontend_hits']})")
+                  f"frontend_hits={metrics['cache']['frontend_hits']}, "
+                  f"verdict_replays={metrics['cache']['verdict_replays']})")
             client.shutdown(drain=True)
 
         try:
@@ -93,7 +134,7 @@ def main():
         if rc != 0:
             fail(f"daemon exited with {rc}:\n{proc.stdout.read()}")
         snapshot = json.loads(metrics_path.read_text())
-        if snapshot["analyses"]["completed"] != len(SYSTEM_KEYS) + 1:
+        if snapshot["analyses"]["completed"] != analyses:
             fail("metrics snapshot file disagrees with scraped metrics")
         print("serve-smoke: clean shutdown, metrics snapshot written — OK")
     finally:

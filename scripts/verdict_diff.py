@@ -12,7 +12,11 @@ inputs, each in its own interpreter, with a plain cold ``SafeFlow()``:
 
 Per input it compares the default ``render()``, ``counts()`` and the
 restriction results byte for byte, and ``render(verbose=True)`` and
-``to_json()`` without its timings, kernel counters and cache counters.
+``to_json()`` without its timings, kernel counters, cache counters and
+replay flag. ``--warm-rounds N`` runs the working tree's side under a
+scratch cache dir and analyses every input N more times right after
+its first verdict: each repeat must come back ``verdict_replayed``
+(replayed from the memoised program) and match the rev's cold verdict.
 ``--ssa-labels`` accepts a change of SSA value names in the last two:
 it normalises ``%name.N`` to ``%name.#`` and the block index of
 unnamed temps (``@L<line>.<block>.N``) to ``#``, and drops the
@@ -22,6 +26,7 @@ construction left.
 Run from the repository root::
 
     python scripts/verdict_diff.py --rev HEAD~1 --ssa-labels
+    python scripts/verdict_diff.py --rev HEAD~1 --warm-rounds 3
 
 Exit status 0 when every input matches, 1 otherwise.
 """
@@ -39,26 +44,26 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: stats fields that observe speed or caches, not the verdict
-_VOLATILE_STATS = ("phase_timings", "kernel_counters", "hotspots",
-                   "frontend_cache_hits", "frontend_cache_misses",
-                   "summary_cache_hits", "summary_cache_misses",
-                   "cache_integrity_evictions")
+VOLATILE_STATS = ("phase_timings", "kernel_counters", "hotspots",
+                  "frontend_cache_hits", "frontend_cache_misses",
+                  "summary_cache_hits", "summary_cache_misses",
+                  "cache_integrity_evictions", "verdict_replayed")
 
 _SSA_NAME = re.compile(r"%([A-Za-z_][\w.]*)\.\d+\b")
 _TEMP_INDEX = re.compile(r"(@L(?:\d+|\?)\.[\w.]+)\.\d+\b")
 
-#: child body: analyse every input of a manifest with the tree whose
-#: ``src`` is the first argument, write the results as JSON
+#: child body: analyse every input of the manifest (second argument)
+#: with the tree whose ``src`` is the first argument, write the results
+#: as JSON to the third. The fourth is the number of warm rounds: with
+#: rounds, each input is analysed under a scratch cache dir once and
+#: then that many times more, back to back, so that the program memo
+#: replays its verdict
 _CHILD = r"""
-import json, sys
+import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
-from repro import SafeFlow
+from repro import AnalysisConfig, SafeFlow
 
-with open(sys.argv[2]) as f:
-    manifest = json.load(f)
-results = {}
-for item in manifest:
-    analyzer = SafeFlow()
+def analyse(analyzer, item):
     if item["files"]:
         report = analyzer.analyze_files(item["files"], name=item["label"])
     else:
@@ -66,11 +71,25 @@ for item in manifest:
             text = f.read()
         report = analyzer.analyze_source(
             text, filename=item["label"] + ".c", name=item["label"])
-    results[item["label"]] = {
+    return {
         "render": report.render(),
         "verbose": report.render(verbose=True),
         "json": report.to_json(),
     }
+
+with open(sys.argv[2]) as f:
+    manifest = json.load(f)
+rounds = int(sys.argv[4])
+cache = tempfile.TemporaryDirectory()
+results = {}
+for item in manifest:
+    if not rounds:
+        results[item["label"]] = analyse(SafeFlow(), item)
+        continue
+    analyzer = SafeFlow(AnalysisConfig(cache_dir=cache.name))
+    results[item["label"]] = analyse(analyzer, item)
+    results[item["label"]]["warm"] = [
+        analyse(analyzer, item) for _ in range(rounds)]
 with open(sys.argv[3], "w") as f:
     json.dump(results, f)
 """
@@ -105,16 +124,16 @@ def _inputs():
     return items
 
 
-def _analyse(src_dir, manifest_path, out_path):
+def _analyse(src_dir, manifest_path, out_path, rounds=0):
     subprocess.run([sys.executable, "-c", _CHILD, src_dir, manifest_path,
-                    out_path], check=True)
+                    out_path, str(rounds)], check=True)
     with open(out_path) as f:
         return json.load(f)
 
 
 def _normalise(result, ssa_labels):
     data = json.loads(json.dumps(result["json"]))
-    for key in _VOLATILE_STATS:
+    for key in VOLATILE_STATS:
         data["stats"].pop(key, None)
     verbose = result["verbose"]
     if ssa_labels:
@@ -137,6 +156,11 @@ def main(argv=None) -> int:
                         help="ignore SSA value numbering in witness labels")
     parser.add_argument("--tmp", default=None,
                         help="directory for the worktree and outputs")
+    parser.add_argument("--warm-rounds", type=int, default=0,
+                        help="re-analyse each input this many times "
+                             "with the working tree under a cache dir; "
+                             "every repeat must be a replayed verdict "
+                             "identical to the rev's cold one")
     args = parser.parse_args(argv)
 
     work = tempfile.mkdtemp(prefix="verdict-diff-", dir=args.tmp)
@@ -159,7 +183,7 @@ def main(argv=None) -> int:
         before = _analyse(os.path.join(tree, "src"), manifest_path,
                           os.path.join(work, "rev.json"))
         after = _analyse(os.path.join(ROOT, "src"), manifest_path,
-                         os.path.join(work, "tree.json"))
+                         os.path.join(work, "tree.json"), args.warm_rounds)
     finally:
         subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
                         tree], check=False)
@@ -171,12 +195,20 @@ def main(argv=None) -> int:
         old = _normalise(before[label], args.ssa_labels)
         new = _normalise(after[label], args.ssa_labels)
         parts = [part for part in old if old[part] != new[part]]
+        for i, warm in enumerate(after[label].get("warm", ()), 1):
+            if not warm["json"]["stats"].get("verdict_replayed"):
+                parts.append(f"warm round {i} not replayed")
+            replayed = _normalise(warm, args.ssa_labels)
+            parts.extend(f"warm round {i} {part}" for part in old
+                         if old[part] != replayed[part])
         if parts:
             differ += 1
             print(f"DIFF {label}: {', '.join(parts)}")
     print(f"{len(manifest) - differ}/{len(manifest)} inputs identical "
           f"against {args.rev}"
-          + (" (SSA labels normalised)" if args.ssa_labels else ""))
+          + (" (SSA labels normalised)" if args.ssa_labels else "")
+          + (f", {args.warm_rounds} replayed warm rounds each"
+             if args.warm_rounds else ""))
     return 1 if differ else 0
 
 

@@ -473,6 +473,8 @@ def _render_stats(report: AnalysisReport) -> str:
         lines.append(f"  {phase + ' time':<19}: {seconds * 1000:.1f} ms")
     for counter, value in stats.cache_counters().items():
         lines.append(f"  {counter:<19}: {value}")
+    if stats.verdict_replayed:
+        lines.append(f"  {'verdict_replayed':<19}: yes")
     incremental = {
         "functions_reanalyzed": stats.functions_reanalyzed,
         "dirty_cone_size": stats.dirty_cone_size,

@@ -76,10 +76,12 @@ class AnalysisConfig:
     frontend_cache: bool = True
     #: reuse front-ended :class:`Program` objects in memory between
     #: runs of one process (:mod:`repro.perf.progmemo`) — skips even
-    #: the disk cache's unpickle on the serving hot path. Effective
-    #: only when ``cache_dir``/``frontend_cache`` are on (keys are the
-    #: IR-cache content keys). Report-preserving, never part of a
-    #: cache key.
+    #: the disk cache's unpickle on the serving hot path. A pooled
+    #: program keeps its last verdict, which a memo hit under the same
+    #: config fingerprint replays without running phases 1-3 (not under
+    #: ``profile`` or a summary store). Effective only when
+    #: ``cache_dir``/``frontend_cache`` are on (keys are the IR-cache
+    #: content keys). Report-preserving, never part of a cache key.
     frontend_memo: bool = True
     #: persist/replay value-flow summary bodies (only effective in
     #: ``summary_mode``); see :mod:`repro.perf.summary_store`

@@ -19,10 +19,13 @@ The three phases follow §3.3 of the paper:
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
 on-disk cache, and in ``summary_mode`` value-flow summary bodies of
-unchanged functions are replayed instead of recomputed. Both paths are
-behavior-preserving — reports render byte-identical to a cold run —
-and observable through ``AnalysisStats.phase_timings`` and the cache
-hit/miss counters.
+unchanged functions are replayed instead of recomputed. A program the
+in-memory memo pools keeps the last verdict computed on it, and a memo
+hit under the same config fingerprint replays that verdict without
+running phases 1-3 (``AnalysisStats.verdict_replayed``). All three
+paths are behavior-preserving — reports render byte-identical to a
+cold run — and observable through ``AnalysisStats.phase_timings`` and
+the cache hit/miss counters.
 """
 
 from __future__ import annotations
@@ -52,51 +55,55 @@ class SafeFlow:
     def analyze_source(self, text: str, filename: str = "<source>",
                        name: str = "program") -> AnalysisReport:
         """Analyze a single C source string (the core component)."""
-        from ..perf.gcpause import gc_paused
+        def load(cache):
+            return load_source(
+                text,
+                filename=filename,
+                defines=self.config.defines,
+                verify=self.config.verify_ir,
+                cache=cache,
+                recover=self._recover(),
+                recover_tiers=self.config.recover_tiers,
+            )
 
-        with gc_paused(self.config.pause_gc):
-            cache = self._ir_cache()
-            started = time.perf_counter()
-            memo, memo_key = self._program_memo(), None
-            program = None
-            if memo is not None:
-                memo_key = self._memo_key(cache.key_for_source(
-                    text, filename, self.config.defines,
-                    self.config.verify_ir, self._recover_token(),
-                ))
-                program = memo.acquire(memo_key)
-                if program is not None:
-                    cache.hits += 1
-            if program is None:
-                program = load_source(
-                    text,
-                    filename=filename,
-                    defines=self.config.defines,
-                    verify=self.config.verify_ir,
-                    cache=cache,
-                    recover=self._recover(),
-                    recover_tiers=self.config.recover_tiers,
-                )
-            try:
-                return self.analyze_program(
-                    program,
-                    name=name,
-                    source_text=text,
-                    frontend_seconds=time.perf_counter() - started,
-                    ir_cache=cache,
-                )
-            finally:
-                if memo is not None:
-                    memo.release(memo_key, program)
-                else:  # pooled by nobody (the IR cache holds it pickled)
-                    program.module.release()
-                # drop the frame's reference now, so the program's
-                # acyclic parts die by refcount before the guard exits
-                program = None
+        return self._analyze_loaded(
+            load, lambda cache: cache.key_for_source(
+                text, filename, self.config.defines,
+                self.config.verify_ir, self._recover_token(),
+            ), name=name, source_text=text)
 
     def analyze_files(self, paths: Sequence[str],
                       name: str = "program") -> AnalysisReport:
         """Analyze one or more C files as a whole program."""
+        def load(cache):
+            return load_files(
+                paths,
+                include_dirs=self.config.include_dirs,
+                defines=self.config.defines,
+                verify=self.config.verify_ir,
+                cache=cache,
+                recover=self._recover(),
+                recover_tiers=self.config.recover_tiers,
+            )
+
+        return self._analyze_loaded(
+            load, lambda cache: cache.key_for_files(
+                paths, self.config.include_dirs, self.config.defines,
+                self.config.verify_ir, self._recover_token(),
+            ), name=name)
+
+    def _analyze_loaded(self, load, cache_key, name: str,
+                        source_text: Optional[str] = None) -> AnalysisReport:
+        """Front-end with ``load(cache)`` — or lease the memoised
+        program under ``cache_key(cache)`` — and analyze it.
+
+        A memoised program carries the last verdict computed on it
+        (``Program.verdict``). When this run is eligible
+        (:meth:`_verdict_key`) and the slot holds a verdict under the
+        same config fingerprint, the verdict is replayed and phases 1-3
+        are skipped; otherwise the computed verdict takes the slot
+        before the program goes back to the memo.
+        """
         from ..perf.gcpause import gc_paused
 
         with gc_paused(self.config.pause_gc):
@@ -105,34 +112,34 @@ class SafeFlow:
             memo, memo_key = self._program_memo(), None
             program = None
             if memo is not None:
-                memo_key = self._memo_key(cache.key_for_files(
-                    paths, self.config.include_dirs, self.config.defines,
-                    self.config.verify_ir, self._recover_token(),
-                ))
+                memo_key = self._memo_key(cache_key(cache))
                 program = memo.acquire(memo_key)
                 if program is not None:
                     cache.hits += 1
             if program is None:
-                program = load_files(
-                    paths,
-                    include_dirs=self.config.include_dirs,
-                    defines=self.config.defines,
-                    verify=self.config.verify_ir,
-                    cache=cache,
-                    recover=self._recover(),
-                    recover_tiers=self.config.recover_tiers,
-                )
+                program = load(cache)
+            frontend_seconds = time.perf_counter() - started
             try:
-                return self.analyze_program(
+                verdict_key = self._verdict_key() if memo is not None \
+                    else None
+                slot = program.verdict
+                if (verdict_key is not None and slot is not None
+                        and slot[0] == verdict_key):
+                    return _replay(slot[1], name, cache, frontend_seconds,
+                                   started)
+                report = self.analyze_program(
                     program,
                     name=name,
-                    frontend_seconds=time.perf_counter() - started,
+                    source_text=source_text,
+                    frontend_seconds=frontend_seconds,
                     ir_cache=cache,
                 )
+                if verdict_key is not None:
+                    program.verdict = (verdict_key, report.verdict_copy(name))
+                return report
             finally:
-                if memo is not None:
-                    memo.release(memo_key, program)
-                else:  # pooled by nobody (the IR cache holds it pickled)
+                if memo is None or not memo.release(memo_key, program):
+                    # pooled by nobody (the IR cache holds it pickled)
                     program.module.release()
                 # drop the frame's reference now, so the program's
                 # acyclic parts die by refcount before the guard exits
@@ -412,11 +419,14 @@ class SafeFlow:
             return None
         return f"{os.path.abspath(self.config.cache_dir)}|{cache_key}"
 
-    def _summary_store(self):
+    def _uses_summary_store(self) -> bool:
         # summary bodies only exist in context-sensitive summary mode
-        if (not self.config.cache_dir or not self.config.summary_cache
-                or not self.config.summary_mode
-                or not self.config.context_sensitive):
+        return bool(self.config.cache_dir and self.config.summary_cache
+                    and self.config.summary_mode
+                    and self.config.context_sensitive)
+
+    def _summary_store(self):
+        if not self._uses_summary_store():
             return None
         from ..perf.fingerprint import config_fingerprint
         from ..perf.summary_store import SummaryStore
@@ -425,6 +435,22 @@ class SafeFlow:
         return SummaryStore(
             os.path.join(self.config.cache_dir, f"summaries-{fp}.pkl")
         )
+
+    def _verdict_key(self) -> Optional[str]:
+        """The key a memoised program's verdict slot is filled and
+        replayed under, or ``None`` when this run must compute.
+
+        ``profile`` runs measure their hotspots; summary-store runs
+        have the store as their own warm path, whose hit counters and
+        integrity checks belong to the run. That is decided from the
+        config alone: opening the store here would heal a torn store
+        before the run could see and count its eviction.
+        """
+        if self.config.profile or self._uses_summary_store():
+            return None
+        from ..perf.fingerprint import config_fingerprint
+
+        return config_fingerprint(self.config)
 
     # ------------------------------------------------------------------
 
@@ -437,6 +463,22 @@ class SafeFlow:
         if source_text is not None:
             stats.loc_total = _count_loc(source_text)
         return stats
+
+
+def _replay(verdict: AnalysisReport, name: str, cache,
+            frontend_seconds: float, started: float) -> AnalysisReport:
+    """A memoised verdict as this request's report: the findings and
+    program-derived stats, with this run's IR-cache counters and a
+    ``frontend``/``total`` timing (phases 1-3 did not run)."""
+    report = verdict.verdict_copy(name)
+    stats = report.stats
+    stats.verdict_replayed = True
+    stats.frontend_cache_hits = cache.hits
+    stats.frontend_cache_misses = cache.misses
+    stats.cache_integrity_evictions = cache.integrity_evictions
+    stats.phase_timings = {"frontend": frontend_seconds,
+                           "total": time.perf_counter() - started}
+    return report
 
 
 def _count_loc(text: str) -> int:

@@ -80,6 +80,19 @@ class AnalysisStats:
     #: under ``AnalysisConfig.profile``; label → {calls, seconds,
     #: self_seconds}
     hotspots: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: the verdict was replayed from the memoised program's last
+    #: verdict instead of computed (see ``SafeFlow.analyze_source``)
+    verdict_replayed: bool = False
+
+    def verdict_copy(self) -> "AnalysisStats":
+        """The fields that describe the program and its verdict, not
+        the run that produced them: what a replayed verdict carries."""
+        stats = AnalysisStats(**{
+            name: getattr(self, name) for name in _VERDICT_STATS})
+        stats.recovery_attempts = dict(self.recovery_attempts)
+        stats.recovery_successes = dict(self.recovery_successes)
+        return stats
+
     def cache_counters(self) -> Dict[str, int]:
         return {
             "frontend_cache_hits": self.frontend_cache_hits,
@@ -128,7 +141,17 @@ class AnalysisStats:
             out["hotspots"] = {
                 label: dict(rec) for label, rec in self.hotspots.items()
             }
+        if self.verdict_replayed:
+            out["verdict_replayed"] = True
         return out
+
+
+#: program- and verdict-derived stats; everything else describes a run
+_VERDICT_STATS = (
+    "files", "functions", "instructions", "loc_total", "annotation_lines",
+    "shm_regions", "noncore_regions", "contexts_analyzed",
+    "monitored_functions", "degraded_units", "recovered_units",
+)
 
 
 @dataclass
@@ -157,6 +180,25 @@ class AnalysisReport:
     degraded: List[DegradedUnit] = field(default_factory=list)
 
     # ------------------------------------------------------------------
+
+    def verdict_copy(self, name: str) -> "AnalysisReport":
+        """A fresh report with this one's findings under ``name``.
+
+        The diagnostics are frozen, so copying the lists is enough to
+        keep a caller's edits out of the original; the stats carry only
+        :meth:`AnalysisStats.verdict_copy`, no timings or counters.
+        """
+        return AnalysisReport(
+            name=name,
+            warnings=list(self.warnings),
+            errors=list(self.errors),
+            violations=list(self.violations),
+            init_issues=list(self.init_issues),
+            lint_findings=list(self.lint_findings),
+            stats=self.stats.verdict_copy(),
+            witness_graphs=dict(self.witness_graphs),
+            degraded=list(self.degraded),
+        )
 
     @property
     def diagnostics(self) -> List[Diagnostic]:

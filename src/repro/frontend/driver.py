@@ -112,6 +112,17 @@ class Program:
     recovery_attempts: Dict[str, int] = field(default_factory=dict)
     #: per-tier recovery-ladder success counts (``--recover`` only)
     recovery_successes: Dict[str, int] = field(default_factory=dict)
+    #: the last verdict computed on this program while the program memo
+    #: pooled it: ``(config fingerprint, report)``, replayed by
+    #: ``SafeFlow`` on the next memo hit under the same fingerprint.
+    #: One slot, never pickled; it dies with the program.
+    verdict: Optional[Tuple[str, object]] = field(
+        default=None, compare=False, repr=False)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("verdict", None)
+        return state
 
     @property
     def annotation_lines(self) -> int:

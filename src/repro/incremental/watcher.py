@@ -199,9 +199,7 @@ class IncrementalSession:
         if root is None:
             # segments replay summary bodies: same preconditions as the
             # config-derived summary store
-            if (not config.cache_dir or not config.summary_cache
-                    or not config.summary_mode
-                    or not config.context_sensitive):
+            if not self.driver._uses_summary_store():
                 return None
             from ..perf.fingerprint import config_fingerprint
 

@@ -28,6 +28,10 @@ programs have no file dependencies and validate for free.
 The memo is report-preserving by the incremental layer's byte-identity
 argument and is therefore never part of a cache key
 (``AnalysisConfig.frontend_memo`` is a ``CACHE_ONLY_FIELDS`` entry).
+A pooled program also carries the last verdict computed on it
+(``Program.verdict``), which :class:`repro.core.driver.SafeFlow`
+replays on a memo hit under the same config fingerprint; the memo
+itself never looks at it.
 
 Ownership: :meth:`ProgramMemo.release` transfers the program to the
 memo — the caller must not touch it afterwards. Pooled programs outlive

@@ -11,7 +11,8 @@ single lock:
   resubmitted jobs, quarantined jobs);
 - cache effectiveness, folded from the ``AnalysisStats`` cache
   counters of every completed analysis — this is how a warm request
-  becomes visible from the outside (``frontend_hits`` > 0);
+  becomes visible from the outside (``frontend_hits`` > 0), and a
+  replayed verdict (``verdict_replays``);
 - compiled-kernel totals (``kernel`` block), folded from each
   analysis's ``kernel_*`` counters: opcode dispatches, compiled
   bodies, interner occupancy, compile/execute microseconds;
@@ -112,6 +113,8 @@ class ServerMetrics:
             "summary_hits": 0,
             "summary_misses": 0,
             "integrity_evictions": 0,
+            #: verdicts replayed from a memoised program's last verdict
+            "verdict_replays": 0,
         }
         self._resilience = {
             "worker_restarts": 0,
@@ -225,6 +228,8 @@ class ServerMetrics:
                 stats.get("summary_cache_misses", 0) or 0)
             self._cache["integrity_evictions"] += int(
                 stats.get("cache_integrity_evictions", 0) or 0)
+            if stats.get("verdict_replayed"):
+                self._cache["verdict_replays"] += 1
             units = int(stats.get("degraded_units", 0) or 0)
             if units:
                 self._degraded["analyses"] += 1

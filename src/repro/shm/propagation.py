@@ -156,18 +156,21 @@ class ShmAnalysis:
         The owning function is added to ``program.degraded_functions``:
         its monitoring assumptions can no longer be trusted, so the
         value-flow engine treats calls into it as unmonitored flow.
+        Recording is idempotent: a memoised program is analyzed again
+        under other configs, and must not report the unit twice.
         """
         from ..degrade import KIND_ANNOTATION, DegradedUnit
 
         degraded = getattr(self.program, "degraded", None)
-        if degraded is not None:
-            degraded.append(DegradedUnit(
-                kind=KIND_ANNOTATION,
-                name=f"{type(item).__name__}({getattr(item, 'pointer', '')})",
-                cause=exc.message,
-                location=exc.location,
-                function=fname,
-            ))
+        unit = DegradedUnit(
+            kind=KIND_ANNOTATION,
+            name=f"{type(item).__name__}({getattr(item, 'pointer', '')})",
+            cause=exc.message,
+            location=exc.location,
+            function=fname,
+        )
+        if degraded is not None and unit not in degraded:
+            degraded.append(unit)
         functions = getattr(self.program, "degraded_functions", None)
         if functions is not None:
             functions.add(fname)

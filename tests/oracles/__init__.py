@@ -18,10 +18,16 @@ unchanged::
 
     with oracles.installed(kernel="object", fixpoint="dense"):
         report = SafeFlow(config).analyze_source(source)
+
+A memoised program carries the last verdict computed on it, and
+``SafeFlow`` replays it on a memo hit. So :func:`installed` empties the
+process-wide program memo on entry and on exit: no verdict computed by
+one engine is ever handed back under another engine's label.
 """
 
 from contextlib import contextmanager
 
+from repro.perf.progmemo import program_memo
 from repro.valueflow import engine
 
 from .dense import DenseFixpoint
@@ -49,8 +55,10 @@ def installed(kernel: str = "compiled", fixpoint: str = "sparse"):
     """Make every ``SafeFlow`` analysis inside the block run the
     (kernel, fixpoint) engine."""
     previous = engine.ValueFlowAnalysis
+    program_memo().clear()
     engine.ValueFlowAnalysis = _ENGINES[kernel, fixpoint]
     try:
         yield
     finally:
         engine.ValueFlowAnalysis = previous
+        program_memo().clear()

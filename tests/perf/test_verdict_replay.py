@@ -1,0 +1,325 @@
+"""Warm verdict replay: a memoised Program keeps the last verdict
+computed on it, and a memo hit under the same config fingerprint
+answers from it without running phases 1-3.
+
+A replay must be indistinguishable from a cold verdict in everything
+but its timings, counters and provenance flag; it must never answer a
+run under another config, a ``profile`` run, a summary-store run, or a
+caller that hands ``analyze_program`` its own program; and the verdict
+it keeps must die with its program, never reach an IR-cache entry, and
+never see a caller's edits to a report it returned.
+"""
+
+import gc
+import io
+import json
+import pickle
+import pickletools
+
+import pytest
+
+from repro import AnalysisConfig, SafeFlow
+from repro.core.results import AnalysisReport, AnalysisStats
+from repro.corpus import SYSTEM_KEYS, generate_core, load_system
+from repro.frontend import load_source
+from repro.incremental.watcher import IncrementalSession
+from repro.perf.integrity import unseal
+from repro.perf.progmemo import program_memo
+from tests.conftest import FIGURE2_SOURCE
+
+#: stats that describe one run, not its verdict
+VOLATILE = ("phase_timings", "kernel_counters", "hotspots",
+            "frontend_cache_hits", "frontend_cache_misses",
+            "summary_cache_hits", "summary_cache_misses",
+            "cache_integrity_evictions", "verdict_replayed")
+
+BAD_UNIT = "double compute(double x) { return x + ; }\n"
+GNU_UNIT = "int __attribute__((noinline)) twice(int a) { return a + a; }\n"
+CALLER = """
+double compute(double x);
+int twice(int a);
+void sendControl(double v);
+int main(void)
+{
+    double output = compute(1.0) + twice(2);
+    /***SafeFlow Annotation assert(safe(output)); /***/
+    sendControl(output);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(autouse=True)
+def clean_global_memo():
+    program_memo().clear()
+    yield
+    program_memo().clear()
+
+
+def signature(report):
+    data = report.to_json()
+    for key in VOLATILE:
+        data["stats"].pop(key, None)
+    return (report.render(), report.render(verbose=True),
+            json.dumps(data, sort_keys=True),
+            json.dumps(report.witness_graphs, sort_keys=True))
+
+
+def replay_rounds(run, rounds=2):
+    """``run(cache_dir config)`` once computed, then ``rounds`` times
+    replayed; returns the first report and the replays."""
+    first = run()
+    assert not first.stats.verdict_replayed
+    replays = [run() for _ in range(rounds)]
+    assert all(r.stats.verdict_replayed for r in replays)
+    return first, replays
+
+
+def recover_inputs(tmp_path):
+    paths = []
+    for name, text in (("caller.c", CALLER), ("bad.c", BAD_UNIT),
+                       ("gnu.c", GNU_UNIT)):
+        path = tmp_path / name
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("key", SYSTEM_KEYS)
+    def test_corpus_system(self, key, tmp_path):
+        files = [str(p) for p in load_system(key).core_files]
+        cold = SafeFlow().analyze_files(files, name=key)
+        warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        first, replays = replay_rounds(
+            lambda: warm.analyze_files(files, name=key))
+        for report in (first, *replays):
+            assert signature(report) == signature(cold)
+
+    @pytest.mark.parametrize("params", [
+        dict(filler_functions=4, chain_depth=3, monitored_regions=1,
+             data_error_regions=1),
+        dict(filler_functions=8, chain_depth=4, call_fanout=2,
+             pipeline_stages=4, monitored_regions=2),
+    ], ids=["data-error", "pipeline"])
+    def test_generated_core(self, params, tmp_path):
+        source = generate_core(**params).source
+        cold = SafeFlow().analyze_source(source, "gen.c", name="gen")
+        warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        first, replays = replay_rounds(
+            lambda: warm.analyze_source(source, "gen.c", name="gen"))
+        for report in (first, *replays):
+            assert signature(report) == signature(cold)
+
+    @pytest.mark.parametrize("options", [
+        dict(degraded_mode=True),
+        dict(recover_tiers=("gnu", "prelude", "cleanup", "salvage")),
+    ], ids=["keep-going", "recover"])
+    def test_degraded_input(self, options, tmp_path):
+        paths = recover_inputs(tmp_path)
+        cold = SafeFlow(AnalysisConfig(**options)).analyze_files(paths)
+        assert cold.degraded
+        warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path / "c"),
+                                       **options))
+        first, replays = replay_rounds(lambda: warm.analyze_files(paths))
+        for report in (first, *replays):
+            assert signature(report) == signature(cold)
+            assert report.stats.recovery_attempts == \
+                cold.stats.recovery_attempts
+
+    def test_replay_takes_the_requests_name_and_fresh_counters(
+            self, tmp_path):
+        warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        computed = warm.analyze_source(FIGURE2_SOURCE, "f.c", name="one")
+        replay = warm.analyze_source(FIGURE2_SOURCE, "f.c", name="two")
+        assert replay.name == "two" and computed.name == "one"
+        assert replay.stats.verdict_replayed
+        assert replay.stats.to_json()["verdict_replayed"] is True
+        assert "verdict_replayed" not in computed.stats.to_json()
+        assert replay.stats.loc_total == computed.stats.loc_total > 0
+        assert (replay.stats.frontend_cache_hits,
+                replay.stats.frontend_cache_misses) == (1, 0)
+        assert set(replay.stats.phase_timings) == {"frontend", "total"}
+        assert replay.stats.kernel_counters == {}
+
+
+class TestEligibility:
+    def test_config_override_computes(self, tmp_path):
+        default = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        no_control = SafeFlow(AnalysisConfig(
+            cache_dir=str(tmp_path), track_control_dependence=False))
+        expected = {
+            id(default): signature(SafeFlow().analyze_source(
+                FIGURE2_SOURCE, "f.c")),
+            id(no_control): signature(SafeFlow(AnalysisConfig(
+                track_control_dependence=False)).analyze_source(
+                    FIGURE2_SOURCE, "f.c")),
+        }
+        assert len(set(expected.values())) == 2
+        # one slot per program: alternating configs on the memoised
+        # program always compute
+        hits = program_memo().counters()["hits"]
+        for analyzer in (default, no_control, default, no_control):
+            report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
+            assert not report.stats.verdict_replayed
+            assert signature(report) == expected[id(analyzer)]
+        assert program_memo().counters()["hits"] == hits + 3
+        report = no_control.analyze_source(FIGURE2_SOURCE, "f.c")
+        assert report.stats.verdict_replayed
+        assert signature(report) == expected[id(no_control)]
+
+    def test_profile_never_replays(self, tmp_path):
+        SafeFlow(AnalysisConfig(cache_dir=str(tmp_path))).analyze_source(
+            FIGURE2_SOURCE, "f.c")
+        profiled = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path),
+                                           profile=True))
+        for _ in range(2):
+            report = profiled.analyze_source(FIGURE2_SOURCE, "f.c")
+            assert not report.stats.verdict_replayed
+            assert report.stats.hotspots
+            assert report.stats.kernel_counters["bodies_analyzed"] > 0
+
+    def test_summary_mode_never_replays(self, tmp_path):
+        summaries = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path),
+                                            summary_mode=True))
+        first = summaries.analyze_source(FIGURE2_SOURCE, "f.c")
+        second = summaries.analyze_source(FIGURE2_SOURCE, "f.c")
+        assert not first.stats.verdict_replayed
+        assert not second.stats.verdict_replayed
+        # the summary store is this mode's own warm path, and its run
+        # counters (hits, functions reanalyzed) describe each run
+        assert second.stats.summary_cache_hits > 0
+        assert second.stats.functions_reanalyzed == 0
+        assert signature(second)[:2] == signature(first)[:2]
+
+    def test_recomputing_a_degraded_annotation_reports_it_once(
+            self, tmp_path):
+        source = ("int *p;\n"
+                  "void init(void)\n"
+                  "/***SafeFlow Annotation shminit;"
+                  " assume(shmvar(q, 4)) /***/\n"
+                  "{ }\n"
+                  "int main(void) { init(); return 0; }\n")
+        profiled = SafeFlow(AnalysisConfig(
+            cache_dir=str(tmp_path), degraded_mode=True, profile=True))
+        for _ in range(3):
+            report = profiled.analyze_source(source, "t.c")
+            assert [u.kind for u in report.degraded] == ["annotation"]
+
+    def test_without_a_memo_nothing_is_kept(self, tmp_path):
+        for config in (AnalysisConfig(),
+                       AnalysisConfig(cache_dir=str(tmp_path),
+                                      frontend_memo=False)):
+            analyzer = SafeFlow(config)
+            for _ in range(2):
+                report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
+                assert not report.stats.verdict_replayed
+        assert program_memo().counters()["pooled"] == 0
+
+    def test_analyze_program_never_replays_or_attaches(self, tmp_path):
+        program = load_source(FIGURE2_SOURCE, filename="f.c")
+        analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        for _ in range(2):
+            report = analyzer.analyze_program(program)
+            assert not report.stats.verdict_replayed
+        assert program.verdict is None
+
+    def test_incremental_session_never_replays(self, tmp_path):
+        unit = tmp_path / "core.c"
+        unit.write_text(FIGURE2_SOURCE)
+        session = IncrementalSession(
+            [str(unit)], config=AnalysisConfig(cache_dir=str(tmp_path)))
+        first = session.verdict()
+        unchanged = session.verdict()
+        unit.write_text(FIGURE2_SOURCE.replace("5.0", "6.0"))
+        edited = session.verdict()
+        for report in (first, unchanged, edited):
+            assert not report.stats.verdict_replayed
+        assert session.program.verdict is None
+
+
+class TestIsolation:
+    def test_mutating_a_report_does_not_leak_into_replays(self, tmp_path):
+        warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        computed = warm.analyze_source(FIGURE2_SOURCE, "f.c")
+        expected = signature(computed)
+        assert computed.errors and computed.warnings
+
+        def vandalise(report):
+            report.errors.clear()
+            report.warnings.append(report.warnings[0])
+            report.witness_graphs.clear()
+            report.degraded.append(None)
+            report.stats.functions = -1
+            report.stats.recovery_attempts["strict"] = 99
+
+        vandalise(computed)
+        replay = warm.analyze_source(FIGURE2_SOURCE, "f.c")
+        assert replay.stats.verdict_replayed
+        assert signature(replay) == expected
+        vandalise(replay)
+        again = warm.analyze_source(FIGURE2_SOURCE, "f.c")
+        assert again.stats.verdict_replayed
+        assert signature(again) == expected
+
+
+def _report_garbage(run):
+    """Report objects a garbage collection would have to reclaim after
+    ``run()`` ran with the collector off."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return [o for o in gc.garbage
+                if isinstance(o, (AnalysisReport, AnalysisStats))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+class TestLifetime:
+    def _pool(self, tmp_path, sources):
+        analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        for i, source in enumerate(sources):
+            analyzer.analyze_source(source, f"u{i}.c")
+
+    def test_memo_clear_frees_the_kept_verdicts(self, tmp_path):
+        self._pool(tmp_path, [FIGURE2_SOURCE])
+        assert program_memo().counters()["pooled"] == 1
+        assert _report_garbage(program_memo().clear) == []
+
+    def test_memo_eviction_frees_the_kept_verdict(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(program_memo(), "capacity", 1)
+        self._pool(tmp_path, [FIGURE2_SOURCE])
+        second = FIGURE2_SOURCE.replace("5.0", "6.0")
+        assert _report_garbage(
+            lambda: self._pool(tmp_path, [second])) == []
+        assert program_memo().counters()["pooled"] == 1
+
+    def test_ir_cache_entry_holds_no_report(self, tmp_path):
+        analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+        analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
+        cache = analyzer._ir_cache()
+        key = analyzer._memo_key(cache.key_for_source(
+            FIGURE2_SOURCE, "f.c", {}, True, analyzer._recover_token()))
+        program = program_memo().acquire(key)
+        try:
+            assert program.verdict is not None
+            assert cache.store("with-verdict", program)
+        finally:
+            program_memo().release(key, program)
+        with open(cache._path("with-verdict"), "rb") as f:
+            entry = pickle.loads(unseal(f.read()))
+        names = {arg for _, arg, _ in pickletools.genops(
+                     io.BytesIO(entry.program_blob))
+                 if isinstance(arg, str)}
+        assert "Program" in names  # the walk sees class names
+        assert not {"AnalysisReport", "AnalysisStats",
+                    "repro.core.results"} & names
+        assert cache.fetch("with-verdict").verdict is None
