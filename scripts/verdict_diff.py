@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
 """Compare the verdicts of the working tree with those of a git rev.
 
-The rev is checked out with ``git worktree add`` into a temporary
+The rev's ``src`` is exported with ``git archive`` into a temporary
 directory (removed again afterwards). Both trees analyse the same
-inputs, each in its own interpreter, with a plain cold ``SafeFlow()``:
+inputs, each in its own interpreter, with a cold ``SafeFlow``:
 
 - the three bundled corpus systems;
 - the four ``benchmarks/bench_kernels.py`` rungs (medium to xxlarge);
 - the 128 ``perfbench`` ``service_mix`` sources (80 micro units, 45
-  generated controllers and the corpus systems, counted once).
+  generated controllers and the corpus systems, counted once);
+- the nine ``examples/wild`` units, one input each.
 
 Per input it compares the default ``render()``, ``counts()`` and the
 restriction results byte for byte, and ``render(verbose=True)`` and
 ``to_json()`` without its timings, kernel counters, cache counters and
-replay flag. ``--warm-rounds N`` runs the working tree's side under a
+replay flag. An input whose analysis raises (a wild unit under the
+strict default) records the error's type and text, and the two sides
+must raise alike. ``--config JSON`` passes ``AnalysisConfig`` keyword
+arguments to the working tree's runs, cold and warm; ``--rev-config
+JSON`` passes them to the rev's and defaults to ``--config`` (JSON
+lists become tuples), so a renamed or folded field can still be
+compared. ``--warm-rounds N`` runs the working tree's side under a
 scratch cache dir and analyses every input N more times right after
 its first verdict: each repeat must come back ``verdict_replayed``
 (replayed from the memoised program) and match the rev's cold verdict.
@@ -27,6 +34,8 @@ Run from the repository root::
 
     python scripts/verdict_diff.py --rev HEAD~1 --ssa-labels
     python scripts/verdict_diff.py --rev HEAD~1 --warm-rounds 3
+    python scripts/verdict_diff.py --rev HEAD~1 \
+        --config '{"recover_tiers": []}' --rev-config '{"degraded_mode": true}'
 
 Exit status 0 when every input matches, 1 otherwise.
 """
@@ -57,20 +66,25 @@ _TEMP_INDEX = re.compile(r"(@L(?:\d+|\?)\.[\w.]+)\.\d+\b")
 #: as JSON to the third. The fourth is the number of warm rounds: with
 #: rounds, each input is analysed under a scratch cache dir once and
 #: then that many times more, back to back, so that the program memo
-#: replays its verdict
+#: replays its verdict. The fifth is the JSON object of
+#: ``AnalysisConfig`` keyword arguments
 _CHILD = r"""
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 from repro import AnalysisConfig, SafeFlow
 
 def analyse(analyzer, item):
-    if item["files"]:
-        report = analyzer.analyze_files(item["files"], name=item["label"])
-    else:
-        with open(item["source"]) as f:
-            text = f.read()
-        report = analyzer.analyze_source(
-            text, filename=item["label"] + ".c", name=item["label"])
+    try:
+        if item["files"]:
+            report = analyzer.analyze_files(item["files"],
+                                            name=item["label"])
+        else:
+            with open(item["source"]) as f:
+                text = f.read()
+            report = analyzer.analyze_source(
+                text, filename=item["label"] + ".c", name=item["label"])
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
     return {
         "render": report.render(),
         "verbose": report.render(verbose=True),
@@ -80,13 +94,16 @@ def analyse(analyzer, item):
 with open(sys.argv[2]) as f:
     manifest = json.load(f)
 rounds = int(sys.argv[4])
+options = {key: tuple(value) if isinstance(value, list) else value
+           for key, value in json.loads(sys.argv[5]).items()}
 cache = tempfile.TemporaryDirectory()
 results = {}
 for item in manifest:
     if not rounds:
-        results[item["label"]] = analyse(SafeFlow(), item)
+        results[item["label"]] = analyse(
+            SafeFlow(AnalysisConfig(**options)), item)
         continue
-    analyzer = SafeFlow(AnalysisConfig(cache_dir=cache.name))
+    analyzer = SafeFlow(AnalysisConfig(cache_dir=cache.name, **options))
     results[item["label"]] = analyse(analyzer, item)
     results[item["label"]]["warm"] = [
         analyse(analyzer, item) for _ in range(rounds)]
@@ -121,17 +138,32 @@ def _inputs():
     for i in range(service_mix.CONTROLLERS):
         src = service_mix._controller(f"ctl{i}", i, fixed, False)
         items.append((src.label, None, src.source))
+    wild = os.path.join(ROOT, "examples", "wild")
+    for name in sorted(os.listdir(wild)):
+        if name.endswith(".c"):
+            items.append((f"wild-{name[:-2]}", [os.path.join(wild, name)],
+                          None))
     return items
 
 
-def _analyse(src_dir, manifest_path, out_path, rounds=0):
+def _analyse(src_dir, manifest_path, out_path, rounds=0, config="{}"):
     subprocess.run([sys.executable, "-c", _CHILD, src_dir, manifest_path,
-                    out_path, str(rounds)], check=True)
+                    out_path, str(rounds), config], check=True)
     with open(out_path) as f:
         return json.load(f)
 
 
+def _config_json(text):
+    """Validate a ``--config``/``--rev-config`` value: a JSON object."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError("expected a JSON object")
+    return text
+
+
 def _normalise(result, ssa_labels):
+    if "error" in result:
+        return {"error": result["error"]}
     data = json.loads(json.dumps(result["json"]))
     for key in VOLATILE_STATS:
         data["stats"].pop(key, None)
@@ -148,6 +180,14 @@ def _normalise(result, ssa_labels):
             "verbose": verbose, "json": data}
 
 
+def _differences(old, new):
+    """The parts in which two normalised results differ (``error`` when
+    only one of them raised)."""
+    if ("error" in old) != ("error" in new):
+        return ["error"]
+    return [part for part in old if old[part] != new[part]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", default="HEAD",
@@ -155,19 +195,31 @@ def main(argv=None) -> int:
     parser.add_argument("--ssa-labels", action="store_true",
                         help="ignore SSA value numbering in witness labels")
     parser.add_argument("--tmp", default=None,
-                        help="directory for the worktree and outputs")
+                        help="directory for the rev's source and outputs")
     parser.add_argument("--warm-rounds", type=int, default=0,
                         help="re-analyse each input this many times "
                              "with the working tree under a cache dir; "
                              "every repeat must be a replayed verdict "
                              "identical to the rev's cold one")
+    parser.add_argument("--config", type=_config_json, default="{}",
+                        metavar="JSON",
+                        help="AnalysisConfig keyword arguments for the "
+                             "working tree's runs (JSON object)")
+    parser.add_argument("--rev-config", type=_config_json, default=None,
+                        metavar="JSON",
+                        help="AnalysisConfig keyword arguments for the "
+                             "rev's runs (default: --config)")
     args = parser.parse_args(argv)
+    rev_config = args.config if args.rev_config is None else args.rev_config
 
     work = tempfile.mkdtemp(prefix="verdict-diff-", dir=args.tmp)
     tree = os.path.join(work, "rev")
     try:
-        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                        "--quiet", tree, args.rev], check=True)
+        os.makedirs(tree)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", args.rev,
+                                  "src"], check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", tree], input=archive.stdout,
+                       check=True)
         manifest = []
         for label, files, source in _inputs():
             path = None
@@ -181,12 +233,11 @@ def main(argv=None) -> int:
         with open(manifest_path, "w") as f:
             json.dump(manifest, f)
         before = _analyse(os.path.join(tree, "src"), manifest_path,
-                          os.path.join(work, "rev.json"))
+                          os.path.join(work, "rev.json"), 0, rev_config)
         after = _analyse(os.path.join(ROOT, "src"), manifest_path,
-                         os.path.join(work, "tree.json"), args.warm_rounds)
+                         os.path.join(work, "tree.json"), args.warm_rounds,
+                         args.config)
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                        tree], check=False)
         shutil.rmtree(work, ignore_errors=True)
 
     differ = 0
@@ -194,19 +245,23 @@ def main(argv=None) -> int:
         label = item["label"]
         old = _normalise(before[label], args.ssa_labels)
         new = _normalise(after[label], args.ssa_labels)
-        parts = [part for part in old if old[part] != new[part]]
+        parts = _differences(old, new)
         for i, warm in enumerate(after[label].get("warm", ()), 1):
-            if not warm["json"]["stats"].get("verdict_replayed"):
+            if "error" not in warm and not warm["json"]["stats"].get(
+                    "verdict_replayed"):
                 parts.append(f"warm round {i} not replayed")
             replayed = _normalise(warm, args.ssa_labels)
-            parts.extend(f"warm round {i} {part}" for part in old
-                         if old[part] != replayed[part])
+            parts.extend(f"warm round {i} {part}"
+                         for part in _differences(old, replayed))
         if parts:
             differ += 1
             print(f"DIFF {label}: {', '.join(parts)}")
     print(f"{len(manifest) - differ}/{len(manifest)} inputs identical "
           f"against {args.rev}"
           + (" (SSA labels normalised)" if args.ssa_labels else "")
+          + (f", config {args.config}" if args.config != "{}" else "")
+          + (f", rev config {rev_config}" if rev_config != args.config
+             else "")
           + (f", {args.warm_rounds} replayed warm rounds each"
              if args.warm_rounds else ""))
     return 1 if differ else 0

@@ -23,7 +23,7 @@ Exit codes are uniform across subcommands:
 code  meaning
 ====  =================================================================
 0     analysis ran and the property holds for every unit/job
-1     analysis ran and found errors/violations, or (keep-going modes)
+1     analysis ran and found errors/violations, or (keep-going)
       some jobs passed while others were degraded fail-closed
 2     the tool itself failed (bad input, job crash, timeout) — or, under
       ``--keep-going``/``--recover``, *nothing was certified*: every
@@ -374,16 +374,21 @@ def _add_recover_flag(sub: argparse.ArgumentParser) -> None:
 
 
 def _recover_tiers(args):
-    """Canonical recovery tiers from ``--recover`` (or ``()``)."""
+    """``AnalysisConfig.recover_tiers`` from ``--keep-going`` and
+    ``--recover``: ``None`` (strict), ``()`` (keep-going) or the
+    canonical recovery tiers."""
+    tiers = ()
     spec = getattr(args, "recover", None)
-    if spec is None:
-        return ()
-    from .frontend.recovery import normalize_tiers
+    if spec is not None:
+        from .frontend.recovery import normalize_tiers
 
-    try:
-        return normalize_tiers(spec)
-    except ValueError as exc:
-        raise SafeFlowError(str(exc))
+        try:
+            tiers = normalize_tiers(spec)
+        except ValueError as exc:
+            raise SafeFlowError(str(exc))
+    if tiers or getattr(args, "keep_going", False):
+        return tiers
+    return None
 
 
 def _add_qos_flags(sub: argparse.ArgumentParser) -> None:
@@ -516,7 +521,6 @@ def _report_json(report: AnalysisReport) -> str:
 
 
 def cmd_analyze(args) -> int:
-    tiers = _recover_tiers(args)
     config = AnalysisConfig(
         check_restrictions=not args.no_restrictions,
         context_sensitive=not args.context_insensitive,
@@ -526,8 +530,7 @@ def cmd_analyze(args) -> int:
         include_dirs=tuple(args.include),
         cache_dir=_cache_dir(args),
         profile=args.profile,
-        degraded_mode=args.keep_going or bool(tiers),
-        recover_tiers=tiers,
+        recover_tiers=_recover_tiers(args),
     )
     report = SafeFlow(config).analyze_files(args.files, name=args.name)
     if args.json:
@@ -552,15 +555,13 @@ def cmd_watch(args) -> int:
 
     from .incremental import IncrementalSession, WatchLoop
 
-    tiers = _recover_tiers(args)
     config = AnalysisConfig(
         # incremental replay records/replays summary bodies, so the
         # watch pipeline always runs in summary mode
         summary_mode=True,
         include_dirs=tuple(args.include),
         cache_dir=_cache_dir(args),
-        degraded_mode=args.keep_going or bool(tiers),
-        recover_tiers=tiers,
+        recover_tiers=_recover_tiers(args),
     )
     session = IncrementalSession([], config=config, name=args.name)
     last = {"report": None, "started": _time.perf_counter()}
@@ -642,13 +643,11 @@ def cmd_batch(args) -> int:
               file=sys.stderr)
         return 2
 
-    tiers = _recover_tiers(args)
     config = AnalysisConfig(
         summary_mode=args.summaries,
         include_dirs=tuple(args.include),
         cache_dir=_cache_dir(args),
-        degraded_mode=args.keep_going or bool(tiers),
-        recover_tiers=tiers,
+        recover_tiers=_recover_tiers(args),
     )
     max_workers = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     outcome = SafeFlow(config).analyze_batch(
@@ -740,7 +739,7 @@ def cmd_batch(args) -> int:
     reports = [r.report for r in outcome.results]
     if all(r.passed for r in reports):
         return 0
-    if ((args.keep_going or tiers)
+    if (config.recover_tiers is not None
             and all(r.verdict == "degraded" for r in reports)):
         # keep-going batch where *nothing* was certified: every job is
         # degraded and no finding exists — that is a tool-level failure
@@ -756,13 +755,11 @@ def cmd_serve(args) -> int:
 
     from .server.daemon import SafeFlowServer
 
-    tiers = _recover_tiers(args)
     config = AnalysisConfig(
         summary_mode=args.summaries,
         include_dirs=tuple(args.include),
         cache_dir=_cache_dir(args),
-        degraded_mode=bool(tiers),
-        recover_tiers=tiers,
+        recover_tiers=_recover_tiers(args),
     )
     try:
         server = SafeFlowServer(

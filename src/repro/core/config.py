@@ -98,24 +98,22 @@ class AnalysisConfig:
     #: 20-30% of wall time on the bench workloads. Report-preserving,
     #: never part of a cache key.
     pause_gc: bool = True
-    #: degraded-mode analysis (``--keep-going``): isolate frontend and
-    #: annotation failures per translation unit / function / annotation
-    #: as structured :class:`repro.degrade.DegradedUnit` records and
-    #: keep analyzing the rest of the corpus, failing *closed* around
-    #: the degraded parts (calls into them become unmonitored non-core
-    #: flow and the report's verdict becomes ``degraded``). The strict
-    #: default raises on the first unprocessable input. Part of the
-    #: analysis fingerprint: degraded and strict runs never share
-    #: cached results.
-    degraded_mode: bool = False
-    #: enabled recovery-ladder tiers (``--recover``): translation units
-    #: the strict front end cannot process fall through the ordered
-    #: tiers of :mod:`repro.frontend.recovery` ("gnu", "prelude",
-    #: "cleanup", "salvage") before being recorded as lost. A salvaged
-    #: unit is analyzed fail-closed — every function it defines is
-    #: degraded, so relative to strict mode a verdict can only go
-    #: pass → degraded, never degraded → pass. Implies the same
-    #: keep-going discipline as ``degraded_mode``. The enabled set
-    #: (plus the tier format version and GNU parser strategy) is part
-    #: of the analysis fingerprint.
-    recover_tiers: Tuple[str, ...] = ()
+    #: keep-going analysis, one value for both modes. ``None`` (the
+    #: default) is strict: the first unprocessable input raises.
+    #: Otherwise frontend and annotation failures are isolated per
+    #: translation unit / function / annotation as structured
+    #: :class:`repro.degrade.DegradedUnit` records and the rest of the
+    #: corpus is still analyzed, failing *closed* around the degraded
+    #: parts (calls into them become unmonitored non-core flow and the
+    #: verdict becomes ``degraded``). The value names the enabled tiers
+    #: of the recovery ladder of :mod:`repro.frontend.recovery` ("gnu",
+    #: "prelude", "cleanup", "salvage"), which a unit the strict front
+    #: end rejects falls through before it is recorded as lost: ``()``
+    #: is ``--keep-going`` (the ladder with zero tiers), a non-empty
+    #: tuple is ``--recover``. A salvaged unit is analyzed fail-closed
+    #: — every function it defines is degraded, so a verdict can only
+    #: go pass → degraded, never degraded → pass. Part of the analysis
+    #: fingerprint (with the tier format version and GNU parser
+    #: strategy when tiers are on): strict, keep-going and recovering
+    #: runs never share cached results.
+    recover_tiers: Optional[Tuple[str, ...]] = None

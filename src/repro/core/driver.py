@@ -62,7 +62,6 @@ class SafeFlow:
                 defines=self.config.defines,
                 verify=self.config.verify_ir,
                 cache=cache,
-                recover=self._recover(),
                 recover_tiers=self.config.recover_tiers,
             )
 
@@ -82,7 +81,6 @@ class SafeFlow:
                 defines=self.config.defines,
                 verify=self.config.verify_ir,
                 cache=cache,
-                recover=self._recover(),
                 recover_tiers=self.config.recover_tiers,
             )
 
@@ -385,13 +383,8 @@ class SafeFlow:
     # performance layer plumbing
     # ------------------------------------------------------------------
 
-    def _recover(self) -> bool:
-        """Keep-going front-ending: ``--keep-going`` or ``--recover``
-        (the recovery ladder only makes sense per-unit-isolated)."""
-        return bool(self.config.degraded_mode or self.config.recover_tiers)
-
     def _recover_token(self):
-        return recover_token(self._recover(), self.config.recover_tiers)
+        return recover_token(self.config.recover_tiers)
 
     def _ir_cache(self):
         if not self.config.cache_dir or not self.config.frontend_cache:

@@ -19,8 +19,13 @@ aborting the whole run.  Downstream consumers react soundly:
   per-unit provenance so an operator can see *what* was skipped and
   *why* rather than a silently smaller result.
 
-Degradation is opt-in (``AnalysisConfig.degraded_mode`` /
-``--keep-going``): the strict default keeps the seed behaviour of
+Degradation is opt-in, and there is one keep-going mode: any
+``AnalysisConfig.recover_tiers`` other than ``None``. ``()`` is
+``--keep-going``, the recovery ladder of :mod:`repro.frontend.recovery`
+with zero tiers (a unit the strict front end rejects is lost); a
+non-empty tuple is ``--recover`` (the unit first falls through those
+tiers). Both isolate failures the same way and fail closed around
+them. The strict default (``None``) keeps the seed behaviour of
 raising a structured :class:`~repro.errors.SafeFlowError` on the first
 unprocessable input.
 """

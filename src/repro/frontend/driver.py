@@ -1,17 +1,18 @@
 """Front-end driver: C text/files → annotated IR program.
 
-With ``recover=True`` (degraded-mode analysis, ``--keep-going``) the
-driver isolates failures instead of raising: a translation unit that
-fails to preprocess or parse, a function whose lowering/SSA fails, or
-an annotation that does not validate each become a structured
-:class:`repro.degrade.DegradedUnit` on the returned
-:class:`Program`, and the rest of the corpus is still front-ended.
-The value-flow engine fails closed around ``Program.degraded_functions``.
-
-With ``recover_tiers`` (``--recover``) a failing unit additionally
-falls through the recovery ladder of :mod:`repro.frontend.recovery`
-before being recorded as lost; a salvaged unit is analyzed with every
-function it defines degraded (fail-closed around rewritten text).
+``recover_tiers`` selects the mode (``AnalysisConfig.recover_tiers``).
+``None`` is strict: the first failure raises. Any tuple is keep-going:
+the driver isolates failures instead of raising — a translation unit
+that cannot be read, preprocessed or parsed, a function whose lowering
+or verification fails, or an annotation that does not validate each
+become a structured :class:`repro.degrade.DegradedUnit` on the returned
+:class:`Program`, and the rest of the corpus is still front-ended. The
+value-flow engine fails closed around ``Program.degraded_functions``.
+The tuple names the enabled tiers of the recovery ladder of
+:mod:`repro.frontend.recovery` that a failing unit falls through before
+it is recorded as lost (``()``: none, ``--keep-going``); a salvaged
+unit is analyzed with every function it defines degraded (fail-closed
+around rewritten text).
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from ..annotations.lang import AnnotationItem
 from ..degrade import (
     KIND_FUNCTION,
     KIND_RECOVERED,
-    KIND_UNIT,
     DegradedUnit,
     degraded_function_names,
     sort_degraded,
 )
-from ..errors import LoweringError, ParseError, PreprocessorError
+from ..errors import LoweringError
 from ..ir import CType, Module, StructType, verify_module
 from ..ir.source import SourceLocation
 from ..ir.verifier import verify_function
@@ -36,7 +36,7 @@ from .attach import annotation_line_count, attach_annotations, owning_function
 from .lower import ModuleLowerer, lower_units, primitive_type
 from .parser import ParsedUnit
 from .preprocessor import ExtractedAnnotation
-from .recovery import frontend_unit
+from .recovery import RecoveredUnit, frontend_file, frontend_unit
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,20 @@ class Program:
         return sum(1 for u in self.degraded if u.kind == KIND_RECOVERED)
 
 
-def recover_token(recover: bool, recover_tiers: Sequence[str] = ()):
-    """The value cache keys carry for the (recover, tiers) pair.
+def recover_token(recover_tiers: Optional[Sequence[str]]):
+    """The value cache keys carry for ``recover_tiers``.
 
-    With no tiers this is the plain bool the seed always used, so
-    existing cache keys are unchanged; with tiers it folds in
+    Strict (``None``) and keep-going without tiers (``()``) give the
+    plain bools ``False`` and ``True`` that IR-cache keys have always
+    carried; with tiers it folds in
     :func:`repro.frontend.recovery.recovery_fingerprint` (tier set,
     format version, GNU parser strategy) so recovered programs are
     never replayed across recovery-config changes.
     """
     from .recovery import recovery_fingerprint
 
-    fingerprint = recovery_fingerprint(recover_tiers)
+    recover = recover_tiers is not None
+    fingerprint = recovery_fingerprint(recover_tiers or ())
     if not fingerprint:
         return recover
     return f"{recover}+recovery[{fingerprint}]"
@@ -162,40 +164,24 @@ def load_source(
     defines: Optional[Dict[str, str]] = None,
     verify: bool = True,
     cache=None,
-    recover: bool = False,
-    recover_tiers: Sequence[str] = (),
+    recover_tiers: Optional[Sequence[str]] = None,
 ) -> Program:
     """Front-end a single C source string.
 
     ``cache`` is an optional :class:`repro.perf.IRCache`; on a hit the
     pickled program is returned without re-parsing. ``recover_tiers``
-    enables the recovery ladder of :mod:`repro.frontend.recovery`.
+    selects strict, keep-going or recovery-ladder front-ending.
     """
     key = None
     if cache is not None:
         key = cache.key_for_source(text, filename, defines, verify,
-                                   recover_token(recover, recover_tiers))
+                                   recover_token(recover_tiers))
         program = cache.fetch(key)
         if program is not None:
             return program
-    degraded: List[DegradedUnit] = []
-    units: List[ParsedUnit] = []
-    annotation_groups: List[List[ExtractedAnnotation]] = []
-    attempts: Dict[str, int] = {}
-    successes: Dict[str, int] = {}
-    result = frontend_unit(
-        text, filename, defines=defines,
-        recover=recover, tiers=recover_tiers,
-    )
-    _merge_counts(attempts, result.attempts)
-    _merge_counts(successes, result.successes)
-    degraded.extend(result.degraded)
-    if result.unit is not None:
-        units.append(result.unit)
-        annotation_groups.append(result.annotations)
-    program = _finish(units, annotation_groups, verify, recover, degraded,
-                      recovery_attempts=attempts,
-                      recovery_successes=successes)
+    result = frontend_unit(text, filename, defines=defines,
+                           recover_tiers=recover_tiers)
+    program = _finish([result], verify, recover_tiers)
     if cache is not None:
         cache.store(key, program)
     return program
@@ -207,8 +193,7 @@ def load_files(
     defines: Optional[Dict[str, str]] = None,
     verify: bool = True,
     cache=None,
-    recover: bool = False,
-    recover_tiers: Sequence[str] = (),
+    recover_tiers: Optional[Sequence[str]] = None,
 ) -> Program:
     """Front-end several C files into one program (whole-program analysis).
 
@@ -216,61 +201,25 @@ def load_files(
     validated against the content hash of every file the preprocessor
     read when the entry was built (``#include`` dependencies included).
 
-    In recover mode each path is front-ended in isolation: a unit that
-    fails becomes a :class:`DegradedUnit` and the remaining units are
-    still analyzed. ``recover_tiers`` additionally sends failing units
-    through the recovery ladder before they are recorded as lost.
+    Under keep-going (``recover_tiers`` not ``None``) each path is
+    front-ended in isolation by :func:`repro.frontend.recovery.
+    frontend_file`: a unit that fails becomes a :class:`DegradedUnit`
+    (after the enabled recovery-ladder tiers) and the remaining units
+    are still analyzed.
     """
     key = None
     if cache is not None:
         key = cache.key_for_files(paths, include_dirs, defines, verify,
-                                  recover_token(recover, recover_tiers))
+                                  recover_token(recover_tiers))
         program = cache.fetch(key)
         if program is not None:
             return program
-    units: List[ParsedUnit] = []
-    annotation_groups: List[List[ExtractedAnnotation]] = []
-    degraded: List[DegradedUnit] = []
-    attempts: Dict[str, int] = {}
-    successes: Dict[str, int] = {}
-    for path in paths:
-        try:
-            with open(path, "r") as f:
-                text = f.read()
-        except OSError as exc:
-            failure = PreprocessorError(f"cannot read {path}: {exc}")
-            if not recover:
-                raise failure
-            degraded.append(_unit_failure(path, failure))
-            continue
-        result = frontend_unit(
-            text, path, include_dirs=include_dirs, defines=defines,
-            recover=recover, tiers=recover_tiers,
-        )
-        _merge_counts(attempts, result.attempts)
-        _merge_counts(successes, result.successes)
-        degraded.extend(result.degraded)
-        if result.unit is not None:
-            units.append(result.unit)
-            annotation_groups.append(result.annotations)
-    program = _finish(units, annotation_groups, verify, recover, degraded,
-                      recovery_attempts=attempts,
-                      recovery_successes=successes)
+    results = [frontend_file(path, include_dirs, defines, recover_tiers)
+               for path in paths]
+    program = _finish(results, verify, recover_tiers)
     if cache is not None:
         cache.store(key, program)
     return program
-
-
-def _unit_failure(path: str, exc: BaseException) -> DegradedUnit:
-    if isinstance(exc, RecursionError):
-        cause = "recursion limit exceeded while front-ending the unit"
-        location = SourceLocation(path, 0)
-    else:
-        cause = getattr(exc, "message", None) or str(exc)
-        location = getattr(exc, "location", None) or SourceLocation(path, 0)
-    return DegradedUnit(
-        kind=KIND_UNIT, name=path, cause=cause, location=location,
-    )
 
 
 def _smear_recovered(
@@ -317,20 +266,26 @@ def _smear_recovered(
 
 
 def _finish(
-    units: List[ParsedUnit],
-    annotation_groups: List[List[ExtractedAnnotation]],
+    results: Sequence[RecoveredUnit],
     verify: bool,
-    recover: bool = False,
-    degraded: Optional[List[DegradedUnit]] = None,
-    recovery_attempts: Optional[Dict[str, int]] = None,
-    recovery_successes: Optional[Dict[str, int]] = None,
+    recover_tiers: Optional[Sequence[str]] = None,
 ) -> Program:
-    degraded = list(degraded or [])
+    """Lower the front-ended units of ``results`` into one program."""
+    recover = recover_tiers is not None
+    units: List[ParsedUnit] = []
+    annotations: List[ExtractedAnnotation] = []
+    degraded: List[DegradedUnit] = []
+    attempts: Dict[str, int] = {}
+    successes: Dict[str, int] = {}
+    for result in results:
+        _merge_counts(attempts, result.attempts)
+        _merge_counts(successes, result.successes)
+        degraded.extend(result.degraded)
+        if result.unit is not None:
+            units.append(result.unit)
+            annotations.extend(result.annotations)
     module, lowerer = lower_units(units, recover=recover)
     degraded.extend(lowerer.degraded)
-    annotations: List[ExtractedAnnotation] = []
-    for group in annotation_groups:
-        annotations.extend(group)
     function_annotations = attach_annotations(
         module, annotations, lowerer.function_starts,
         recover=recover, degraded=degraded,
@@ -366,8 +321,8 @@ def _finish(
         units=[UnitInfo.of(unit) for unit in units],
         degraded=resolved,
         degraded_functions=degraded_function_names(resolved),
-        recovery_attempts=dict(recovery_attempts or {}),
-        recovery_successes=dict(recovery_successes or {}),
+        recovery_attempts=attempts,
+        recovery_successes=successes,
     )
 
 

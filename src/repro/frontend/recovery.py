@@ -2,11 +2,12 @@
 
 Real embedded control C rarely parses under the strict mini-
 preprocessor + pycparser pipeline: it carries GNU attributes, inline
-asm, ``#include <stdint.h>``, vendor pragmas.  PR 5's degraded mode can
-only record such a unit as *lost* — every unresolved external then
-smears top taint program-wide.  This module turns "unit lost" into
-"unit salvaged with audited provenance" via an ordered ladder of
-recovery tiers, each attempted only after the previous one fails:
+asm, ``#include <stdint.h>``, vendor pragmas.  Keep-going analysis
+with zero tiers (``--keep-going``) can only record such a unit as
+*lost* — every unresolved external then smears top taint program-wide.
+The enabled tiers (``AnalysisConfig.recover_tiers``, ``--recover``)
+turn "unit lost" into "unit salvaged with audited provenance" via an
+ordered ladder, each tier attempted only after the previous one fails:
 
 1. ``strict``  — today's path, byte-identical, no rewrites;
 2. ``gnu``     — token-level normalization of GNU dialect
@@ -78,6 +79,7 @@ __all__ = [
     "DEFAULT_TIERS",
     "RecoveredUnit",
     "frontend_unit",
+    "frontend_file",
     "normalize_tiers",
     "recovery_fingerprint",
     "gnu_parser_class",
@@ -508,9 +510,10 @@ class RecoveredUnit:
     """Per-unit outcome of the recovery ladder.
 
     ``unit`` is ``None`` when every tier failed (the unit is lost,
-    exactly as in plain degraded mode).  ``tier`` names the winning
-    tier (``"strict"`` for a clean parse with the ladder enabled,
-    ``None`` with the ladder disabled or when the unit is lost).
+    exactly as under ``--keep-going`` with no tiers).  ``tier`` names
+    the winning tier (``"strict"`` for a clean parse with the ladder
+    enabled, ``None`` with the ladder disabled or when the unit is
+    lost).
     ``attempts``/``successes`` count per-tier outcomes and are only
     populated while the ladder is enabled.
     """
@@ -741,16 +744,17 @@ def frontend_unit(
     filename: str,
     include_dirs: Sequence[str] = (),
     defines: Optional[Dict[str, str]] = None,
-    recover: bool = False,
-    tiers: Sequence[str] = (),
+    recover_tiers: Optional[Sequence[str]] = None,
 ) -> RecoveredUnit:
     """Front-end one translation unit through the recovery ladder.
 
-    With no enabled tiers this is byte-identical to the historical
-    path: strict preprocess + parse, exceptions propagating when
-    ``recover`` is off and a lost-unit record when it is on.
+    ``recover_tiers`` is ``AnalysisConfig.recover_tiers``: with
+    ``None`` (strict) preprocess and parse errors propagate; with
+    ``()`` (keep-going, no ladder) a failing unit is a lost-unit
+    record; with tiers it falls through them first.
     """
-    order = [t for t in TIER_ORDER if t in tuple(tiers)]
+    recover = recover_tiers is not None
+    order = [t for t in TIER_ORDER if t in tuple(recover_tiers or ())]
     attempts: Dict[str, int] = {}
     successes: Dict[str, int] = {}
     counting = bool(order)
@@ -768,6 +772,8 @@ def frontend_unit(
         source = pp.process_text(text, filename=filename)
         unit = parse_preprocessed(source, name=filename)
     except (PreprocessorError, ParseError, RecursionError) as exc:
+        if not recover:
+            raise
         strict_exc = exc
     except Exception as exc:
         if not order:  # no ladder: exactly the historical behavior
@@ -861,9 +867,30 @@ def frontend_unit(
             tier=tier, attempts=attempts, successes=successes,
         )
 
-    if not recover:
-        raise strict_exc
     return RecoveredUnit(
         unit=None, annotations=[], degraded=[_unit_lost(filename, strict_exc)],
         tier=None, attempts=attempts, successes=successes,
     )
+
+
+def frontend_file(
+    path: str,
+    include_dirs: Sequence[str] = (),
+    defines: Optional[Dict[str, str]] = None,
+    recover_tiers: Optional[Sequence[str]] = None,
+) -> RecoveredUnit:
+    """Read one source file and :func:`frontend_unit` its text.
+
+    A file that cannot be read or decoded raises
+    :class:`~repro.errors.PreprocessorError` in strict mode and is a
+    lost unit under keep-going, like a unit that does not parse.
+    """
+    try:
+        with open(path, "r") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        failure = PreprocessorError(f"cannot read {path}: {exc}")
+        if recover_tiers is None:
+            raise failure
+        return RecoveredUnit(unit=None, degraded=[_unit_lost(path, failure)])
+    return frontend_unit(text, path, include_dirs, defines, recover_tiers)

@@ -47,14 +47,11 @@ from pycparser import c_ast
 from ..core.config import AnalysisConfig
 from ..core.driver import SafeFlow
 from ..core.results import AnalysisReport
-from ..degrade import DegradedUnit
-from ..errors import IRError, LoweringError, ParseError, PreprocessorError
-from ..frontend.driver import (
-    Program, UnitInfo, _finish, _merge_counts, _unit_failure)
+from ..errors import IRError, LoweringError, ParseError
+from ..frontend.driver import Program, UnitInfo, _finish
 from ..frontend.lower import ModuleLowerer
 from ..frontend.parser import ParsedUnit
-from ..frontend.preprocessor import ExtractedAnnotation
-from ..frontend.recovery import frontend_unit
+from ..frontend.recovery import RecoveredUnit, frontend_file
 from ..ir import Function
 from ..ir.verifier import verify_function
 from ..perf.fingerprint import text_digest
@@ -86,25 +83,20 @@ def _ast_digest(node) -> str:
 class _UnitState:
     """Cached front-end state of one translation unit."""
 
-    __slots__ = ("path", "digest", "unit", "annotations", "degraded",
-                 "defs", "refs", "funcs_only", "def_digests",
-                 "recovery_attempts", "recovery_successes")
+    __slots__ = ("path", "digest", "result", "unit", "annotations",
+                 "degraded", "defs", "refs", "funcs_only", "def_digests")
 
-    def __init__(self, path: str, digest: str,
-                 unit: Optional[ParsedUnit],
-                 annotations: List[ExtractedAnnotation],
-                 degraded: List[DegradedUnit]):
+    def __init__(self, path: str, digest: str, result: RecoveredUnit):
         self.path = path
         self.digest = digest
-        self.unit = unit
-        self.annotations = list(annotations)
-        self.degraded = list(degraded)
-        #: per-tier recovery-ladder counters for this unit (empty
-        #: unless the session runs with ``recover_tiers``); folded
-        #: into every full re-lower's Program so watch verdicts report
-        #: the same recovery stats as a cold ``safeflow analyze``
-        self.recovery_attempts: Dict[str, int] = {}
-        self.recovery_successes: Dict[str, int] = {}
+        #: the unit as :func:`~repro.frontend.recovery.frontend_file`
+        #: returned it (recovery-ladder counters included); every full
+        #: re-lower hands these to the same ``_finish`` a cold
+        #: ``safeflow analyze`` runs
+        self.result = result
+        self.unit = unit = result.unit
+        self.annotations = result.annotations
+        self.degraded = result.degraded
         #: function names defined by this unit (definition order)
         self.defs: Tuple[str, ...] = ()
         #: function names this unit's code references (call targets and
@@ -266,23 +258,17 @@ class IncrementalSession:
             report.stats.cache_integrity_evictions += self._pending_integrity
             self._pending_integrity = 0
         self.verdicts += 1
-        self._last_report = report
+        # a copy: the caller may edit the report it is handed
+        self._last_report = report.verdict_copy(self.name)
         return report
 
     def _memoized_report(self, frontend_seconds: float) -> AnalysisReport:
-        """The previous report re-issued for a no-change verdict, with
-        the per-run counters reset to what this (empty) run did."""
-        import copy
-
-        report = copy.copy(self._last_report)
-        report.stats = stats = copy.copy(report.stats)
-        stats.phase_timings = {"frontend": frontend_seconds,
-                               "total": frontend_seconds}
-        stats.functions_reanalyzed = 0
-        stats.dirty_cone_size = 0
-        stats.segment_evictions = 0
-        stats.segment_fallbacks = 0
-        stats.cache_integrity_evictions = 0
+        """The previous report re-issued for a no-change verdict: its
+        findings in fresh lists (a caller editing one verdict must not
+        edit the next) and the stats of what this (empty) run did."""
+        report = self._last_report.verdict_copy(self.name)
+        report.stats.phase_timings = {"frontend": frontend_seconds,
+                                      "total": frontend_seconds}
         return report
 
     # ------------------------------------------------------------------
@@ -300,8 +286,6 @@ class IncrementalSession:
         changed: List[str] = []
         added: List[str] = []
         removed: List[str] = []
-        recover = bool(self.config.degraded_mode
-                       or self.config.recover_tiers)
         for path in self._paths:
             try:
                 with open(path, "rb") as f:
@@ -315,7 +299,9 @@ class IncrementalSession:
             state = self._units.get(path)
             if state is not None and state.digest == digest:
                 continue
-            new_state = self._frontend_unit(path, digest, recover)
+            new_state = _UnitState(path, digest, frontend_file(
+                path, self.config.include_dirs, self.config.defines,
+                self.config.recover_tiers))
             if state is None:
                 added.append(path)
                 self._units[path] = new_state
@@ -328,36 +314,6 @@ class IncrementalSession:
             del self._units[path]
         return changed, added, removed
 
-    def _frontend_unit(self, path: str, digest: str,
-                       recover: bool) -> _UnitState:
-        try:
-            with open(path, "r") as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            exc = PreprocessorError(f"cannot read {path}: {exc}")
-            if not recover:
-                raise exc
-            return _UnitState(path, digest, None, [],
-                              [_unit_failure(path, exc)])
-        try:
-            result = frontend_unit(
-                text, path,
-                include_dirs=self.config.include_dirs,
-                defines=self.config.defines,
-                recover=recover,
-                tiers=self.config.recover_tiers,
-            )
-        except (PreprocessorError, ParseError, RecursionError) as exc:
-            if not recover:
-                raise
-            return _UnitState(path, digest, None, [],
-                              [_unit_failure(path, exc)])
-        state = _UnitState(path, digest, result.unit, result.annotations,
-                           result.degraded)
-        state.recovery_attempts = dict(result.attempts)
-        state.recovery_successes = dict(result.successes)
-        return state
-
     def _promote_pending(self) -> None:
         for path, state in getattr(self, "_pending", {}).items():
             self._units[path] = state
@@ -366,29 +322,11 @@ class IncrementalSession:
     def _full_frontend(self) -> None:
         """Re-lower everything from the cached parse trees."""
         self._promote_pending()
-        units: List[ParsedUnit] = []
-        annotation_groups: List[List[ExtractedAnnotation]] = []
-        degraded: List[DegradedUnit] = []
-        attempts: Dict[str, int] = {}
-        successes: Dict[str, int] = {}
-        for path in self._paths:
-            state = self._units.get(path)
-            if state is None:
-                continue
-            degraded.extend(state.degraded)
-            _merge_counts(attempts, state.recovery_attempts)
-            _merge_counts(successes, state.recovery_successes)
-            if state.unit is not None:
-                units.append(state.unit)
-                annotation_groups.append(state.annotations)
         replaced = self.program
         self.program = _finish(
-            units, annotation_groups, self.config.verify_ir,
-            recover=bool(self.config.degraded_mode
-                         or self.config.recover_tiers),
-            degraded=degraded,
-            recovery_attempts=attempts,
-            recovery_successes=successes,
+            [self._units[path].result for path in self._paths
+             if path in self._units],
+            self.config.verify_ir, self.config.recover_tiers,
         )
         if replaced is not None:
             # the session alone kept this IR past its guard

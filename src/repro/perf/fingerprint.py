@@ -117,7 +117,7 @@ def config_fingerprint(config) -> str:
     # tier format version and GNU parser strategy in (the enabled-tier
     # set itself is an ordinary config field above), so a rewrite-rule
     # rev or installing the wild extra renamespaces every cache
-    if getattr(config, "recover_tiers", ()):
+    if config.recover_tiers:
         from ..frontend.recovery import recovery_fingerprint
 
         fp = recovery_fingerprint(config.recover_tiers)

@@ -34,7 +34,7 @@ Fingerprints
 A journaled result is only reused when ``job_fingerprint`` still
 matches: the content digest of every input file, the job's shape
 (name, file list, include dirs, defines), and the analysis-relevant
-config fingerprint (which includes ``degraded_mode``). Any change —
+config fingerprint (which includes ``recover_tiers``). Any change —
 edited source, different config — re-runs the job, which keeps
 ``--resume`` byte-identical to an uninterrupted run.
 """

@@ -525,8 +525,7 @@ def _schedule_tier_crash(report, _unused_jobs, _unused_baseline, config,
             f.write(text)
         jobs.append(BatchJob(name=name, files=(path,)))
 
-    ladder = dataclasses.replace(config, degraded_mode=True,
-                                 recover_tiers=DEFAULT_TIERS)
+    ladder = dataclasses.replace(config, recover_tiers=DEFAULT_TIERS)
     fault_free = _run_batch(jobs, ladder, workers)
     baseline_verdicts = {r.name: r.report.verdict
                          for r in fault_free.results if r.ok}

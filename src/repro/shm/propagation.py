@@ -72,13 +72,9 @@ class ShmAnalysis:
         self.config = config or AnalysisConfig()
         self.module = program.module
         self.callgraph = CallGraph(self.module)
-        #: keep-going analysis: degraded mode or the recovery ladder —
-        #: both promise the same fail-closed discipline around whatever
-        #: the frontend could not certify
-        self.fail_closed = bool(
-            self.config.degraded_mode
-            or getattr(self.config, "recover_tiers", ())
-        )
+        #: keep-going analysis (with or without recovery-ladder tiers):
+        #: fail closed around whatever the frontend could not certify
+        self.fail_closed = self.config.recover_tiers is not None
 
         self.regions: Dict[str, SharedRegion] = {}
         self.init_functions: Set[str] = set()

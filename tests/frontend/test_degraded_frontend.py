@@ -1,6 +1,6 @@
 """Front-end error recovery: degraded units instead of escaping errors.
 
-With ``recover`` (driven by ``AnalysisConfig.degraded_mode``) every
+With keep-going (``AnalysisConfig.recover_tiers=()``) every
 per-unit, per-function and per-annotation front-end failure must
 become a structured :class:`repro.degrade.DegradedUnit`; strict mode
 must keep raising the same errors it always did.
@@ -36,7 +36,7 @@ class TestUnitRecovery:
         bad = tmp_path / "bad.c"
         good.write_text(GOOD)
         bad.write_text(BAD)
-        program = load_files([str(good), str(bad)], recover=True)
+        program = load_files([str(good), str(bad)], recover_tiers=())
         assert _kinds(program) == [KIND_UNIT]
         unit = program.degraded[0]
         assert unit.name == str(bad)
@@ -52,7 +52,7 @@ class TestUnitRecovery:
             load_files([str(bad)])
 
     def test_source_parse_failure_recovers(self):
-        program = load_source(BAD, filename="bad.c", recover=True)
+        program = load_source(BAD, filename="bad.c", recover_tiers=())
         assert _kinds(program) == [KIND_UNIT]
         assert program.degraded[0].location is not None
 
@@ -93,7 +93,7 @@ class TestIncludeDiagnostics:
         good = tmp_path / "good.c"
         good.write_text(GOOD)
         program = load_files([str(good), str(selfy)],
-                             include_dirs=[str(tmp_path)], recover=True)
+                             include_dirs=[str(tmp_path)], recover_tiers=())
         assert _kinds(program) == [KIND_UNIT]
         assert "circular #include" in program.degraded[0].cause
 
@@ -104,7 +104,7 @@ class TestAnnotationRecovery:
                   "/***SafeFlow Annotation assert(safe(x))\n")
         with pytest.raises(PreprocessorError):
             load_source(source, filename="t.c")
-        program = load_source(source, filename="t.c", recover=True)
+        program = load_source(source, filename="t.c", recover_tiers=())
         assert _kinds(program) == [KIND_UNIT]
         assert "unterminated comment" in program.degraded[0].cause
 
@@ -114,7 +114,7 @@ class TestAnnotationRecovery:
                   "{ return 0; }\n")
         with pytest.raises(AnnotationError):
             load_source(source, filename="t.c")
-        program = load_source(source, filename="t.c", recover=True)
+        program = load_source(source, filename="t.c", recover_tiers=())
         assert _kinds(program) == [KIND_ANNOTATION]
         # the broken annotation never reaches attachment, but the
         # program itself still front-ends
@@ -128,7 +128,7 @@ double h(double x)
 { return x; }
 int main(void) { return 0; }
 """
-        program = load_source(source, filename="dup.c", recover=True)
+        program = load_source(source, filename="dup.c", recover_tiers=())
         assert _kinds(program) == [KIND_ANNOTATION]
         unit = program.degraded[0]
         assert "duplicate AssumeCore" in unit.cause
@@ -141,7 +141,7 @@ int main(void) { return 0; }
         source = "/***SafeFlow Annotation shminit /***/\nint x;\n"
         with pytest.raises(AnnotationError):
             load_source(source, filename="nf.c")
-        program = load_source(source, filename="nf.c", recover=True)
+        program = load_source(source, filename="nf.c", recover_tiers=())
         assert _kinds(program) == [KIND_ANNOTATION]
         assert "not attached to any function" in program.degraded[0].cause
 
@@ -150,7 +150,7 @@ class TestFunctionRecovery:
     def test_degraded_functions_named(self, tmp_path):
         bad = tmp_path / "bad.c"
         bad.write_text(BAD)
-        program = load_files([str(bad)], recover=True)
+        program = load_files([str(bad)], recover_tiers=())
         # a unit failure leaves no functions; the set reflects only
         # function-kind degradations
         assert isinstance(program.degraded_functions, set)
@@ -164,7 +164,7 @@ int main(void) { return 0; }
 """
         with pytest.raises(SafeFlowError):
             load_source(source, filename="g.c")
-        program = load_source(source, filename="g.c", recover=True)
+        program = load_source(source, filename="g.c", recover_tiers=())
         assert KIND_FUNCTION in _kinds(program)
         assert "weird" in program.degraded_functions
         func = program.module.get_function("weird")

@@ -107,11 +107,11 @@ class TestTierSpecs:
 
     def test_recover_token_plain_bool_without_tiers(self):
         # seed cache keys must not move when the ladder is off
-        assert recover_token(False) is False
-        assert recover_token(True) is True
+        assert recover_token(None) is False
+        assert recover_token(()) is True
 
     def test_recover_token_with_tiers(self):
-        token = recover_token(True, DEFAULT_TIERS)
+        token = recover_token(DEFAULT_TIERS)
         assert isinstance(token, str)
         assert recovery_fingerprint(DEFAULT_TIERS) in token
 
@@ -193,7 +193,7 @@ class TestCleanupSource:
 class TestLadder:
     def test_strict_clean_stops_at_strict(self):
         r = frontend_unit("int f(void) { return 1; }\n", "ok.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.tier == "strict"
         assert r.degraded == []
         assert r.attempts == {"strict": 1}
@@ -201,7 +201,7 @@ class TestLadder:
 
     def test_gnu_tier_salvages_and_records_provenance(self):
         r = frontend_unit(GNU_SOURCE, "gnu.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.tier == "gnu"
         assert r.unit is not None
         (rec,) = [u for u in r.degraded if u.kind == KIND_RECOVERED]
@@ -213,7 +213,7 @@ class TestLadder:
 
     def test_prelude_tier_resolves_stdint(self):
         r = frontend_unit(STDINT_SOURCE, "adc.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.tier == "prelude"
         assert r.attempts["gnu"] == 1 and "gnu" not in r.successes
 
@@ -221,13 +221,13 @@ class TestLadder:
         # without the prelude tier a stdint unit cannot be salvaged by
         # gnu alone; it must fall through to the enabled later tiers
         r = frontend_unit(STDINT_SOURCE, "adc.c",
-                          recover=True, tiers=("gnu", "cleanup"))
+                          recover_tiers=("gnu", "cleanup"))
         assert r.tier != "prelude"
         assert "prelude" not in r.attempts
 
     def test_salvage_drops_only_offending_definition(self):
         r = frontend_unit(BROKEN_DEF_SOURCE, "mix.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.tier == "salvage"
         dropped = [u for u in r.degraded if u.kind == KIND_FUNCTION]
         assert [u.function for u in dropped] == ["broken"]
@@ -238,14 +238,14 @@ class TestLadder:
 
     def test_salvage_location_is_line_accurate(self):
         (dropped,) = [u for u in frontend_unit(
-            BROKEN_DEF_SOURCE, "mix.c", recover=True,
-            tiers=DEFAULT_TIERS).degraded if u.kind == KIND_FUNCTION]
+            BROKEN_DEF_SOURCE, "mix.c",
+            recover_tiers=DEFAULT_TIERS).degraded if u.kind == KIND_FUNCTION]
         want = BROKEN_DEF_SOURCE.split("\n").index("int broken(int a)") + 1
         assert dropped.location.line == want
 
     def test_all_tiers_fail_lost_unit(self):
         r = frontend_unit(HOPELESS_SOURCE, "blob.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.unit is None
         assert r.tier is None
         assert [u.kind for u in r.degraded] == [KIND_UNIT]
@@ -254,13 +254,12 @@ class TestLadder:
 
     def test_all_tiers_fail_without_recover_raises(self):
         with pytest.raises((ParseError, PreprocessorError)):
-            frontend_unit(HOPELESS_SOURCE, "blob.c",
-                          recover=False, tiers=DEFAULT_TIERS)
+            frontend_unit(HOPELESS_SOURCE, "blob.c", recover_tiers=None)
 
     def test_no_tiers_is_historical_behavior(self):
         with pytest.raises((ParseError, PreprocessorError)):
-            frontend_unit(GNU_SOURCE, "gnu.c", recover=False)
-        r = frontend_unit(GNU_SOURCE, "gnu.c", recover=True)
+            frontend_unit(GNU_SOURCE, "gnu.c", recover_tiers=None)
+        r = frontend_unit(GNU_SOURCE, "gnu.c", recover_tiers=())
         assert r.unit is None
         assert r.attempts == {}  # counters only exist with the ladder
 
@@ -275,7 +274,7 @@ class TestCoordinates:
         # before the unit; every function's recorded start must still
         # point at the original source line
         program = load_source(STDINT_SOURCE, filename="adc.c",
-                              recover=True, recover_tiers=DEFAULT_TIERS)
+                              recover_tiers=DEFAULT_TIERS)
         by_name = {u.function: u for u in program.degraded
                    if u.kind == KIND_FUNCTION}
         want = STDINT_SOURCE.split("\n").index(
@@ -284,7 +283,7 @@ class TestCoordinates:
 
     def test_smeared_function_location_line_accurate(self):
         program = load_source(GNU_SOURCE, filename="gnu.c",
-                              recover=True, recover_tiers=DEFAULT_TIERS)
+                              recover_tiers=DEFAULT_TIERS)
         by_name = {u.function: u for u in program.degraded
                    if u.kind == KIND_FUNCTION}
         want = GNU_SOURCE.split("\n").index(
@@ -306,7 +305,7 @@ class TestFailClosed:
 
     def test_every_function_of_recovered_unit_degraded(self):
         program = load_source(GNU_SOURCE, filename="gnu.c",
-                              recover=True, recover_tiers=DEFAULT_TIERS)
+                              recover_tiers=DEFAULT_TIERS)
         smeared = {u.function for u in program.degraded
                    if u.kind == KIND_FUNCTION}
         assert smeared == {"twice", "helper", "use"}
@@ -387,7 +386,7 @@ class TestTierCrash:
     def test_crashed_tier_falls_through(self, monkeypatch):
         self._with_fault(monkeypatch, "gnu")
         r = frontend_unit(GNU_SOURCE, "gnu.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         # the gnu tier was attempted, crashed, and did not succeed;
         # the unit either lands on a later tier or is lost — never a
         # driver error
@@ -398,7 +397,7 @@ class TestTierCrash:
     def test_crashed_salvage_loses_unit_gracefully(self, monkeypatch):
         self._with_fault(monkeypatch, "salvage")
         r = frontend_unit(BROKEN_DEF_SOURCE, "mix.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.unit is None
         assert [u.kind for u in r.degraded] == [KIND_UNIT]
 
@@ -413,6 +412,6 @@ class TestTierCrash:
         # ladder is enabled
         self._with_fault(monkeypatch, "strict")
         r = frontend_unit("int f(void) { return 1; }\n", "ok.c",
-                          recover=True, tiers=DEFAULT_TIERS)
+                          recover_tiers=DEFAULT_TIERS)
         assert r.tier is not None and r.tier != "strict"
         assert r.unit is not None

@@ -252,7 +252,7 @@ def test_new_file(tmp_path):
 
 
 def test_degraded_unit_edit_with_keep_going(tmp_path):
-    session, main, lib = _two_unit_session(tmp_path, degraded_mode=True)
+    session, main, lib = _two_unit_session(tmp_path, recover_tiers=())
     broken = str(tmp_path / "broken.c")
     _write(broken, "int broken(void) { return 0 %%% 1; }\n")
     session.set_paths([main, lib, broken])
@@ -263,13 +263,13 @@ def test_degraded_unit_edit_with_keep_going(tmp_path):
     report = session.verdict()
     assert report.stats.degraded_units == 1
     assert report.render(verbose=True) == _cold_render(
-        [main, lib, broken], tmp_path, "deg", degraded_mode=True)
+        [main, lib, broken], tmp_path, "deg", recover_tiers=())
     # fixing the unit brings its functions into the analyzed set
     _write(broken, "double broken(double x) { return x + 1.0; }\n")
     fixed = session.verdict()
     assert fixed.stats.degraded_units == 0
     assert fixed.render(verbose=True) == _cold_render(
-        [main, lib, broken], tmp_path, "deg-fixed", degraded_mode=True)
+        [main, lib, broken], tmp_path, "deg-fixed", recover_tiers=())
 
 
 # ----------------------------------------------------------------------

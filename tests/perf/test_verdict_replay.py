@@ -112,7 +112,7 @@ class TestByteIdentity:
             assert signature(report) == signature(cold)
 
     @pytest.mark.parametrize("options", [
-        dict(degraded_mode=True),
+        dict(recover_tiers=()),
         dict(recover_tiers=("gnu", "prelude", "cleanup", "salvage")),
     ], ids=["keep-going", "recover"])
     def test_degraded_input(self, options, tmp_path):
@@ -201,7 +201,7 @@ class TestEligibility:
                   "{ }\n"
                   "int main(void) { init(); return 0; }\n")
         profiled = SafeFlow(AnalysisConfig(
-            cache_dir=str(tmp_path), degraded_mode=True, profile=True))
+            cache_dir=str(tmp_path), recover_tiers=(), profile=True))
         for _ in range(3):
             report = profiled.analyze_source(source, "t.c")
             assert [u.kind for u in report.degraded] == ["annotation"]

@@ -57,7 +57,7 @@ class TestClientWarning:
 
 class TestDaemonDegraded:
     def test_health_and_metrics_expose_degraded_counts(self, tmp_path):
-        config = AnalysisConfig(cache_dir=None, degraded_mode=True)
+        config = AnalysisConfig(cache_dir=None, recover_tiers=())
         server = SafeFlowServer(config=config, port=0, workers=1,
                                 queue_size=4)
         server.start()

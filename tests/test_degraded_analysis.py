@@ -29,7 +29,7 @@ BAD_UNIT = "double compute(double x) { return x + ; }\n"
 
 
 def _degraded_config(**kwargs):
-    return AnalysisConfig(cache_dir=None, degraded_mode=True, **kwargs)
+    return AnalysisConfig(cache_dir=None, recover_tiers=(), **kwargs)
 
 
 class TestFailClosed:

@@ -224,7 +224,7 @@ class TestDifferentialParity:
         bad = tmp_path / "bad.c"
         bad.write_text("int broken( { this is not C }\n")
         signatures = set()
-        for cfg in _sweep_configs(degraded_mode=True):
+        for cfg in _sweep_configs(recover_tiers=()):
             report = SafeFlow(cfg).analyze_files(
                 [str(good), str(bad)], name="deg")
             assert report.stats.degraded_units > 0
