@@ -51,8 +51,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import pycparser
-
 from ..degrade import KIND_FUNCTION, KIND_RECOVERED, KIND_UNIT, DegradedUnit
 from ..errors import ParseError, PreprocessorError
 from ..ir.source import SourceLocation
@@ -63,8 +61,10 @@ from .parser import (
     PRELUDE_LINES,
     ParsedUnit,
     PlyParseError,
+    function_spans,
+    match_pair,
     parse_preprocessed,
-    release_parser,
+    parse_text,
 )
 from .preprocessor import PreprocessedSource, Preprocessor, _skip_string
 
@@ -205,36 +205,6 @@ _GNU_TYPEOF = {"typeof", "__typeof__", "__typeof"}
 _GNU_ASM_QUALS = {"volatile", "__volatile__", "goto", "inline"}
 
 
-def _match_pair(text: str, i: int, open_ch: str, close_ch: str
-                ) -> Optional[int]:
-    """Index of the ``close_ch`` matching ``text[i] == open_ch``,
-    skipping string/char literals and comments; ``None`` if unbalanced.
-    """
-    depth = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "\"'":
-            i = _skip_string(text, i)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            i = n if j < 0 else j + 2
-            continue
-        if ch == open_ch:
-            depth += 1
-        elif ch == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i
-        i += 1
-    return None
-
-
 def _skip_layout(text: str, i: int) -> int:
     """Index of the next non-whitespace character at or after ``i``."""
     n = len(text)
@@ -313,7 +283,7 @@ def normalize_gnu(text: str) -> Tuple[str, List[Tuple[int, str]]]:
             # GNU statement expression: ({ stmts; value; })
             k = _skip_layout(text, i + 1)
             if k < n and text[k] == "{":
-                close = _match_pair(text, k, "{", "}")
+                close = match_pair(text, k, "{", "}")
                 if close is not None:
                     m2 = _skip_layout(text, close + 1)
                     if m2 < n and text[m2] == ")":
@@ -340,7 +310,7 @@ def normalize_gnu(text: str) -> Tuple[str, List[Tuple[int, str]]]:
             if word in _GNU_ATTR:
                 k = _skip_layout(text, end)
                 if k < n and text[k] == "(":
-                    close = _match_pair(text, k, "(", ")")
+                    close = match_pair(text, k, "(", ")")
                     if close is not None:
                         emit_span(text[i:close + 1], "",
                                   f"stripped {word}((...))")
@@ -352,7 +322,7 @@ def normalize_gnu(text: str) -> Tuple[str, List[Tuple[int, str]]]:
             if word in _GNU_TYPEOF:
                 k = _skip_layout(text, end)
                 if k < n and text[k] == "(":
-                    close = _match_pair(text, k, "(", ")")
+                    close = match_pair(text, k, "(", ")")
                     if close is not None:
                         emit_span(text[i:close + 1], "int",
                                   f"{word}(...) rewritten to int")
@@ -370,14 +340,14 @@ def normalize_gnu(text: str) -> Tuple[str, List[Tuple[int, str]]]:
                         continue
                     break
                 if k < n and text[k] == "(":
-                    close = _match_pair(text, k, "(", ")")
+                    close = match_pair(text, k, "(", ")")
                     if close is not None:
                         emit_span(text[i:close + 1], "",
                                   "stripped inline asm")
                         i = close + 1
                         continue
                 if k < n and text[k] == "{":
-                    close = _match_pair(text, k, "{", "}")
+                    close = match_pair(text, k, "{", "}")
                     if close is not None:
                         emit_span(text[i:close + 1], ";",
                                   "stripped asm block")
@@ -389,7 +359,7 @@ def normalize_gnu(text: str) -> Tuple[str, List[Tuple[int, str]]]:
             if word == "__builtin_expect":
                 k = _skip_layout(text, end)
                 if k < n and text[k] == "(":
-                    close = _match_pair(text, k, "(", ")")
+                    close = match_pair(text, k, "(", ")")
                     if close is not None:
                         inner = text[k + 1:close]
                         first, second = _split_top_comma(inner)
@@ -411,7 +381,7 @@ def normalize_gnu(text: str) -> Tuple[str, List[Tuple[int, str]]]:
             if word in ("__builtin_unreachable", "__builtin_trap"):
                 k = _skip_layout(text, end)
                 if k < n and text[k] == "(":
-                    close = _match_pair(text, k, "(", ")")
+                    close = match_pair(text, k, "(", ")")
                     if close is not None:
                         emit_span(text[i:close + 1], "0",
                                   f"{word}() rewritten to 0")
@@ -606,55 +576,6 @@ def _error_output_line(message: str) -> int:
     return -1
 
 
-def _function_spans(work: str) -> List[Tuple[str, int, int, int]]:
-    """Top-level function-definition spans in preprocessed text.
-
-    Returns ``(name, name_index, brace_index, close_index)`` per
-    definition. The scan is brace-depth based and string-aware; the
-    input has no comments (the preprocessor stripped them).
-    """
-    spans: List[Tuple[str, int, int, int]] = []
-    i = 0
-    n = len(work)
-    depth = 0
-    while i < n:
-        ch = work[i]
-        if ch in "\"'":
-            i = _skip_string(work, i)
-            continue
-        if ch == "{":
-            depth += 1
-            i += 1
-            continue
-        if ch == "}":
-            depth = max(0, depth - 1)
-            i += 1
-            continue
-        if ch == "(" and depth == 0:
-            close = _match_pair(work, i, "(", ")")
-            if close is None:
-                return spans
-            j = i - 1
-            while j >= 0 and work[j] in " \t\n":
-                j -= 1
-            end_id = j
-            while j >= 0 and (work[j].isalnum() or work[j] == "_"):
-                j -= 1
-            name = work[j + 1:end_id + 1]
-            k = _skip_layout(work, close + 1)
-            if name and name[0].isidentifier() and k < n and work[k] == "{":
-                body_close = _match_pair(work, k, "{", "}")
-                if body_close is None:
-                    return spans
-                spans.append((name, j + 1, k, body_close))
-                i = body_close + 1
-                continue
-            i = close + 1
-            continue
-        i += 1
-    return spans
-
-
 def _salvage(text, filename, include_dirs, defines, *,
              fake_headers, missing_ok, parser_factory):
     """Tier 5: drop offending definitions to declarations, retry."""
@@ -666,11 +587,8 @@ def _salvage(text, filename, include_dirs, defines, *,
     work = source.text
     records: List[DegradedUnit] = []
     for _ in range(MAX_SALVAGE_ROUNDS):
-        full = BUILTIN_PRELUDE + extra_prelude + work
-        parser = (parser_factory() if parser_factory is not None
-                  else pycparser.CParser())
         try:
-            ast = parser.parse(full, filename=filename)
+            ast = parse_text(work, filename, extra_prelude, parser_factory)
         except PlyParseError as exc:
             absolute = _error_output_line(str(exc))
             out_line = absolute - PRELUDE_LINES - extra_lines
@@ -680,7 +598,7 @@ def _salvage(text, filename, include_dirs, defines, *,
                     f"{exc}", SourceLocation(filename, 0))
             err_idx_line = out_line  # 1-based line into ``work``
             span = None
-            for name, name_idx, brace_idx, close_idx in _function_spans(work):
+            for name, name_idx, brace_idx, close_idx in function_spans(work):
                 start_line = work.count("\n", 0, name_idx) + 1
                 end_line = work.count("\n", 0, close_idx) + 1
                 if start_line <= err_idx_line <= end_line:
@@ -714,8 +632,6 @@ def _salvage(text, filename, include_dirs, defines, *,
             raise ParseError(
                 "salvage tier: parser recursion limit exceeded",
                 SourceLocation(filename, 0))
-        finally:
-            release_parser(parser)
         source.text = work
         unit = ParsedUnit(ast, source, filename,
                           extra_prelude_lines=extra_lines)
@@ -745,13 +661,16 @@ def frontend_unit(
     include_dirs: Sequence[str] = (),
     defines: Optional[Dict[str, str]] = None,
     recover_tiers: Optional[Sequence[str]] = None,
+    previous: Optional[ParsedUnit] = None,
 ) -> RecoveredUnit:
     """Front-end one translation unit through the recovery ladder.
 
     ``recover_tiers`` is ``AnalysisConfig.recover_tiers``: with
     ``None`` (strict) preprocess and parse errors propagate; with
     ``()`` (keep-going, no ladder) a failing unit is a lost-unit
-    record; with tiers it falls through them first.
+    record; with tiers it falls through them first. ``previous`` is
+    the unit's last strict parse, which the strict tier re-parses
+    against (:func:`~repro.frontend.parser.parse_preprocessed`).
     """
     recover = recover_tiers is not None
     order = [t for t in TIER_ORDER if t in tuple(recover_tiers or ())]
@@ -770,7 +689,7 @@ def frontend_unit(
             recover=recover,
         )
         source = pp.process_text(text, filename=filename)
-        unit = parse_preprocessed(source, name=filename)
+        unit = parse_preprocessed(source, name=filename, previous=previous)
     except (PreprocessorError, ParseError, RecursionError) as exc:
         if not recover:
             raise
@@ -878,6 +797,7 @@ def frontend_file(
     include_dirs: Sequence[str] = (),
     defines: Optional[Dict[str, str]] = None,
     recover_tiers: Optional[Sequence[str]] = None,
+    previous: Optional[ParsedUnit] = None,
 ) -> RecoveredUnit:
     """Read one source file and :func:`frontend_unit` its text.
 
@@ -893,4 +813,5 @@ def frontend_file(
         if recover_tiers is None:
             raise failure
         return RecoveredUnit(unit=None, degraded=[_unit_lost(path, failure)])
-    return frontend_unit(text, path, include_dirs, defines, recover_tiers)
+    return frontend_unit(text, path, include_dirs, defines, recover_tiers,
+                         previous)

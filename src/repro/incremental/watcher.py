@@ -4,9 +4,12 @@
 program alive between verdicts:
 
 - per-unit parse results keyed by content digest — an unchanged file is
-  never re-preprocessed or re-parsed, and a verdict over *all*-unchanged
-  digests short-circuits to a memoized copy of the last report without
-  touching any phase;
+  never re-preprocessed or re-parsed, a changed file whose edit stayed
+  inside function bodies re-parses only the bodies that changed (the
+  previous parse tree supplies the rest, see
+  :func:`repro.frontend.parser.parse_preprocessed`), and a verdict over
+  *all*-unchanged digests short-circuits to a memoized copy of the last
+  report without touching any phase;
 - the lowered :class:`~repro.frontend.driver.Program`, updated by a
   **surgical unit swap** when the edit allows it (a single changed unit
   that defines only plain functions, no annotations, the same function
@@ -51,7 +54,7 @@ from ..errors import IRError, LoweringError, ParseError
 from ..frontend.driver import Program, UnitInfo, _finish
 from ..frontend.lower import ModuleLowerer
 from ..frontend.parser import ParsedUnit
-from ..frontend.recovery import RecoveredUnit, frontend_file
+from ..frontend.recovery import TIER_STRICT, RecoveredUnit, frontend_file
 from ..ir import Function
 from ..ir.verifier import verify_function
 from ..perf.fingerprint import text_digest
@@ -86,7 +89,8 @@ class _UnitState:
     __slots__ = ("path", "digest", "result", "unit", "annotations",
                  "degraded", "defs", "refs", "funcs_only", "def_digests")
 
-    def __init__(self, path: str, digest: str, result: RecoveredUnit):
+    def __init__(self, path: str, digest: str, result: RecoveredUnit,
+                 previous: Optional["_UnitState"] = None):
         self.path = path
         self.digest = digest
         #: the unit as :func:`~repro.frontend.recovery.frontend_file`
@@ -127,12 +131,31 @@ class _UnitState:
             self.defs = tuple(defs)
             self.funcs_only = funcs_only
         #: per-definition AST digests (swap-eligible units only): lets
-        #: the surgical swap re-lower just the defs that changed
+        #: the surgical swap re-lower just the defs that changed. A
+        #: definition the re-parse took over from ``previous``'s tree
+        #: is the same node, so it keeps its digest.
         self.def_digests: Dict[str, str] = {}
         if unit is not None and self.funcs_only:
+            kept: Dict[int, str] = {}
+            if previous is not None and previous.def_digests:
+                kept = {id(ext): previous.def_digests[ext.decl.name]
+                        for ext in previous.unit.ast.ext
+                        if isinstance(ext, c_ast.FuncDef)
+                        and ext.decl.name in previous.def_digests}
             for ext in unit.ast.ext:
                 if isinstance(ext, c_ast.FuncDef):
-                    self.def_digests[ext.decl.name] = _ast_digest(ext)
+                    self.def_digests[ext.decl.name] = (
+                        kept.get(id(ext)) or _ast_digest(ext))
+
+    def reusable_parse(self) -> Optional[ParsedUnit]:
+        """The parse an edit of this unit may re-parse against: a clean
+        strict-tier unit only (a recovered or degraded unit's tree is
+        not what a strict parse of its text would give)."""
+        result = self.result
+        if result.unit is None or result.degraded \
+                or result.tier not in (None, TIER_STRICT):
+            return None
+        return result.unit
 
 
 def _function_refs(module, fnames: Sequence[str]) -> Set[str]:
@@ -167,6 +190,9 @@ class IncrementalSession:
         self.driver = SafeFlow(self.config)
         self._paths: List[str] = list(paths)
         self._units: Dict[str, _UnitState] = {}
+        #: new states of changed units, waiting for the swap or full
+        #: re-lower that consumes them (see :meth:`_refresh_units`)
+        self._pending: Dict[str, _UnitState] = {}
         self.program: Optional[Program] = None
         self.store = store if store is not None \
             else self._make_store(store_root)
@@ -235,25 +261,16 @@ class IncrementalSession:
                 self.verdicts += 1
                 return self._memoized_report(
                     perf_counter() - frontend_started)
-            if self.program is None or added or removed:
-                self._full_frontend()
-            elif changed:
-                if len(changed) == 1 and self._swap_eligible(changed[0]):
-                    try:
-                        self._swap_unit(changed[0])
-                        self.swaps += 1
-                    except (LoweringError, IRError, ParseError):
-                        # the swap mutated the module before failing;
-                        # the cached parse trees rebuild it from scratch
-                        self._full_frontend()
-                else:
-                    self._full_frontend()
-            frontend_seconds = perf_counter() - frontend_started
-            report = self.driver.analyze_program(
-                self.program, name=self.name,
-                frontend_seconds=frontend_seconds,
-                summary_store=self.store,
-            )
+            try:
+                report = self._analyze(changed, added, removed,
+                                       frontend_started)
+            except BaseException:
+                # the refreshed units are committed, but the module may
+                # be half-swapped and the memo is an edit behind: the
+                # next verdict re-lowers from the cached parse trees
+                self.program = None
+                self._last_report = None
+                raise
         if self._pending_integrity:
             report.stats.cache_integrity_evictions += self._pending_integrity
             self._pending_integrity = 0
@@ -261,6 +278,27 @@ class IncrementalSession:
         # a copy: the caller may edit the report it is handed
         self._last_report = report.verdict_copy(self.name)
         return report
+
+    def _analyze(self, changed, added, removed,
+                 frontend_started: float) -> AnalysisReport:
+        if self.program is None or added or removed:
+            self._full_frontend()
+        elif changed:
+            if len(changed) == 1 and self._swap_eligible(changed[0]):
+                try:
+                    self._swap_unit(changed[0])
+                    self.swaps += 1
+                except (LoweringError, IRError, ParseError):
+                    # the swap mutated the module before failing; the
+                    # cached parse trees rebuild it from scratch
+                    self._full_frontend()
+            else:
+                self._full_frontend()
+        return self.driver.analyze_program(
+            self.program, name=self.name,
+            frontend_seconds=perf_counter() - frontend_started,
+            summary_store=self.store,
+        )
 
     def _memoized_report(self, frontend_seconds: float) -> AnalysisReport:
         """The previous report re-issued for a no-change verdict: its
@@ -278,45 +316,44 @@ class IncrementalSession:
     def _refresh_units(self):
         """Re-read every watched file; (re)parse the changed ones.
 
-        Returns ``(changed, added, removed)`` path lists. The new
-        :class:`_UnitState` replaces the old one only after a swap or
-        full re-lower consumed both (``_pending`` holds the new state
-        of changed paths until then).
+        Returns ``(changed, added, removed)`` path lists. Nothing is
+        committed unless every file front-ended: a file that raises
+        leaves the session as the last verdict left it. Added and
+        removed units are committed then; the new :class:`_UnitState` of
+        a changed unit replaces the old one only after a swap or full
+        re-lower consumed both (``_pending`` holds it until then).
         """
         changed: List[str] = []
         added: List[str] = []
-        removed: List[str] = []
+        fresh: Dict[str, _UnitState] = {}
+        unreadable: Set[str] = set()
         for path in self._paths:
             try:
                 with open(path, "rb") as f:
                     raw = f.read()
             except OSError:
-                if path in self._units:
-                    removed.append(path)
-                    del self._units[path]
+                unreadable.add(path)
                 continue
             digest = text_digest(raw.decode("utf-8", errors="replace"))
             state = self._units.get(path)
             if state is not None and state.digest == digest:
                 continue
-            new_state = _UnitState(path, digest, frontend_file(
+            previous = state.reusable_parse() if state is not None else None
+            fresh[path] = _UnitState(path, digest, frontend_file(
                 path, self.config.include_dirs, self.config.defines,
-                self.config.recover_tiers))
-            if state is None:
-                added.append(path)
-                self._units[path] = new_state
-            else:
-                changed.append(path)
-                self._pending = getattr(self, "_pending", {})
-                self._pending[path] = new_state
-        for path in [p for p in self._units if p not in self._paths]:
-            removed.append(path)
+                self.config.recover_tiers, previous), state)
+            (added if state is None else changed).append(path)
+        removed = [p for p in self._units
+                   if p in unreadable or p not in self._paths]
+        for path in removed:
             del self._units[path]
+        for path in added:
+            self._units[path] = fresh[path]
+        self._pending = {path: fresh[path] for path in changed}
         return changed, added, removed
 
     def _promote_pending(self) -> None:
-        for path, state in getattr(self, "_pending", {}).items():
-            self._units[path] = state
+        self._units.update(self._pending)
         self._pending = {}
 
     def _full_frontend(self) -> None:
@@ -357,7 +394,7 @@ class IncrementalSession:
         """
         program = self.program
         old = self._units.get(path)
-        new = getattr(self, "_pending", {}).get(path)
+        new = self._pending.get(path)
         if program is None or old is None or new is None:
             return False
         if old.unit is None or new.unit is None:
@@ -387,7 +424,9 @@ class IncrementalSession:
 
     def _swap_unit(self, path: str) -> None:
         old = self._units[path]
-        new = self._pending.pop(path)
+        # the new state stays pending until the swap succeeded: a swap
+        # that fails falls back to a full re-lower, which must see it
+        new = self._pending[path]
         program = self.program
         module = program.module
         # prune the swap to the defs whose ASTs actually moved — a
@@ -444,7 +483,7 @@ class IncrementalSession:
         index = next(i for i, info in enumerate(program.units)
                      if info.name == old.unit.name)
         program.units[index] = UnitInfo.of(new.unit)
-        self._units[path] = new
+        self._units[path] = self._pending.pop(path)
         new.refs = _function_refs(module, new.defs)
 
 

@@ -563,6 +563,10 @@ def _schedule_tier_crash(report, _unused_jobs, _unused_baseline, config,
                         f"pass set never grew")
 
 
+#: how long the overload schedule waits for its killed shard to come back
+_RESTART_DEADLINE_S = 60.0
+
+
 def _schedule_overload(report, jobs, baseline, config, workers, scratch):
     """SIGKILL one shard of a tenant-aware fleet mid-overload.
 
@@ -619,8 +623,12 @@ def _schedule_overload(report, jobs, baseline, config, workers, scratch):
                                 f"from fault-free baseline")
                     return
 
+        # every storm thread sends ``rounds`` requests after the kill,
+        # so the SIGKILL always lands mid-storm, however fast warm
+        # requests are answered
         threads_n, rounds = 8, 20
         lock = threading.Lock()
+        killed = threading.Event()
         outcomes = {"ok": 0, "admission": 0, "drift": 0, "lost": 0}
 
         def storm(wid):
@@ -628,8 +636,11 @@ def _schedule_overload(report, jobs, baseline, config, workers, scratch):
             try:
                 with SafeFlowClient(host=host, port=port, retries=2,
                                     request_timeout=120.0) as client:
-                    for n in range(rounds):
+                    n = after = 0
+                    while after < rounds:
+                        after += killed.is_set()
                         job = jobs[(wid + n) % len(jobs)]
+                        n += 1
                         try:
                             result = analyze(client, job, tenant)
                         except ServerError as exc:
@@ -653,12 +664,27 @@ def _schedule_overload(report, jobs, baseline, config, workers, scratch):
         for t in threads:
             t.start()
         import time as time_mod
-        time_mod.sleep(0.15)
-        victim = router._shard_list()[0].backend.pid
-        if victim is not None:
-            os.kill(victim, signal_mod.SIGKILL)
+
+        # kill mid-storm (every thread has had an answer) a shard the
+        # router holds at least two forwards on: the breaker opens on
+        # failures, and the first failed forward already routes the
+        # rest of the storm around the shard
+        deadline = time_mod.monotonic() + _RESTART_DEADLINE_S
+        while time_mod.monotonic() < deadline:
+            victim = max(router._shard_list(), key=lambda s: s.outstanding)
+            if (victim.outstanding >= 2
+                    and sum(outcomes.values()) >= threads_n):
+                break
+            time_mod.sleep(0.001)
+        victim_pid = victim.backend.pid
+        if victim_pid is not None:
+            os.kill(victim_pid, signal_mod.SIGKILL)
+        killed.set()
         for t in threads:
             t.join()
+        if victim_pid is None:
+            report.fail("no shard process to kill")
+            return
 
         snapshot = router.metrics_snapshot()
         qos = snapshot.get("qos", {})
@@ -679,23 +705,31 @@ def _schedule_overload(report, jobs, baseline, config, workers, scratch):
         report.note(f"storm: {outcomes['ok']} completed byte-identical, "
                     f"{outcomes['admission']} refused at admission")
 
-        # goodput recovers: once the shard is back, a clean wave runs
+        # goodput recovers: the supervisor restarts the killed shard in
+        # the background, so wait (bounded) until it is back and
+        # healthy, then run a clean wave against the restarted fleet
         with SafeFlowClient(host=host, port=port,
                             request_timeout=120.0) as client:
+            deadline = time_mod.monotonic() + _RESTART_DEADLINE_S
+            while True:
+                shard = next((s for s in client.call("health")["shards"]
+                              if s.get("shard") == victim.sid), {})
+                if shard.get("restarts", 0) >= 1 and shard.get("healthy"):
+                    break
+                if time_mod.monotonic() >= deadline:
+                    report.fail(f"killed shard was not restarted and "
+                                f"healthy within {_RESTART_DEADLINE_S:.0f} s")
+                    return
+                time_mod.sleep(0.1)
             for job in jobs:
                 result = analyze(client, job, "gold")
                 if result["render"] != baseline[job.name]:
                     report.fail(f"{job.name}: post-recovery verdict "
                                 f"differs from baseline")
                     return
-            health = client.call("health")
-        restarts = sum(s.get("restarts", 0)
-                       for s in health.get("shards", []))
-        if restarts < 1:
-            report.fail("killed shard was never restarted")
-        else:
-            report.note(f"goodput recovered: post-storm wave completed "
-                        f"({restarts} shard restart(s))")
+        report.note(f"goodput recovered: shard restarted "
+                    f"({shard['restarts']} restart(s)), post-storm wave "
+                    f"completed")
     finally:
         router.stop()
 

@@ -15,7 +15,10 @@ start, and the trusted-replay → validating fallback.
 import dataclasses
 import os
 
+import pytest
+
 from repro.core.config import AnalysisConfig
+from repro.errors import LoweringError, ParseError
 from repro.corpus import generate_core_files
 from repro.incremental.watcher import IncrementalSession, WatchLoop
 
@@ -171,6 +174,21 @@ def test_filler_edit_uses_the_surgical_swap(tmp_path):
         paths, tmp_path, "swap")
 
 
+def test_filler_edit_that_fails_to_lower_reports_the_error(tmp_path):
+    # the failed swap falls back to a full re-lower, which must lower
+    # the edited unit (and fail like a cold run), not its last state
+    paths = generate_core_files(filler_units=2, fillers_per_unit=2) \
+        .write_to(str(tmp_path / "prog"))
+    session = IncrementalSession(
+        paths, config=_config(), store_root=str(tmp_path / "store"))
+    session.verdict()
+    _edit(paths[1], "    return acc", "    return undeclared_q + acc")
+    with pytest.raises(LoweringError, match="undeclared_q"):
+        session.verdict()
+    with pytest.raises(LoweringError, match="undeclared_q"):
+        _cold_render(paths, tmp_path, "broken")
+
+
 def test_signature_change_falls_back_to_full_relower(tmp_path):
     session, main, lib = _two_unit_session(tmp_path)
     session.verdict()
@@ -275,6 +293,26 @@ def test_degraded_unit_edit_with_keep_going(tmp_path):
 # ----------------------------------------------------------------------
 # stale store cold start + fallback
 # ----------------------------------------------------------------------
+
+def test_failed_verdict_leaves_no_stale_unit_state(tmp_path):
+    # one file gains a definition while another breaks: the verdict
+    # raises, and once the first is reverted and the second fixed the
+    # session must not analyze the reverted definition
+    session, main, lib = _two_unit_session(tmp_path)
+    session.verdict()
+    _edit(main, "double other(double a) { return a - 3.0; }",
+          "double other(double a) { return a - 3.0; }\n"
+          "double extra_a(double a) { return nc->v + a; }")
+    _write(lib, "double leaf(double a) { return a * ; }\n")
+    with pytest.raises(ParseError):
+        session.verdict()
+    _write(main, MAIN_C)
+    _write(lib, "double leaf(double a) { return a * 3.0; }\n")
+    report = session.verdict()
+    assert "extra_a" not in session.program.module.functions
+    assert report.render(verbose=True) \
+        == _cold_render([main, lib], tmp_path, "fixed")
+
 
 def test_cold_start_on_corrupt_store_evicts_and_recomputes(tmp_path):
     session, _, _ = _two_unit_session(tmp_path)
