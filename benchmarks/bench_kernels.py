@@ -124,8 +124,8 @@ else:
         cache = tempfile.TemporaryDirectory()
         opts["cache_dir"] = cache.name
         SafeFlow(AnalysisConfig(**opts)).analyze_source(text, name="prime")
-        from repro.perf.progmemo import program_memo
-        program_memo().clear()
+        from repro.perf.ircache import IRCache
+        IRCache.memory.clear()
     with oracles.installed(kernel, fixpoint):
         elapsed, report = run(SafeFlow(AnalysisConfig(**opts)))
 counters = report.stats.kernel_counters or {}

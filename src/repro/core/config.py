@@ -70,22 +70,10 @@ class AnalysisConfig:
     message_passing_extension: bool = True
     #: directory for the performance layer's on-disk caches; None
     #: disables all caching (the default — caching is opt-in for the
-    #: library, opted into by the CLI). Never part of a cache key.
+    #: library, opted into by the CLI). It also scopes the process-
+    #: wide memory tier of the program store (:mod:`repro.perf.ircache`).
+    #: Never part of a cache key.
     cache_dir: Optional[str] = None
-    #: reuse pickled front-ended programs from ``cache_dir``
-    frontend_cache: bool = True
-    #: reuse front-ended :class:`Program` objects in memory between
-    #: runs of one process (:mod:`repro.perf.progmemo`) — skips even
-    #: the disk cache's unpickle on the serving hot path. A pooled
-    #: program keeps its last verdict, which a memo hit under the same
-    #: config fingerprint replays without running phases 1-3 (not under
-    #: ``profile`` or a summary store). Effective only when
-    #: ``cache_dir``/``frontend_cache`` are on (keys are the IR-cache
-    #: content keys). Report-preserving, never part of a cache key.
-    frontend_memo: bool = True
-    #: persist/replay value-flow summary bodies (only effective in
-    #: ``summary_mode``); see :mod:`repro.perf.summary_store`
-    summary_cache: bool = True
     #: collect kernel counters and per-body timings during the
     #: value-flow phase (surfaced as ``AnalysisStats.hotspots`` /
     #: ``kernel_counters`` and by ``safeflow analyze --profile``)

@@ -18,12 +18,13 @@ The three phases follow §3.3 of the paper:
 
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
-on-disk cache, and in ``summary_mode`` value-flow summary bodies of
-unchanged functions are replayed instead of recomputed. A program the
-in-memory memo pools keeps the last verdict computed on it, and a memo
-hit under the same config fingerprint replays that verdict without
-running phases 1-3 (``AnalysisStats.verdict_replayed``). All three
-paths are behavior-preserving — reports render byte-identical to a
+two-tier store (in memory over on disk), and in ``summary_mode``
+value-flow summary bodies of unchanged functions are replayed instead
+of recomputed. A program the memory tier pools keeps the last verdict
+computed on it, and a memory hit under the same config fingerprint
+replays that verdict without running phases 1-3
+(``AnalysisStats.verdict_replayed``). All three paths are
+behavior-preserving — reports render byte-identical to a
 cold run — and observable through ``AnalysisStats.phase_timings`` and
 the cache hit/miss counters.
 """
@@ -55,70 +56,60 @@ class SafeFlow:
     def analyze_source(self, text: str, filename: str = "<source>",
                        name: str = "program") -> AnalysisReport:
         """Analyze a single C source string (the core component)."""
-        def load(cache):
-            return load_source(
-                text,
-                filename=filename,
-                defines=self.config.defines,
-                verify=self.config.verify_ir,
-                cache=cache,
-                recover_tiers=self.config.recover_tiers,
-            )
-
+        config = self.config
         return self._analyze_loaded(
-            load, lambda cache: cache.key_for_source(
-                text, filename, self.config.defines,
-                self.config.verify_ir, self._recover_token(),
+            lambda: load_source(
+                text, filename=filename, defines=config.defines,
+                verify=config.verify_ir, recover_tiers=config.recover_tiers,
+            ),
+            lambda cache: cache.key_for_source(
+                text, filename, config.defines, config.verify_ir,
+                self._recover_token(),
             ), name=name, source_text=text)
 
     def analyze_files(self, paths: Sequence[str],
                       name: str = "program") -> AnalysisReport:
         """Analyze one or more C files as a whole program."""
-        def load(cache):
-            return load_files(
-                paths,
-                include_dirs=self.config.include_dirs,
-                defines=self.config.defines,
-                verify=self.config.verify_ir,
-                cache=cache,
-                recover_tiers=self.config.recover_tiers,
-            )
-
+        config = self.config
         return self._analyze_loaded(
-            load, lambda cache: cache.key_for_files(
-                paths, self.config.include_dirs, self.config.defines,
-                self.config.verify_ir, self._recover_token(),
+            lambda: load_files(
+                paths, include_dirs=config.include_dirs,
+                defines=config.defines, verify=config.verify_ir,
+                recover_tiers=config.recover_tiers,
+            ),
+            lambda cache: cache.key_for_files(
+                paths, config.include_dirs, config.defines,
+                config.verify_ir, self._recover_token(),
             ), name=name)
 
-    def _analyze_loaded(self, load, cache_key, name: str,
+    def _analyze_loaded(self, frontend, cache_key, name: str,
                         source_text: Optional[str] = None) -> AnalysisReport:
-        """Front-end with ``load(cache)`` — or lease the memoised
-        program under ``cache_key(cache)`` — and analyze it.
+        """Lease the stored program under ``cache_key(cache)`` — or
+        build it with ``frontend()`` and store it — and analyze it.
 
-        A memoised program carries the last verdict computed on it
-        (``Program.verdict``). When this run is eligible
+        A program from the store's memory tier carries the last verdict
+        computed on it (``Program.verdict``). When this run is eligible
         (:meth:`_verdict_key`) and the slot holds a verdict under the
         same config fingerprint, the verdict is replayed and phases 1-3
         are skipped; otherwise the computed verdict takes the slot
-        before the program goes back to the memo.
+        before the program goes back to the store.
         """
         from ..perf.gcpause import gc_paused
 
         with gc_paused(self.config.pause_gc):
             cache = self._ir_cache()
             started = time.perf_counter()
-            memo, memo_key = self._program_memo(), None
-            program = None
-            if memo is not None:
-                memo_key = self._memo_key(cache_key(cache))
-                program = memo.acquire(memo_key)
-                if program is not None:
-                    cache.hits += 1
+            key = program = None
+            if cache is not None:
+                key = cache_key(cache)
+                program = cache.lease(key)
             if program is None:
-                program = load(cache)
+                program = frontend()
+                if cache is not None:
+                    cache.store(key, program)
             frontend_seconds = time.perf_counter() - started
             try:
-                verdict_key = self._verdict_key() if memo is not None \
+                verdict_key = self._verdict_key() if cache is not None \
                     else None
                 slot = program.verdict
                 if (verdict_key is not None and slot is not None
@@ -136,8 +127,8 @@ class SafeFlow:
                     program.verdict = (verdict_key, report.verdict_copy(name))
                 return report
             finally:
-                if memo is None or not memo.release(memo_key, program):
-                    # pooled by nobody (the IR cache holds it pickled)
+                if cache is None or not cache.give_back(key, program):
+                    # pooled by nobody (the disk tier holds it pickled)
                     program.module.release()
                 # drop the frame's reference now, so the program's
                 # acyclic parts die by refcount before the guard exits
@@ -387,35 +378,15 @@ class SafeFlow:
         return recover_token(self.config.recover_tiers)
 
     def _ir_cache(self):
-        if not self.config.cache_dir or not self.config.frontend_cache:
+        if not self.config.cache_dir:
             return None
         from ..perf.ircache import IRCache
 
         return IRCache(self.config.cache_dir)
 
-    def _program_memo(self):
-        # memo keys are IR-cache content keys, so the memo exists only
-        # where the disk cache does
-        if (not self.config.cache_dir or not self.config.frontend_cache
-                or not self.config.frontend_memo):
-            return None
-        from ..perf.progmemo import program_memo
-
-        return program_memo()
-
-    def _memo_key(self, cache_key: Optional[str]) -> Optional[str]:
-        # scope memo entries to the cache directory they belong to:
-        # the memo is process-global, and two analyzers with disjoint
-        # cache dirs (tests, multi-tenant embeddings) must not share
-        # warm programs across that boundary
-        if cache_key is None:
-            return None
-        return f"{os.path.abspath(self.config.cache_dir)}|{cache_key}"
-
     def _uses_summary_store(self) -> bool:
         # summary bodies only exist in context-sensitive summary mode
-        return bool(self.config.cache_dir and self.config.summary_cache
-                    and self.config.summary_mode
+        return bool(self.config.cache_dir and self.config.summary_mode
                     and self.config.context_sensitive)
 
     def _summary_store(self):
@@ -430,7 +401,7 @@ class SafeFlow:
         )
 
     def _verdict_key(self) -> Optional[str]:
-        """The key a memoised program's verdict slot is filled and
+        """The key a pooled program's verdict slot is filled and
         replayed under, or ``None`` when this run must compute.
 
         ``profile`` runs measure their hotspots; summary-store runs

@@ -35,7 +35,7 @@ from ..ir.verifier import verify_function
 from .attach import annotation_line_count, attach_annotations, owning_function
 from .lower import ModuleLowerer, lower_units, primitive_type
 from .parser import ParsedUnit
-from .preprocessor import ExtractedAnnotation
+from .preprocessor import TORN, ExtractedAnnotation, note_read
 from .recovery import RecoveredUnit, frontend_file, frontend_unit
 
 
@@ -112,15 +112,24 @@ class Program:
     recovery_attempts: Dict[str, int] = field(default_factory=dict)
     #: per-tier recovery-ladder success counts (``--recover`` only)
     recovery_successes: Dict[str, int] = field(default_factory=dict)
-    #: the last verdict computed on this program while the program memo
-    #: pooled it: ``(config fingerprint, report)``, replayed by
-    #: ``SafeFlow`` on the next memo hit under the same fingerprint.
-    #: One slot, never pickled; it dies with the program.
+    #: ``(path, digest)`` of every real file the front end read, each
+    #: digest taken from the bytes it read, and ``(path, None)`` for
+    #: every include candidate it found absent; ``None`` when unknown
+    #: or when one file was seen with two contents. The IR
+    #: cache validates both its tiers against it and keeps it beside
+    #: the pickle (``CacheEntry.deps``), so it is never pickled here.
+    deps: Optional[Tuple[Tuple[str, Optional[str]], ...]] = field(
+        default=None, compare=False, repr=False)
+    #: the last verdict computed on this program while the IR cache's
+    #: memory tier pooled it: ``(config fingerprint, report)``,
+    #: replayed by ``SafeFlow`` on the next memory hit under the same
+    #: fingerprint. One slot, never pickled; it dies with the program.
     verdict: Optional[Tuple[str, object]] = field(
         default=None, compare=False, repr=False)
 
     def __getstate__(self):
         state = dict(self.__dict__)
+        state.pop("deps", None)
         state.pop("verdict", None)
         return state
 
@@ -163,28 +172,16 @@ def load_source(
     filename: str = "<source>",
     defines: Optional[Dict[str, str]] = None,
     verify: bool = True,
-    cache=None,
     recover_tiers: Optional[Sequence[str]] = None,
 ) -> Program:
     """Front-end a single C source string.
 
-    ``cache`` is an optional :class:`repro.perf.IRCache`; on a hit the
-    pickled program is returned without re-parsing. ``recover_tiers``
-    selects strict, keep-going or recovery-ladder front-ending.
+    ``recover_tiers`` selects strict, keep-going or recovery-ladder
+    front-ending.
     """
-    key = None
-    if cache is not None:
-        key = cache.key_for_source(text, filename, defines, verify,
-                                   recover_token(recover_tiers))
-        program = cache.fetch(key)
-        if program is not None:
-            return program
     result = frontend_unit(text, filename, defines=defines,
                            recover_tiers=recover_tiers)
-    program = _finish([result], verify, recover_tiers)
-    if cache is not None:
-        cache.store(key, program)
-    return program
+    return _finish([result], verify, recover_tiers)
 
 
 def load_files(
@@ -192,14 +189,9 @@ def load_files(
     include_dirs: Sequence[str] = (),
     defines: Optional[Dict[str, str]] = None,
     verify: bool = True,
-    cache=None,
     recover_tiers: Optional[Sequence[str]] = None,
 ) -> Program:
     """Front-end several C files into one program (whole-program analysis).
-
-    ``cache`` is an optional :class:`repro.perf.IRCache`; a hit is
-    validated against the content hash of every file the preprocessor
-    read when the entry was built (``#include`` dependencies included).
 
     Under keep-going (``recover_tiers`` not ``None``) each path is
     front-ended in isolation by :func:`repro.frontend.recovery.
@@ -207,19 +199,9 @@ def load_files(
     (after the enabled recovery-ladder tiers) and the remaining units
     are still analyzed.
     """
-    key = None
-    if cache is not None:
-        key = cache.key_for_files(paths, include_dirs, defines, verify,
-                                  recover_token(recover_tiers))
-        program = cache.fetch(key)
-        if program is not None:
-            return program
     results = [frontend_file(path, include_dirs, defines, recover_tiers)
                for path in paths]
-    program = _finish(results, verify, recover_tiers)
-    if cache is not None:
-        cache.store(key, program)
-    return program
+    return _finish(results, verify, recover_tiers)
 
 
 def _smear_recovered(
@@ -313,6 +295,10 @@ def _finish(
                 unit = replace(unit, function=owner)
         resolved.append(unit)
     resolved = sort_degraded(resolved)
+    digests: Dict[str, Optional[str]] = {}
+    for unit in units:
+        for path, digest in unit.source.digests.items():
+            note_read(digests, path, digest)
     return Program(
         module=module,
         annotations=annotations,
@@ -323,6 +309,8 @@ def _finish(
         degraded_functions=degraded_function_names(resolved),
         recovery_attempts=attempts,
         recovery_successes=successes,
+        deps=(None if TORN in digests.values()
+              else tuple(digests.items())),
     )
 
 

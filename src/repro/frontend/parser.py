@@ -207,7 +207,9 @@ def parse_preprocessed(
         ast = parse_text(source.text, name, extra_prelude, parser_factory)
     except PlyParseError as exc:
         message = str(exc)
-        location = _location_from_message(message, source, name, extra_lines)
+        location = _location_from_message(
+            message, source, name, extra_lines,
+            getattr(exc, "token_line", None))
         raise ParseError(f"C parse error: {message}", location)
     except RecursionError:
         raise ParseError(
@@ -262,11 +264,12 @@ def parse_text(text: str, name: str, extra_prelude: str = "",
                parser_factory=None) -> c_ast.FileAST:
     """Parse ``extra_prelude + text`` behind the builtin prelude.
 
-    pycparser's own errors propagate; lines and columns in the tree and
-    in error messages are those of the full text. A ``parser_factory``
-    parser (the GNU tier's) reads the prelude text itself; the default
-    parser reads :func:`_prelude`'s stand-in, and the cached prelude
-    nodes replace what the stand-in parsed to.
+    pycparser's own errors propagate, with ``token_line`` set to the
+    line of the token the parser stopped at; lines and columns in the
+    tree and in error messages are those of the full text. A
+    ``parser_factory`` parser (the GNU tier's) reads the prelude text
+    itself; the default parser reads :func:`_prelude`'s stand-in, and
+    the cached prelude nodes replace what the stand-in parsed to.
     """
     if parser_factory is None:
         nodes, prelude, stand_in_nodes = _prelude()
@@ -275,6 +278,9 @@ def parse_text(text: str, name: str, extra_prelude: str = "",
         prelude, parser = BUILTIN_PRELUDE, parser_factory()
     try:
         ast = parser.parse(prelude + extra_prelude + text, filename=name)
+    except PlyParseError as exc:
+        exc.token_line = _token_line(parser)
+        raise
     finally:
         release_parser(parser)
     if parser_factory is None:
@@ -299,19 +305,35 @@ def release_parser(parser) -> None:
             state[attr] = None
 
 
+def _token_line(parser) -> Optional[int]:
+    """Line of the token a failed pycparser 3 parse stopped at: the
+    next unread token, else the last one read (``None`` for parsers
+    without a token stream)."""
+    tokens = getattr(parser, "_tokens", None)
+    seen = getattr(tokens, "_buffer", [])[:getattr(tokens, "_index", 0) + 1]
+    for token in reversed(seen):
+        if token is not None:
+            return token.lineno
+    return None
+
+
 def _location_from_message(
     message: str, source: PreprocessedSource, name: str,
-    extra_prelude_lines: int = 0,
+    extra_prelude_lines: int = 0, token_line: Optional[int] = None,
 ) -> Optional[SourceLocation]:
-    # pycparser errors look like "<file>:LINE:COL: before: tok"
-    parts = message.split(":")
-    for i, part in enumerate(parts):
+    # pycparser errors look like "<file>:LINE:COL: before: tok"; some
+    # pycparser 3 errors name only the file, and then the line is the
+    # one of the token the parser stopped at
+    for part in message.split(":"):
         if part.strip().isdigit():
-            line = int(part.strip()) - PRELUDE_LINES - extra_prelude_lines
-            if line > 0:
-                return source.origin(line)
-            return SourceLocation("<builtin>", int(part.strip()))
-    return SourceLocation(name, 0)
+            token_line = int(part.strip())
+            break
+    if token_line is None:
+        return SourceLocation(name, 0)
+    line = token_line - PRELUDE_LINES - extra_prelude_lines
+    if line > 0:
+        return source.origin(line)
+    return SourceLocation("<builtin>", token_line)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,8 @@ every diagnostic points at the user's source, not the expansion.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import re
 from dataclasses import dataclass, field
@@ -40,6 +42,28 @@ ANNOTATION_TAG = "SafeFlow Annotation"
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFINED_RE = re.compile(r"\bdefined\s*(?:\(\s*(\w+)\s*\)|(\w+))")
 _COMMENT_OR_QUOTE = re.compile(r"[\"']|/[/*]")
+
+
+def read_source(path: str) -> Tuple[str, str]:
+    """``(text, digest)`` of a source file: the text as ``open(path)``
+    decodes it, and the sha256 of the bytes that text came from."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    return io.TextIOWrapper(io.BytesIO(raw)).read(), \
+        hashlib.sha256(raw).hexdigest()
+
+
+#: what :func:`note_read` records for a file seen with two contents
+TORN = "torn"
+
+
+def note_read(digests: Dict[str, Optional[str]], path: str,
+              digest: Optional[str]) -> None:
+    """Record that ``path`` was read as ``digest`` (``None``: looked up
+    and absent); a file seen with two contents is recorded as
+    :data:`TORN`."""
+    if digests.setdefault(path, digest) != digest:
+        digests[path] = TORN
 
 
 @dataclass
@@ -71,6 +95,9 @@ class PreprocessedSource:
     line_map: List[SourceLocation] = field(default_factory=list)
     annotations: List[ExtractedAnnotation] = field(default_factory=list)
     files: List[str] = field(default_factory=list)
+    #: path → sha256 of the bytes read, for every real file read, and
+    #: ``None`` for every include candidate found absent (:func:`note_read`)
+    digests: Dict[str, Optional[str]] = field(default_factory=dict)
     #: annotation blocks that failed to parse, kept instead of raised
     #: when the preprocessor runs in recover mode
     degraded: List[DegradedUnit] = field(default_factory=list)
@@ -431,10 +458,12 @@ class Preprocessor:
                     raise PreprocessorError(
                         f"circular #include of {target!r}: {chain}", loc
                     )
-                with open(candidate, "r") as f:
-                    text = f.read()
+                text, digest = read_source(candidate)
+                note_read(out.digests, candidate, digest)
                 self._process(text, candidate, depth + 1, out_lines, out)
                 return
+            # a file created here later would shadow the one found
+            note_read(out.digests, candidate, None)
         if self.ignore_missing_includes:
             out.skipped_includes.append(target)
             return

@@ -66,7 +66,13 @@ from .parser import (
     parse_preprocessed,
     parse_text,
 )
-from .preprocessor import PreprocessedSource, Preprocessor, _skip_string
+from .preprocessor import (
+    PreprocessedSource,
+    Preprocessor,
+    _skip_string,
+    note_read,
+    read_source,
+)
 
 __all__ = [
     "RECOVERY_FORMAT_VERSION",
@@ -801,17 +807,21 @@ def frontend_file(
 ) -> RecoveredUnit:
     """Read one source file and :func:`frontend_unit` its text.
 
+    The unit's ``source.digests`` records the file as it was read
+    (its includes are recorded by the preprocessor that read them).
     A file that cannot be read or decoded raises
     :class:`~repro.errors.PreprocessorError` in strict mode and is a
     lost unit under keep-going, like a unit that does not parse.
     """
     try:
-        with open(path, "r") as f:
-            text = f.read()
+        text, digest = read_source(path)
     except (OSError, UnicodeDecodeError) as exc:
         failure = PreprocessorError(f"cannot read {path}: {exc}")
         if recover_tiers is None:
             raise failure
         return RecoveredUnit(unit=None, degraded=[_unit_lost(path, failure)])
-    return frontend_unit(text, path, include_dirs, defines, recover_tiers,
-                         previous)
+    result = frontend_unit(text, path, include_dirs, defines, recover_tiers,
+                           previous)
+    if result.unit is not None:
+        note_read(result.unit.source.digests, path, digest)
+    return result

@@ -57,12 +57,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..perf.fingerprint import SCHEMA_VERSION
-from ..perf.integrity import IntegrityError, seal, unseal
+from ..perf.integrity import (
+    frame, read_frame_log, read_sealed, write_file, write_sealed)
 from ..perf.summary_store import BodyRecord, SummaryStore
 from ..resilience.faults import on_segment_flush
 from .depgraph import DependencyGraph
@@ -74,8 +74,9 @@ SEGMENT_FORMAT_VERSION = 1
 LOG_NAME = "segments.log"
 DEPS_NAME = "deps.bin"
 
-_LEN_BYTES = 4
-_MAX_FRAME = 1 << 30
+#: the first frame of every log
+_HEADER = frame(("header", {"format": SEGMENT_FORMAT_VERSION,
+                            "schema": SCHEMA_VERSION}))
 
 
 @dataclass
@@ -88,11 +89,6 @@ class Segment:
     ctx: Tuple[str, ...]
     args: tuple
     record: BodyRecord
-
-
-def _frame(obj) -> bytes:
-    payload = seal(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-    return len(payload).to_bytes(_LEN_BYTES, "big") + payload
 
 
 class SegmentStore:
@@ -149,36 +145,16 @@ class SegmentStore:
 
     def _load(self) -> None:
         try:
-            with open(self.path, "rb") as f:
-                raw = f.read()
-        except OSError:
-            return
-        frames: List[tuple] = []
-        offset = 0
-        torn = False
-        size = len(raw)
-        while offset < size:
-            end = offset + _LEN_BYTES
-            if end > size:
-                torn = True
-                break
-            length = int.from_bytes(raw[offset:end], "big")
-            if length <= 0 or length > _MAX_FRAME or end + length > size:
-                torn = True
-                break
-            try:
-                obj = pickle.loads(unseal(raw[end:end + length]))
-            except (IntegrityError, Exception):
-                torn = True
-                break
-            frames.append(obj)
-            offset = end + length
+            frames, torn = read_frame_log(self.path)
+        except OSError:  # the torn tail could not be cut off
+            frames, torn = [], True
         if torn:
-            # a kill mid-append left a torn tail: keep the intact
-            # prefix, truncate the rest, count one eviction
+            # a kill mid-append left a torn tail: the intact prefix is
+            # kept, the rest is cut off, and one eviction is counted
             self.integrity_evictions += 1
-            self._truncate_to(offset)
         if not frames:
+            if torn:
+                self._remove_files()
             return
         header = frames[0]
         if (not isinstance(header, tuple) or len(header) != 2
@@ -211,16 +187,6 @@ class SegmentStore:
         elif tag == "closures":
             self._closures = dict(obj[1])
         # unknown tags are ignored: forward-compatible within a format
-
-    def _truncate_to(self, offset: int) -> None:
-        try:
-            if offset <= 0:
-                os.unlink(self.path)
-            else:
-                with open(self.path, "r+b") as f:
-                    f.truncate(offset)
-        except OSError:
-            pass
 
     def _remove_files(self) -> None:
         for path in (self.path, self.deps_path):
@@ -356,22 +322,18 @@ class SegmentStore:
             self._pending_meta.clear()
             return
         frames: List[bytes] = []
-        fresh = self._disk_frames == 0
-        if fresh:
-            frames.append(_frame(("header", {
-                "format": SEGMENT_FORMAT_VERSION,
-                "schema": SCHEMA_VERSION,
-            })))
+        if self._disk_frames == 0:
+            frames.append(_HEADER)
         if self._tombstones:
-            frames.append(_frame(("evict", tuple(self._tombstones))))
+            frames.append(frame(("evict", tuple(self._tombstones))))
         if self._uncouple:
-            frames.append(_frame(("uncouple", tuple(self._uncouple))))
+            frames.append(frame(("uncouple", tuple(self._uncouple))))
         for key, segment in self._staged.items():
-            frames.append(_frame(("segment", key, segment)))
+            frames.append(frame(("segment", key, segment)))
         for function, (reads, writes) in self._staged_couplings.items():
-            frames.append(_frame(("coupling", function, reads, writes)))
+            frames.append(frame(("coupling", function, reads, writes)))
         if closures_changed:
-            frames.append(_frame(("closures", dict(run_closures))))
+            frames.append(frame(("closures", dict(run_closures))))
         blob = b"".join(frames)
         try:
             os.makedirs(self.root, exist_ok=True)
@@ -399,31 +361,14 @@ class SegmentStore:
 
     def _compact(self) -> None:
         """Rewrite the log with only live frames (atomic replace)."""
-        frames = [_frame(("header", {
-            "format": SEGMENT_FORMAT_VERSION,
-            "schema": SCHEMA_VERSION,
-        }))]
+        frames = [_HEADER]
         if self._closures:
-            frames.append(_frame(("closures", dict(self._closures))))
+            frames.append(frame(("closures", dict(self._closures))))
         for function, (reads, writes) in sorted(self._couplings.items()):
-            frames.append(_frame(("coupling", function, reads, writes)))
+            frames.append(frame(("coupling", function, reads, writes)))
         for key, segment in sorted(self._segments.items()):
-            frames.append(_frame(("segment", key, segment)))
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(b"".join(frames))
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+            frames.append(frame(("segment", key, segment)))
+        if not write_file(self.path, b"".join(frames), fsync=True):
             return
         self._disk_frames = len(frames)
 
@@ -434,36 +379,18 @@ class SegmentStore:
             "graph": self.dependency_graph().to_payload(),
             "closures": dict(self._closures),
         }
-        try:
-            blob = seal(pickle.dumps(payload,
-                                     protocol=pickle.HIGHEST_PROTOCOL))
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(blob)
-                os.replace(tmp, self.deps_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
+        write_sealed(self.deps_path,
+                     pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
     def read_deps_artifact(self) -> Optional[dict]:
         """Load ``deps.bin``; ``None`` when absent or damaged (the
         artifact is derived state — the caller just rebuilds)."""
+        raw, evicted = read_sealed(self.deps_path)
         try:
-            with open(self.deps_path, "rb") as f:
-                raw = f.read()
-        except OSError:
-            return None
-        try:
-            payload = pickle.loads(unseal(raw))
-        except (IntegrityError, Exception):
-            self.integrity_evictions += 1
-            return None
+            payload = pickle.loads(raw) if raw is not None else {}
+        except Exception:
+            payload, evicted = {}, True
+        self.integrity_evictions += evicted
         if payload.get("format") != SEGMENT_FORMAT_VERSION:
             return None
         return payload

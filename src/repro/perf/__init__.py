@@ -4,17 +4,19 @@ Three cooperating pieces, all strictly behavior-preserving (every
 cached or parallel path renders a report byte-identical to the
 sequential cold path):
 
-- :class:`IRCache` — on-disk cache of front-ended programs keyed by
-  input content hashes + front-end config (:mod:`repro.perf.ircache`);
+- :class:`IRCache` — the store of front-ended programs (a process-wide
+  memory tier over an on-disk tier) keyed by input content hashes +
+  front-end config (:mod:`repro.perf.ircache`);
 - :class:`SummaryStore` — persistent ESP-summary records keyed by
   transitive IR fingerprints, replayed with full validation
   (:mod:`repro.perf.summary_store`);
 - :func:`run_batch` — process-parallel fan-out over independent
   programs with crash supervision (:mod:`repro.perf.batch`,
   :mod:`repro.resilience`);
-- :func:`seal` / :func:`unseal` — the checksum frame every on-disk
-  cache entry carries, so torn or rotted entries are evicted and
-  recomputed instead of trusted (:mod:`repro.perf.integrity`);
+- :func:`seal` / :func:`unseal` — the checksum frame of the one
+  on-disk codec every store writes through, so torn or rotted entries
+  are evicted and recomputed instead of trusted
+  (:mod:`repro.perf.integrity`);
 - :class:`BatchJournal` / :func:`run_journaled` — durable batch
   checkpoint/resume over an append-only, checksum-framed WAL
   (:mod:`repro.perf.journal`).

@@ -55,10 +55,7 @@ SCHEMA_VERSION = 3
 #: never part of a semantic cache key. ``profile`` and ``pause_gc``
 #: qualify because both are report-preserving: toggling them must not
 #: invalidate summaries recorded under the other setting.
-CACHE_ONLY_FIELDS = frozenset({
-    "cache_dir", "frontend_cache", "frontend_memo", "summary_cache",
-    "profile", "pause_gc",
-})
+CACHE_ONLY_FIELDS = frozenset({"cache_dir", "profile", "pause_gc"})
 
 
 def sha256_hex(data: bytes) -> str:

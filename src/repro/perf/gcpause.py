@@ -31,8 +31,8 @@ past the interval, so it performs the full collection.
 That only holds under an ownership rule: whoever keeps IR past a
 guard releases it (:meth:`repro.ir.Module.release`,
 :meth:`repro.ir.Function.release`) when it drops it. IR that outlives
-its guard — a program pooled in :class:`repro.perf.progmemo.
-ProgramMemo`, an incremental session's live program — is promoted out
+its guard — a program pooled in the memory tier of :class:`repro.perf.
+ircache.IRCache`, an incremental session's live program — is promoted out
 of generation 0, so if its owner merely dropped it, it would wait as
 cyclic garbage for the periodic full collection, whose pause then
 grows with all the IR dropped since the last one (0.65–0.73 s in an

@@ -1,33 +1,47 @@
-"""Checksummed cache-entry framing (torn-write detection).
+"""The one on-disk codec of the performance layer: checksummed files
+and checksummed frame logs (torn-write detection).
 
-The on-disk caches write atomically (``mkstemp`` + ``os.replace``),
-which protects against *concurrent* readers — but not against partial
-disks, bit rot, or a crash mid-``write`` on filesystems where replace
-lands but the temp data didn't all make it. A silently truncated
-pickle can raise nearly anything at load time, or — worse — unpickle
-to a plausible but wrong object graph.
+Whole-file stores (IR-cache entries, the summary store, the segment
+store's ``deps.bin``) are written atomically (``mkstemp`` +
+``os.replace``), which protects against *concurrent* readers — but not
+against partial disks, bit rot, or a crash mid-``write`` on
+filesystems where replace lands but the temp data didn't all make it.
+A silently truncated pickle can raise nearly anything at load time,
+or — worse — unpickle to a plausible but wrong object graph.
 
-Every cache entry is therefore framed as::
+Every stored payload is therefore framed as::
 
     MAGIC (6 bytes) + sha256(payload) (32 bytes) + payload
 
 :func:`unseal` verifies the magic and digest before a single byte of
 the payload reaches ``pickle``; any mismatch raises
-:class:`IntegrityError`, which the caches treat as *evict and
-recompute silently*, counting the event into
-``AnalysisStats.cache_integrity_evictions`` / server metrics.
-Pre-checksum legacy entries fail the magic check and are evicted the
-same way — one recompute, no schema migration.
+:class:`IntegrityError`. :func:`read_sealed` turns that into *evict and
+recompute silently*: the damaged file is removed and the caller counts
+the event into ``AnalysisStats.cache_integrity_evictions`` / server
+metrics. Pre-checksum legacy entries fail the magic check and are
+evicted the same way — one recompute, no schema migration.
+
+Append-only logs (the segment log, the batch journal) are sequences of
+frames, each ``magic + u32 big-endian length + sealed pickle`` (the
+segment log's magic is empty, the journal's is ``SFJ1``).
+:func:`read_frame_log` reads every intact frame and cuts a torn tail
+(a crash mid-append) off the file.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+import tempfile
+from typing import List, Optional, Tuple
 
 #: frame magic; bump the digit on framing changes
 MAGIC = b"SFCK1\n"
 _DIGEST_LEN = 32
 HEADER_LEN = len(MAGIC) + _DIGEST_LEN
+#: bytes of a log frame's length field
+_LEN_BYTES = 4
 
 
 class IntegrityError(Exception):
@@ -48,3 +62,98 @@ def unseal(blob: bytes) -> bytes:
     if hashlib.sha256(payload).digest() != digest:
         raise IntegrityError("cache-entry checksum mismatch (torn write?)")
     return payload
+
+
+def write_file(path: str, data: bytes, fsync: bool = False) -> bool:
+    """Atomically replace ``path`` with ``data`` (temp file in the same
+    directory + :func:`os.replace`); False on an OS error."""
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+                if fsync:
+                    f.flush()
+                    os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        return False
+    return True
+
+
+def write_sealed(path: str, payload: bytes) -> bool:
+    """:func:`write_file` of the sealed ``payload``."""
+    return write_file(path, seal(payload))
+
+
+def read_sealed(path: str) -> Tuple[Optional[bytes], bool]:
+    """``(payload, evicted)`` of the sealed file at ``path``.
+
+    An absent or unreadable file is ``(None, False)``. A file whose
+    frame does not verify is removed — so it is rebuilt, not re-read —
+    and reads as ``(None, True)``.
+    """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError:
+        return None, False
+    try:
+        return unseal(raw), False
+    except IntegrityError:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        return None, True
+
+
+def frame(record, magic: bytes = b"") -> bytes:
+    """One log frame: ``magic + length + sealed pickle of record``."""
+    sealed = seal(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+    return magic + len(sealed).to_bytes(_LEN_BYTES, "big") + sealed
+
+
+def read_frame_log(path: str, magic: bytes = b"") -> Tuple[List[object], bool]:
+    """``(records, torn)`` of the frame log at ``path``.
+
+    Frames are read in order up to the first damaged one (short frame,
+    wrong magic, checksum mismatch, unpicklable payload); everything
+    before it is intact by construction, as appends are sequential.
+    A damaged tail is cut off the file (``torn`` is then True) so the
+    next append starts at a frame boundary; :class:`OSError` when it
+    cannot be cut. An absent or unreadable log has no records.
+    """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError:
+        return [], False
+    records: List[object] = []
+    offset, size = 0, len(raw)
+    head = len(magic) + _LEN_BYTES
+    while offset < size:
+        end = offset + head
+        if end > size or raw[offset:offset + len(magic)] != magic:
+            break
+        length = int.from_bytes(raw[end - _LEN_BYTES:end], "big")
+        if end + length > size:
+            break
+        try:
+            records.append(pickle.loads(unseal(raw[end:end + length])))
+        except Exception:  # IntegrityError, unpickling garbage
+            break
+        offset = end + length
+    if offset == size:
+        return records, False
+    with open(path, "r+b") as f:
+        f.truncate(offset)
+    return records, True

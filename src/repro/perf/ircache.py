@@ -1,32 +1,59 @@
-"""Content-hash-keyed on-disk cache for front-ended programs.
+"""The store of front-ended programs: a memory tier over a disk tier.
 
 The front end (preprocess → pycparser → lower → SSA → verify) is the
 dominant cost of re-analyzing an unchanged translation unit, and it is
-a pure function of the input bytes plus a handful of config knobs. This
-cache pickles the finished :class:`repro.frontend.driver.Program` keyed
-by:
+a pure function of the input bytes plus a handful of config knobs.
+:class:`IRCache` keeps the finished
+:class:`repro.frontend.driver.Program` under one content key:
 
 - the schema version and pycparser version;
 - the given paths (diagnostics embed the path strings, so the same
   bytes under another name is a different program) or the literal
-  source text for :func:`load_source`;
+  source text for ``load_source``;
 - the content hash of every top-level input file;
 - the preprocessor ``defines``, the include directories, and the
   ``verify`` flag.
 
 ``#include`` dependencies cannot be known before preprocessing, so
-they are handled by *validation* instead of keying: each entry records
-the content hash of every file the preprocessor actually read, and a
-lookup whose recorded dependencies no longer hash-match is a miss.
+they are handled by *validation* instead of keying: a program carries
+``Program.deps``, the digest of every file the front end read, taken
+from the bytes it read (and ``None`` for every include candidate it
+found absent, so a header that would now shadow the one read is
+noticed), and a lookup whose recorded dependencies no longer match is
+a miss in either tier. One request digests each
+file at most once: the digests its key was computed from are reused
+by the validation, and the validation of one tier by the other's.
 
-Failures are never fatal: any OS, pickle, or recursion error turns
-into a cache miss (or a skipped store) and the caller re-parses. Writes
-go through a temp file + :func:`os.replace` so concurrent batch
-workers sharing one cache directory can never observe a torn entry,
-and every entry carries the checksum frame of
-:mod:`repro.perf.integrity`: a damaged entry (bit rot, partial disk
-write) is detected before it reaches ``pickle``, evicted, counted in
-``integrity_evictions``, and recomputed silently.
+**Memory tier** (:class:`MemoryTier`, one per process). A disk hit
+still unpickles the whole ``Program`` (~1.5 ms even for a trivial
+unit), while re-analyzing one loaded ``Program`` is report-preserving,
+so an LRU pool lends recently used programs out instead. Leases are
+*exclusive*: a leased program is out of the pool, so two threads (the
+daemon's in-process fallback pool) never analyze one object graph —
+the second request unpickles its own copy. Keys are scoped by the
+absolute cache directory. A pooled program also carries the last
+verdict computed on it (``Program.verdict``), which ``SafeFlow``
+replays on a memory hit under the same config fingerprint; the store
+never looks at it, and it is never pickled.
+
+Ownership: :meth:`IRCache.give_back` transfers the program to the
+memory tier; the caller must not touch it afterwards. Pooled programs
+outlive the :func:`repro.perf.gcpause.gc_paused` guard that built
+them, so their IR is promoted out of generation 0; whoever keeps IR
+past a guard releases it. Every program that leaves the pool without
+a lease — LRU eviction, stale-dependency eviction,
+:meth:`MemoryTier.clear` — is torn down with
+:meth:`repro.ir.Module.release`, outside the lock, so it dies by
+refcount instead of waiting for a full collection.
+
+**Disk tier** (:meth:`IRCache.fetch` / :meth:`IRCache.store`). Each
+entry is a pickled :class:`CacheEntry` in a sealed file of
+:mod:`repro.perf.integrity`: writes are atomic, and a damaged entry
+(bit rot, partial disk write) is detected before it reaches
+``pickle``, evicted, counted in ``integrity_evictions``, and
+recomputed silently. Failures are never fatal: any OS, pickle, or
+recursion error turns into a miss (or a skipped store) and the caller
+re-parses.
 """
 
 from __future__ import annotations
@@ -34,15 +61,21 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-import tempfile
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fingerprint import SCHEMA_VERSION, combine, file_digest, text_digest
-from .integrity import IntegrityError, seal, unseal
+from .integrity import read_sealed, write_sealed
 
 #: deep IR/AST object graphs need headroom beyond the default 1000
 _PICKLE_RECURSION_LIMIT = 100_000
+
+#: default bound on pooled programs across all keys (process-wide)
+DEFAULT_CAPACITY = 32
+
+_Digest = Callable[[str], Optional[str]]
 
 
 def _pycparser_version() -> str:
@@ -54,40 +87,119 @@ def _pycparser_version() -> str:
         return "?"
 
 
-def program_deps(program) -> Optional[List[Tuple[str, str]]]:
-    """``(path, digest)`` of every real file behind ``program``, in
-    unit order; ``None`` (not cacheable) when one cannot be read."""
-    deps: List[Tuple[str, str]] = []
-    seen = set()
-    for unit in program.units:
-        for path in unit.files:
-            if path in seen or not os.path.isfile(path):
-                continue
-            seen.add(path)
-            digest = file_digest(path)
-            if digest is None:
-                return None
-            deps.append((path, digest))
-    return deps
+def _fresh(deps, digest: _Digest) -> bool:
+    return all(digest(path) == recorded for path, recorded in deps)
 
 
 @dataclass
 class CacheEntry:
     """One pickled program plus the inputs it was built from."""
 
-    #: [(path, content-hash)] for every real file the front end read
-    deps: List[Tuple[str, str]]
+    #: [(path, content-hash or None if absent)] for every file the
+    #: front end read or looked for
+    deps: List[Tuple[str, Optional[str]]]
     program_blob: bytes
 
 
+class MemoryTier:
+    """Bounded LRU pool of front-ended programs, exclusive-lease."""
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        self.capacity = max(0, capacity)
+        self._lock = threading.Lock()
+        #: key → pooled programs; OrderedDict gives key-level LRU
+        self._pools: "OrderedDict[str, List[object]]" = OrderedDict()
+        self._size = 0
+        self.stale_evictions = 0
+
+    def acquire(self, key: Optional[str],
+                digest: _Digest = file_digest):
+        """Pop a pooled program for ``key`` whose ``deps`` still match
+        ``digest``, or ``None``. The caller owns it until it hands it
+        back via :meth:`release`."""
+        if key is None or self.capacity == 0:
+            return None
+        leased, stale = None, []
+        with self._lock:
+            pool = self._pools.get(key)
+            while pool:
+                program = pool.pop()
+                self._size -= 1
+                if not pool:
+                    del self._pools[key]
+                if _fresh(program.deps, digest):
+                    leased = program
+                    break
+                self.stale_evictions += 1
+                stale.append(program)
+                pool = self._pools.get(key)
+        _teardown(stale)
+        return leased
+
+    def release(self, key: Optional[str], program) -> bool:
+        """Hand a program to the pool; False when it cannot be pooled
+        (no key, or its dependencies are unknown).
+
+        On True the pool owns ``program``: the caller must drop it, as
+        an eviction tears its IR down.
+        """
+        if (key is None or program is None or program.deps is None
+                or self.capacity == 0):
+            return False
+        evicted = []
+        with self._lock:
+            self._pools.setdefault(key, []).append(program)
+            self._pools.move_to_end(key)
+            self._size += 1
+            while self._size > self.capacity:
+                oldest_key, oldest_pool = next(iter(self._pools.items()))
+                evicted.append(oldest_pool.pop(0))
+                self._size -= 1
+                if not oldest_pool:
+                    del self._pools[oldest_key]
+        _teardown(evicted)
+        return True
+
+    def clear(self) -> None:
+        """Empty the pool, tearing down every pooled program (leased
+        programs belong to their holders and are left alone)."""
+        with self._lock:
+            pooled = [program for pool in self._pools.values()
+                      for program in pool]
+            self._pools.clear()
+            self._size = 0
+        _teardown(pooled)
+
+    def counters(self) -> Dict[str, int]:
+        with self._lock:
+            return {"stale_evictions": self.stale_evictions,
+                    "pooled": self._size}
+
+
+def _teardown(programs) -> None:
+    """Release the IR of programs that left the pool unleased."""
+    for program in programs:
+        program.module.release()
+
+
 class IRCache:
-    """Directory-backed store of front-ended programs."""
+    """The two-tier program store of one cache directory.
+
+    An instance serves one request at a time: file digests are
+    memoised from one key computation (which resets them) to the next.
+    """
+
+    #: the memory tier every instance shares (process-wide)
+    memory = MemoryTier()
 
     def __init__(self, directory: str):
         self.directory = os.path.join(directory, "ir")
+        #: memory-tier keys are scoped by the cache dir they belong to
+        self._scope = os.path.abspath(directory) + "|"
         self.hits = 0
         self.misses = 0
         self.integrity_evictions = 0
+        self._digests: Dict[str, Optional[str]] = {}
 
     # ------------------------------------------------------------------
     # keys
@@ -101,6 +213,7 @@ class IRCache:
         verify: bool,
         recover: bool = False,
     ) -> Optional[str]:
+        self._digests = {}
         parts = [
             f"schema={SCHEMA_VERSION}",
             f"pycparser={_pycparser_version()}",
@@ -110,7 +223,7 @@ class IRCache:
             f"recover={recover}",
         ]
         for path in paths:
-            digest = file_digest(path)
+            digest = self._digest(path)
             if digest is None:
                 return None
             parts.append(f"file={path}:{digest}")
@@ -124,6 +237,7 @@ class IRCache:
         verify: bool,
         recover: bool = False,
     ) -> str:
+        self._digests = {}
         return combine([
             f"schema={SCHEMA_VERSION}",
             f"pycparser={_pycparser_version()}",
@@ -134,39 +248,55 @@ class IRCache:
             f"text={text_digest(text)}",
         ])
 
+    def _digest(self, path: str) -> Optional[str]:
+        if path not in self._digests:
+            self._digests[path] = file_digest(path)
+        return self._digests[path]
+
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
 
     # ------------------------------------------------------------------
-    # lookup / store
+    # both tiers
     # ------------------------------------------------------------------
 
-    def _evict(self, path: str) -> None:
-        """Remove a checksum-failed entry so it is rebuilt, not re-read."""
-        self.integrity_evictions += 1
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+    def lease(self, key: Optional[str]):
+        """The program for ``key`` from the memory tier, else from
+        disk; ``None`` on a miss. Either tier's hit counts in
+        ``hits``. The caller owns the program until
+        :meth:`give_back`."""
+        program = self.memory.acquire(self._memory_key(key), self._digest)
+        if program is None:
+            return self.fetch(key)
+        self.hits += 1
+        return program
+
+    def give_back(self, key: Optional[str], program) -> bool:
+        """Pool ``program`` in the memory tier; False when it cannot be
+        pooled (the caller then releases it). On True the store owns
+        it."""
+        return self.memory.release(self._memory_key(key), program)
+
+    def _memory_key(self, key: Optional[str]) -> Optional[str]:
+        return None if key is None else self._scope + key
+
+    # ------------------------------------------------------------------
+    # the disk tier
+    # ------------------------------------------------------------------
 
     def fetch(self, key: Optional[str]):
         """The cached Program for ``key``, or ``None`` on any miss."""
-        if key is None:
+        program = self._read(key) if key is not None else None
+        if program is None:
             self.misses += 1
-            return None
-        path = self._path(key)
-        try:
-            with open(path, "rb") as f:
-                raw = f.read()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            payload = unseal(raw)
-        except IntegrityError:
-            # damaged (or pre-checksum legacy) entry: evict + recompute
-            self._evict(path)
-            self.misses += 1
+        else:
+            self.hits += 1
+        return program
+
+    def _read(self, key: str):
+        payload, evicted = read_sealed(self._path(key))
+        self.integrity_evictions += evicted
+        if payload is None:
             return None
         try:
             # fail-open on *anything*: a checksum-valid but schema-
@@ -174,60 +304,35 @@ class IRCache:
             # pickle, and a malformed one can fail attribute access /
             # unpacking below
             entry: CacheEntry = pickle.loads(payload)
-            stale = any(file_digest(dep_path) != digest
-                        for dep_path, digest in entry.deps)
-            blob = entry.program_blob
+            deps = tuple((path, digest) for path, digest in entry.deps)
+            if not _fresh(deps, self._digest):
+                return None
+            program = _deep(pickle.loads, entry.program_blob)
+            program.deps = deps
+            return program
         except Exception:
-            self.misses += 1
             return None
-        if stale:
-            self.misses += 1
-            return None
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, _PICKLE_RECURSION_LIMIT))
-        try:
-            program = pickle.loads(blob)
-        except Exception:
-            self.misses += 1
-            return None
-        finally:
-            sys.setrecursionlimit(old_limit)
-        self.hits += 1
-        return program
 
     def store(self, key: Optional[str], program) -> bool:
         """Pickle ``program`` under ``key``; False when not cacheable."""
-        if key is None:
+        if key is None or program.deps is None:
             return False
-        deps = program_deps(program)
-        if deps is None:
-            return False
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, _PICKLE_RECURSION_LIMIT))
         try:
-            blob = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = _deep(pickle.dumps, program, pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps(
+                CacheEntry(deps=list(program.deps), program_blob=blob),
+                protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return False
-        finally:
-            sys.setrecursionlimit(old_limit)
-        entry = CacheEntry(deps=deps, program_blob=blob)
-        try:
-            payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return False
-        try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(seal(payload))
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        return True
+        return write_sealed(self._path(key), payload)
+
+
+def _deep(function, *args):
+    """``function(*args)`` with the recursion headroom that pickling
+    deep IR/AST object graphs needs."""
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, _PICKLE_RECURSION_LIMIT))
+    try:
+        return function(*args)
+    finally:
+        sys.setrecursionlimit(old_limit)

@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import io
 import os
-import pickle
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,16 +50,12 @@ from ..errors import JournalError
 from ..resilience import faults
 from .batch import BatchJob, BatchOutcome, BatchResult, run_batch
 from .fingerprint import combine, config_fingerprint, file_digest
-from .integrity import seal, unseal
+from .integrity import frame, read_frame_log
 
 #: per-frame magic — detects a seek into garbage before length parsing
 FRAME_MAGIC = b"SFJ1"
-_LEN = struct.Struct(">I")
 #: journal format version (header record); bump on layout changes
 VERSION = 1
-#: refuse absurd frame lengths (corrupt length field) without trying
-#: to allocate them
-_MAX_FRAME = 1 << 31
 
 
 def job_fingerprint(job: BatchJob, config) -> str:
@@ -89,8 +83,6 @@ class JournalReplay:
     #: damaged tail frames truncated during replay (0 or 1 — replay
     #: stops at the first damaged frame)
     truncated_records: int = 0
-    #: byte offset of the last intact frame boundary
-    good_offset: int = 0
     header: Optional[dict] = None
 
 
@@ -109,57 +101,24 @@ class BatchJournal:
         """Read every intact record; truncate a damaged tail in place."""
         replay = JournalReplay()
         try:
-            fh = open(self.path, "rb")
-        except FileNotFoundError:
-            return replay
-        with fh:
-            while True:
-                offset = fh.tell()
-                head = fh.read(len(FRAME_MAGIC) + _LEN.size)
-                if not head:
-                    replay.good_offset = offset
-                    return replay  # clean end
-                if (len(head) < len(FRAME_MAGIC) + _LEN.size
-                        or head[:len(FRAME_MAGIC)] != FRAME_MAGIC):
-                    return self._damaged(replay, offset)
-                (length,) = _LEN.unpack(head[len(FRAME_MAGIC):])
-                if length > _MAX_FRAME:
-                    return self._damaged(replay, offset)
-                sealed = fh.read(length)
-                if len(sealed) < length:
-                    return self._damaged(replay, offset)
-                try:
-                    payload = unseal(sealed)
-                    record = pickle.loads(payload)
-                except Exception:  # IntegrityError, unpickling garbage
-                    return self._damaged(replay, offset)
-                self._absorb(replay, record)
-                replay.good_offset = fh.tell()
-
-    def _damaged(self, replay: JournalReplay, offset: int) -> JournalReplay:
-        """Truncate the journal at the last intact frame boundary."""
-        replay.truncated_records += 1
-        replay.good_offset = offset
-        try:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(offset)
+            records, torn = read_frame_log(self.path, FRAME_MAGIC)
         except OSError as exc:
             raise JournalError(
                 f"cannot truncate damaged journal tail of {self.path}: {exc}"
             )
+        replay.truncated_records = int(torn)
+        for record in records:
+            if not isinstance(record, dict):
+                continue
+            if record.get("type") == "header":
+                replay.header = record
+            elif record.get("type") == "result":
+                name = record.get("name")
+                result = record.get("result")
+                if isinstance(name, str) and isinstance(result, BatchResult):
+                    replay.results[name] = (
+                        record.get("fingerprint", ""), result)
         return replay
-
-    @staticmethod
-    def _absorb(replay: JournalReplay, record) -> None:
-        if not isinstance(record, dict):
-            return
-        if record.get("type") == "header":
-            replay.header = record
-        elif record.get("type") == "result":
-            name = record.get("name")
-            result = record.get("result")
-            if isinstance(name, str) and isinstance(result, BatchResult):
-                replay.results[name] = (record.get("fingerprint", ""), result)
 
     # ------------------------------------------------------------------
     # append
@@ -199,10 +158,9 @@ class BatchJournal:
     def _write_record(self, record: dict) -> None:
         if self._fh is None:
             raise JournalError("journal is not open for appending")
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        sealed = seal(payload)
+        data = frame(record, FRAME_MAGIC)
         try:
-            self._fh.write(FRAME_MAGIC + _LEN.pack(len(sealed)) + sealed)
+            self._fh.write(data)
             self._fh.flush()
             os.fsync(self._fh.fileno())
         except OSError as exc:

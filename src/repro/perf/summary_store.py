@@ -37,14 +37,12 @@ by the process-local ``Cell.id`` counter.
 from __future__ import annotations
 
 import heapq
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .fingerprint import SCHEMA_VERSION, combine
-from .integrity import IntegrityError, seal, unseal
+from .integrity import read_sealed, write_sealed
 
 if TYPE_CHECKING:  # imported lazily at runtime: valueflow imports us
     from ..valueflow.taint import Taint
@@ -282,9 +280,10 @@ class SummaryStore:
         self.hits = 0
         self.misses = 0
         self.integrity_evictions = 0
-        self._entries: Dict[str, BodyRecord] = {}
+        data = self._read_file()
+        self._entries: Dict[str, BodyRecord] = (
+            dict(data.entries) if data is not None else {})
         self._staged: Dict[str, BodyRecord] = {}
-        self._load()
 
     def _read_file(self) -> Optional[_StoreFile]:
         """The on-disk store, or None when absent/damaged.
@@ -294,19 +293,9 @@ class SummaryStore:
         summaries are pure acceleration, so the recovery is simply an
         empty store and a cold first run.
         """
-        try:
-            with open(self.path, "rb") as f:
-                raw = f.read()
-        except OSError:
-            return None
-        try:
-            payload = unseal(raw)
-        except IntegrityError:
-            self.integrity_evictions += 1
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+        payload, evicted = read_sealed(self.path)
+        self.integrity_evictions += evicted
+        if payload is None:
             return None
         try:
             data: _StoreFile = pickle.loads(payload)
@@ -315,10 +304,6 @@ class SummaryStore:
         except Exception:  # fail-open: a corrupt store is an empty one
             pass
         return None
-
-    def _load(self) -> None:
-        data = self._read_file()
-        self._entries = dict(data.entries) if data is not None else {}
 
     # ------------------------------------------------------------------
 
@@ -355,21 +340,6 @@ class SummaryStore:
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return
-        try:
-            directory = os.path.dirname(self.path) or "."
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(seal(payload))
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return
-        self._entries.update(self._staged)
-        self._staged.clear()
+        if write_sealed(self.path, payload):
+            self._entries.update(self._staged)
+            self._staged.clear()

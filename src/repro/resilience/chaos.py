@@ -53,8 +53,8 @@ from .faults import FaultPlan
 SCHEDULES = ("kill", "quarantine", "slow", "corrupt-ir", "torn-summary",
              "serve-kill", "kill-resume", "watch-kill", "tier-crash",
              "overload")
-SMOKE_SCHEDULES = ("kill", "corrupt-ir", "serve-kill", "kill-resume",
-                   "watch-kill", "tier-crash", "overload")
+SMOKE_SCHEDULES = ("kill", "corrupt-ir", "torn-summary", "serve-kill",
+                   "kill-resume", "watch-kill", "tier-crash", "overload")
 
 #: the job a schedule's fault targets (second job: exercises recovery
 #: with completed work before and pending work after the crash)

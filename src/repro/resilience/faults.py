@@ -248,53 +248,48 @@ def on_segment_flush(fileobj, blob: bytes) -> None:
 # on-disk corruption helpers (driver-level faults of the chaos harness)
 # ----------------------------------------------------------------------
 
-def corrupt_ir_entry(cache_dir: str) -> Optional[str]:
-    """Flip bytes in the middle of one IR-cache entry; path or None."""
-    directory = os.path.join(cache_dir, "ir")
+def _store_file(directory: str, prefix: str = "",
+                last: bool = False) -> Optional[str]:
+    """The first (or ``last``) ``.pkl`` file of a store directory by
+    name, or None when there is none."""
     try:
         names = sorted(n for n in os.listdir(directory)
-                       if n.endswith(".pkl"))
+                       if n.startswith(prefix) and n.endswith(".pkl"))
     except OSError:
         return None
-    if not names:
-        return None
-    path = os.path.join(directory, names[0])
-    with open(path, "r+b") as f:
-        data = f.read()
-        middle = len(data) // 2
-        f.seek(middle)
-        f.write(bytes(b ^ 0xFF for b in data[middle:middle + 16]))
+    return os.path.join(directory, names[-1 if last else 0]) \
+        if names else None
+
+
+def _truncate_half(path: Optional[str]) -> Optional[str]:
+    if path is not None:
+        size = os.path.getsize(path)
+        with open(path, "r+b") as f:
+            f.truncate(max(1, size // 2))
+    return path
+
+
+def corrupt_ir_entry(cache_dir: str) -> Optional[str]:
+    """Flip bytes in the middle of the first IR-cache entry; path or
+    None."""
+    path = _store_file(os.path.join(cache_dir, "ir"))
+    if path is not None:
+        with open(path, "r+b") as f:
+            data = f.read()
+            middle = len(data) // 2
+            f.seek(middle)
+            f.write(bytes(b ^ 0xFF for b in data[middle:middle + 16]))
     return path
 
 
 def truncate_ir_entry(cache_dir: str) -> Optional[str]:
-    """Truncate one IR-cache entry to half (partial-disk write)."""
-    directory = os.path.join(cache_dir, "ir")
-    try:
-        names = sorted(n for n in os.listdir(directory)
-                       if n.endswith(".pkl"))
-    except OSError:
-        return None
-    if not names:
-        return None
-    path = os.path.join(directory, names[0])
-    size = os.path.getsize(path)
-    with open(path, "r+b") as f:
-        f.truncate(max(1, size // 2))
-    return path
+    """Truncate the last IR-cache entry to half (partial-disk write) —
+    not the one :func:`corrupt_ir_entry` flips, when there are two;
+    path or None."""
+    return _truncate_half(_store_file(os.path.join(cache_dir, "ir"),
+                                      last=True))
 
 
 def tear_summary_store(cache_dir: str) -> Optional[str]:
     """Tear the summary store mid-write (truncate to half); path/None."""
-    try:
-        names = sorted(n for n in os.listdir(cache_dir)
-                       if n.startswith("summaries-") and n.endswith(".pkl"))
-    except OSError:
-        return None
-    if not names:
-        return None
-    path = os.path.join(cache_dir, names[0])
-    size = os.path.getsize(path)
-    with open(path, "r+b") as f:
-        f.truncate(max(1, size // 2))
-    return path
+    return _truncate_half(_store_file(cache_dir, prefix="summaries-"))

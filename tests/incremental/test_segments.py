@@ -10,9 +10,10 @@ import os
 
 from repro.incremental.depgraph import DependencyGraph
 from repro.incremental.segments import (
-    SEGMENT_FORMAT_VERSION, SegmentStore, _frame,
+    SEGMENT_FORMAT_VERSION, SegmentStore,
 )
 from repro.perf.fingerprint import SCHEMA_VERSION
+from repro.perf.integrity import frame
 from repro.perf.summary_store import BodyRecord
 
 
@@ -110,7 +111,7 @@ def test_torn_tail_is_truncated_to_the_last_intact_frame(tmp_path):
     store = _store_with(tmp_path, closures, {"f": ((), (("c1", "x"),))})
     intact_size = os.path.getsize(store.path)
     with open(store.path, "ab") as f:
-        f.write(_frame(("segment", "k", None))[:-16])  # torn mid-frame
+        f.write(frame(("segment", "k", None))[:-16])  # torn mid-frame
 
     reopened = SegmentStore(str(tmp_path))
     assert reopened.integrity_evictions == 1
@@ -133,9 +134,9 @@ def test_stale_format_store_is_evicted_wholesale(tmp_path):
     path = tmp_path / "segments.log"
     tmp_path.mkdir(exist_ok=True)
     with open(path, "wb") as f:
-        f.write(_frame(("header", {"format": SEGMENT_FORMAT_VERSION + 1,
+        f.write(frame(("header", {"format": SEGMENT_FORMAT_VERSION + 1,
                                    "schema": SCHEMA_VERSION})))
-        f.write(_frame(("segment", "k", None)))
+        f.write(frame(("segment", "k", None)))
     reopened = SegmentStore(str(tmp_path))
     assert reopened.integrity_evictions == 1
     assert len(reopened) == 0

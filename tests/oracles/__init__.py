@@ -19,15 +19,16 @@ unchanged::
     with oracles.installed(kernel="object", fixpoint="dense"):
         report = SafeFlow(config).analyze_source(source)
 
-A memoised program carries the last verdict computed on it, and
-``SafeFlow`` replays it on a memo hit. So :func:`installed` empties the
-process-wide program memo on entry and on exit: no verdict computed by
-one engine is ever handed back under another engine's label.
+A program pooled in the IR cache's memory tier carries the last verdict
+computed on it, and ``SafeFlow`` replays it on a memory hit. So
+:func:`installed` empties the process-wide memory tier on entry and on
+exit: no verdict computed by one engine is ever handed back under
+another engine's label.
 """
 
 from contextlib import contextmanager
 
-from repro.perf.progmemo import program_memo
+from repro.perf.ircache import IRCache
 from repro.valueflow import engine
 
 from .dense import DenseFixpoint
@@ -55,10 +56,10 @@ def installed(kernel: str = "compiled", fixpoint: str = "sparse"):
     """Make every ``SafeFlow`` analysis inside the block run the
     (kernel, fixpoint) engine."""
     previous = engine.ValueFlowAnalysis
-    program_memo().clear()
+    IRCache.memory.clear()
     engine.ValueFlowAnalysis = _ENGINES[kernel, fixpoint]
     try:
         yield
     finally:
         engine.ValueFlowAnalysis = previous
-        program_memo().clear()
+        IRCache.memory.clear()

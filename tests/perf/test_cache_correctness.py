@@ -164,44 +164,50 @@ def test_summary_cache_config_flag_invalidation(tmp_path):
 def test_corrupt_cache_files_fail_open(tmp_path):
     """Garbage in any cache file must read as a miss, never a crash.
 
-    The in-memory program memo is disabled here: this test corrupts
+    The memory tier is emptied before each run: this test corrupts
     the *disk* tier and asserts its fail-open behavior, which a memory
-    hit would mask (the memo has its own suite in test_progmemo.py).
+    hit would mask (the memory tier has its own suite in
+    test_progmemo.py).
     """
+    from repro.perf.ircache import IRCache
+
     cache = tmp_path / "cache"
-    config = AnalysisConfig(summary_mode=True, cache_dir=str(cache),
-                            frontend_memo=False)
+    config = AnalysisConfig(summary_mode=True, cache_dir=str(cache))
     flow = SafeFlow(config)
     good = flow.analyze_source(SIMPLE, name="prog")
 
     for victim in list(cache.rglob("*.pkl")):
         victim.write_text("GARBAGE\n")
+    IRCache.memory.clear()
     corrupted = flow.analyze_source(SIMPLE, name="prog")
     assert corrupted.render(verbose=True) == good.render(verbose=True)
     assert corrupted.stats.frontend_cache_hits == 0
     assert corrupted.stats.summary_cache_hits == 0
 
     # the rewrite heals the cache: next run hits again
+    IRCache.memory.clear()
     healed = flow.analyze_source(SIMPLE, name="prog")
     assert healed.stats.frontend_cache_hits == 1
     assert healed.stats.summary_cache_hits > 0
 
 
 def test_cache_control_fields_do_not_change_results(tmp_path):
-    """cache_dir / frontend_cache / summary_cache are excluded from all
-    fingerprints, so toggling them never alters the report."""
+    """cache_dir is excluded from all fingerprints, so a cold or warm
+    cached run reports exactly what an uncached run does."""
     plain = SafeFlow(AnalysisConfig(summary_mode=True))
     cached = SafeFlow(AnalysisConfig(
         summary_mode=True,
         cache_dir=str(tmp_path / "cache"),
-        frontend_cache=False,
-        summary_cache=False,
     ))
     a = plain.analyze_source(SIMPLE, name="prog")
     b = cached.analyze_source(SIMPLE, name="prog")
+    c = cached.analyze_source(SIMPLE, name="prog")
     assert a.render(verbose=True) == b.render(verbose=True)
-    assert b.stats.frontend_cache_misses == 0
-    assert b.stats.summary_cache_misses == 0
+    assert a.render(verbose=True) == c.render(verbose=True)
+    assert a.stats.frontend_cache_misses == 0
+    assert b.stats.frontend_cache_misses == 1
+    assert c.stats.frontend_cache_hits == 1
+    assert c.stats.summary_cache_misses == 0
 
 
 def test_ir_cache_entry_of_an_older_schema_is_not_served(tmp_path,
@@ -212,12 +218,18 @@ def test_ir_cache_entry_of_an_older_schema_is_not_served(tmp_path,
     from repro.perf import ircache
     from repro.perf.ircache import IRCache
 
+    def load(cache):
+        key = cache.key_for_source(SIMPLE, "simple.c", None, True)
+        program = cache.fetch(key)
+        if program is None:
+            cache.store(key, load_source(SIMPLE, filename="simple.c"))
+
     cache = IRCache(str(tmp_path))
     monkeypatch.setattr(ircache, "SCHEMA_VERSION", 2)
-    load_source(SIMPLE, filename="simple.c", cache=cache)
+    load(cache)
     monkeypatch.undo()
     assert ircache.SCHEMA_VERSION == 3
-    load_source(SIMPLE, filename="simple.c", cache=cache)
+    load(cache)
     assert (cache.hits, cache.misses) == (0, 2)
-    load_source(SIMPLE, filename="simple.c", cache=cache)
+    load(cache)
     assert cache.hits == 1

@@ -1,6 +1,6 @@
-"""Warm verdict replay: a memoised Program keeps the last verdict
-computed on it, and a memo hit under the same config fingerprint
-answers from it without running phases 1-3.
+"""Warm verdict replay: a Program pooled in the IR cache's memory tier
+keeps the last verdict computed on it, and a memory hit under the same
+config fingerprint answers from it without running phases 1-3.
 
 A replay must be indistinguishable from a cold verdict in everything
 but its timings, counters and provenance flag; it must never answer a
@@ -24,7 +24,7 @@ from repro.corpus import SYSTEM_KEYS, generate_core, load_system
 from repro.frontend import load_source
 from repro.incremental.watcher import IncrementalSession
 from repro.perf.integrity import unseal
-from repro.perf.progmemo import program_memo
+from repro.perf.ircache import IRCache
 from tests.conftest import FIGURE2_SOURCE
 
 #: stats that describe one run, not its verdict
@@ -51,9 +51,9 @@ int main(void)
 
 @pytest.fixture(autouse=True)
 def clean_global_memo():
-    program_memo().clear()
+    IRCache.memory.clear()
     yield
-    program_memo().clear()
+    IRCache.memory.clear()
 
 
 def signature(report):
@@ -158,12 +158,14 @@ class TestEligibility:
         assert len(set(expected.values())) == 2
         # one slot per program: alternating configs on the memoised
         # program always compute
-        hits = program_memo().counters()["hits"]
+        hits = []
         for analyzer in (default, no_control, default, no_control):
             report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
             assert not report.stats.verdict_replayed
             assert signature(report) == expected[id(analyzer)]
-        assert program_memo().counters()["hits"] == hits + 3
+            hits.append(report.stats.frontend_cache_hits)
+        assert hits == [0, 1, 1, 1]
+        assert IRCache.memory.counters()["pooled"] == 1
         report = no_control.analyze_source(FIGURE2_SOURCE, "f.c")
         assert report.stats.verdict_replayed
         assert signature(report) == expected[id(no_control)]
@@ -207,14 +209,11 @@ class TestEligibility:
             assert [u.kind for u in report.degraded] == ["annotation"]
 
     def test_without_a_memo_nothing_is_kept(self, tmp_path):
-        for config in (AnalysisConfig(),
-                       AnalysisConfig(cache_dir=str(tmp_path),
-                                      frontend_memo=False)):
-            analyzer = SafeFlow(config)
-            for _ in range(2):
-                report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
-                assert not report.stats.verdict_replayed
-        assert program_memo().counters()["pooled"] == 0
+        analyzer = SafeFlow(AnalysisConfig(cache_dir=None))
+        for _ in range(2):
+            report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
+            assert not report.stats.verdict_replayed
+        assert IRCache.memory.counters()["pooled"] == 0
 
     def test_analyze_program_never_replays_or_attaches(self, tmp_path):
         program = load_source(FIGURE2_SOURCE, filename="f.c")
@@ -290,30 +289,30 @@ class TestLifetime:
 
     def test_memo_clear_frees_the_kept_verdicts(self, tmp_path):
         self._pool(tmp_path, [FIGURE2_SOURCE])
-        assert program_memo().counters()["pooled"] == 1
-        assert _report_garbage(program_memo().clear) == []
+        assert IRCache.memory.counters()["pooled"] == 1
+        assert _report_garbage(IRCache.memory.clear) == []
 
     def test_memo_eviction_frees_the_kept_verdict(self, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setattr(program_memo(), "capacity", 1)
+        monkeypatch.setattr(IRCache.memory, "capacity", 1)
         self._pool(tmp_path, [FIGURE2_SOURCE])
         second = FIGURE2_SOURCE.replace("5.0", "6.0")
         assert _report_garbage(
             lambda: self._pool(tmp_path, [second])) == []
-        assert program_memo().counters()["pooled"] == 1
+        assert IRCache.memory.counters()["pooled"] == 1
 
     def test_ir_cache_entry_holds_no_report(self, tmp_path):
         analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
         analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
         cache = analyzer._ir_cache()
-        key = analyzer._memo_key(cache.key_for_source(
-            FIGURE2_SOURCE, "f.c", {}, True, analyzer._recover_token()))
-        program = program_memo().acquire(key)
+        key = cache.key_for_source(
+            FIGURE2_SOURCE, "f.c", {}, True, analyzer._recover_token())
+        program = cache.lease(key)
         try:
             assert program.verdict is not None
             assert cache.store("with-verdict", program)
         finally:
-            program_memo().release(key, program)
+            assert cache.give_back(key, program)
         with open(cache._path("with-verdict"), "rb") as f:
             entry = pickle.loads(unseal(f.read()))
         names = {arg for _, arg, _ in pickletools.genops(

@@ -1,14 +1,22 @@
 """Checksum-framed cache entries: corruption is detected, evicted, and
 silently recomputed — never trusted, never fatal."""
 
+import hashlib
 import os
 import pickle
+import struct
 
 import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
-from repro.perf.integrity import HEADER_LEN, MAGIC, IntegrityError, seal, unseal
+from repro.incremental.segments import SegmentStore
+from repro.perf.integrity import (
+    HEADER_LEN, MAGIC, IntegrityError, frame, read_frame_log, read_sealed,
+    seal, unseal, write_sealed,
+)
+from repro.perf.ircache import IRCache, MemoryTier
+from repro.perf.journal import FRAME_MAGIC, BatchJournal
 from repro.resilience import faults
 
 from tests.perf.test_cache_correctness import SIMPLE
@@ -47,11 +55,14 @@ class TestSealUnseal:
 
 
 class TestIRCacheSelfHeal:
+    @pytest.fixture(autouse=True)
+    def disk_tier_only(self, monkeypatch):
+        # no memory tier: these tests corrupt the *disk* tier and
+        # assert its self-healing, which an in-memory hit would mask
+        monkeypatch.setattr(IRCache, "memory", MemoryTier(capacity=0))
+
     def _config(self, tmp_path):
-        # memo off: these tests corrupt the *disk* tier and assert its
-        # self-healing, which an in-memory program hit would mask
-        return AnalysisConfig(cache_dir=str(tmp_path / "cache"),
-                              frontend_memo=False)
+        return AnalysisConfig(cache_dir=str(tmp_path / "cache"))
 
     def test_corrupt_entry_is_evicted_and_recomputed(self, tmp_path):
         config = self._config(tmp_path)
@@ -109,3 +120,70 @@ class TestSummaryStoreSelfHeal:
         warm = SafeFlow(config).analyze_source(SIMPLE)
         assert warm.render(verbose=True) == cold.render(verbose=True)
         assert warm.stats.summary_cache_hits >= 1
+
+
+def _layout_seal(payload: bytes) -> bytes:
+    """The sealed-file layout, spelled out without the codec."""
+    return b"SFCK1\n" + hashlib.sha256(payload).digest() + payload
+
+
+def _layout_frame(record, magic: bytes = b"") -> bytes:
+    sealed = _layout_seal(pickle.dumps(record,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
+    return magic + struct.pack(">I", len(sealed)) + sealed
+
+
+class TestCodecLayout:
+    """The bytes every store writes are pinned, so stores written
+    before the codec was shared still load."""
+
+    def test_sealed_file_is_magic_digest_payload(self, tmp_path):
+        payload = b"fixed payload \x00\xff"
+        assert MAGIC == b"SFCK1\n"
+        assert seal(payload) == _layout_seal(payload)
+        path = str(tmp_path / "entry.pkl")
+        assert write_sealed(path, payload)
+        with open(path, "rb") as f:
+            assert f.read() == _layout_seal(payload)
+        assert read_sealed(path) == (payload, False)
+
+    def test_log_frames_are_length_then_sealed(self):
+        record = ("segment", "k", {"a": 1})
+        assert frame(record) == _layout_frame(record)
+        assert frame(record, FRAME_MAGIC) == _layout_frame(record, b"SFJ1")
+
+    def test_hand_built_stores_load(self, tmp_path):
+        from repro.incremental.segments import SEGMENT_FORMAT_VERSION
+        from repro.perf.fingerprint import SCHEMA_VERSION
+        from repro.perf.summary_store import SummaryStore, _StoreFile
+
+        log = tmp_path / "seg"
+        log.mkdir()
+        with open(log / "segments.log", "wb") as f:
+            f.write(_layout_frame(("header", {
+                "format": SEGMENT_FORMAT_VERSION, "schema": SCHEMA_VERSION})))
+            f.write(_layout_frame(("closures", {"f": "fp-f"})))
+        store = SegmentStore(str(log))
+        assert store.integrity_evictions == 0
+        assert store._closures == {"f": "fp-f"}
+
+        journal = tmp_path / "batch.journal"
+        with open(journal, "wb") as f:
+            f.write(_layout_frame({"type": "header", "version": 1}, b"SFJ1"))
+        replay = BatchJournal(str(journal)).replay()
+        assert replay.truncated_records == 0
+        assert replay.header == {"type": "header", "version": 1}
+
+        summaries = tmp_path / "summaries.pkl"
+        with open(summaries, "wb") as f:
+            f.write(_layout_seal(pickle.dumps(_StoreFile())))
+        assert SummaryStore(str(summaries)).integrity_evictions == 0
+
+    def test_torn_frame_log_is_cut_to_its_intact_prefix(self, tmp_path):
+        path = tmp_path / "log"
+        intact = _layout_frame(("a",)) + _layout_frame(("b",))
+        with open(path, "wb") as f:
+            f.write(intact + _layout_frame(("c",))[:-3])
+        assert read_frame_log(str(path)) == ([("a",), ("b",)], True)
+        assert path.read_bytes() == intact
+        assert read_frame_log(str(path)) == ([("a",), ("b",)], False)

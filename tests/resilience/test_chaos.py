@@ -18,6 +18,14 @@ def test_kill_resume_schedule_is_registered():
     assert "kill-resume" in SMOKE_SCHEDULES
 
 
+def test_smoke_damages_every_on_disk_store():
+    # IR cache, summary store, segment log and batch journal: each of
+    # the stores written through the one codec is damaged in CI smoke
+    for schedule in ("corrupt-ir", "torn-summary", "watch-kill",
+                     "kill-resume"):
+        assert schedule in SMOKE_SCHEDULES
+
+
 def test_corrupt_ir_schedule_passes_and_reports():
     outcome = run_chaos(schedules=["corrupt-ir"], jobs=2, workers=1)
     assert outcome.ok

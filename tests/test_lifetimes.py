@@ -4,7 +4,7 @@ A verdict's transient state — parser, lexer and tokens, the parse
 tree, the lowerer, the value-flow engine and its kernel — must die by
 reference counting as soon as its phase ends; only the IR graph is
 cyclic. A report must not pin the IR, and a :class:`Program` (what the
-IR cache and the program memo store) keeps no parser artefacts. IR
+IR cache stores, in memory and on disk) keeps no parser artefacts. IR
 kept past a gc guard — pooled programs, an incremental session's live
 program — is released by its owner when it drops it, so it too dies by
 refcount. The deep-CFG tests pin the explicit-stack dominance walk and
@@ -30,8 +30,7 @@ from repro.frontend import load_files, load_source
 from repro.incremental.watcher import IncrementalSession
 from repro.ir import BasicBlock, Function, Instruction
 from repro.perf.integrity import unseal
-from repro.perf.ircache import IRCache
-from repro.perf.progmemo import ProgramMemo
+from repro.perf.ircache import IRCache, MemoryTier
 from repro.valueflow.engine import ValueFlowAnalysis
 from repro.valueflow.kernel import KernelState
 from tests.conftest import FIGURE2_SOURCE
@@ -90,7 +89,7 @@ def _ir_garbage(garbage):
 
 def test_cold_verdict_without_a_memo_frees_its_ir():
     analyzer = SafeFlow()
-    assert analyzer._program_memo() is None
+    assert analyzer._ir_cache() is None
     garbage = _cyclic_garbage_of(
         lambda: analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c"))
     assert _ir_garbage(garbage) == []
@@ -110,7 +109,7 @@ def _analyzed_program():
 
 
 def test_memo_lru_eviction_frees_the_evicted_ir():
-    memo = ProgramMemo(capacity=2)
+    memo = MemoryTier(capacity=2)
     programs = [_analyzed_program() for _ in range(3)]
 
     def feed():
@@ -125,7 +124,7 @@ def test_memo_lru_eviction_frees_the_evicted_ir():
 def test_memo_stale_eviction_frees_the_stale_ir(tmp_path):
     unit = tmp_path / "unit.c"
     unit.write_text(FIGURE2_SOURCE)
-    memo = ProgramMemo()
+    memo = MemoryTier()
     program = load_files([str(unit)])
     SafeFlow().analyze_program(program)
     memo.release("k", program)
@@ -137,7 +136,7 @@ def test_memo_stale_eviction_frees_the_stale_ir(tmp_path):
 
 
 def test_memo_clear_frees_the_pooled_ir():
-    memo = ProgramMemo()
+    memo = MemoryTier()
     programs = [_analyzed_program() for _ in range(2)]
     while programs:
         memo.release(f"k{len(programs)}", programs.pop())
@@ -218,7 +217,7 @@ def _global_modules(blob: bytes):
 
 def test_ir_cache_entries_carry_no_parser_or_lowerer(tmp_path):
     cache = IRCache(str(tmp_path))
-    load_source(FIGURE2_SOURCE, filename="figure2.c", cache=cache)
+    assert cache.store("k", load_source(FIGURE2_SOURCE, filename="figure2.c"))
     (name,) = [n for n in os.listdir(cache.directory) if n.endswith(".pkl")]
     with open(os.path.join(cache.directory, name), "rb") as f:
         payload = unseal(f.read())
@@ -231,8 +230,8 @@ def test_ir_cache_entries_carry_no_parser_or_lowerer(tmp_path):
 
 def test_program_sizeof_survives_the_ir_cache(tmp_path):
     cache = IRCache(str(tmp_path))
-    load_source(FIGURE2_SOURCE, filename="figure2.c", cache=cache)
-    program = load_source(FIGURE2_SOURCE, filename="figure2.c", cache=cache)
+    assert cache.store("k", load_source(FIGURE2_SOURCE, filename="figure2.c"))
+    program = cache.fetch("k")
     assert cache.hits == 1
     assert program.sizeof("SHMData") == 24
     assert program.sizeof("struct __anon1") == 24
