@@ -15,12 +15,19 @@ program then replays its last verdict, which must come back marked
 ``verdict_replayed`` and byte-identical to the cold in-process verdict.
 A repeat under another config override must be computed.
 
+Then a two-shard ``safeflow fleet`` (shards sharing one store) answers
+one corpus system through the router, and the same request sent
+straight to the *other* shard must be a store hit
+(``frontend_cache_hits`` >= 1) rendering byte-identical to the cold
+in-process verdict.
+
 Run via ``make serve-smoke``.
 """
 
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -38,6 +45,7 @@ from repro.server import SafeFlowClient               # noqa: E402
 from verdict_diff import VOLATILE_STATS                # noqa: E402
 
 LISTEN_RE = re.compile(r"listening on .*?:(\d+)")
+ROUTING_RE = re.compile(r"routing on (\S+?):(\d+) ")
 WORKERS = 2
 
 
@@ -140,6 +148,57 @@ def main():
     finally:
         if proc.poll() is None:
             proc.kill()
+    fleet_smoke(tmp, env)
+
+
+def fleet_smoke(tmp, env):
+    """A primed source sent to its non-home shard is a store hit."""
+    log_path = tmp / "fleet.log"
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "fleet", "--shards", "2",
+             "--port", "0", "--cache-dir", str(tmp / "fleet-cache")],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+            cwd=str(REPO_ROOT))
+    try:
+        deadline = time.monotonic() + 90
+        match = None
+        while match is None:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                fail(f"fleet did not start: {log_path.read_text()[-2000:]}")
+            match = ROUTING_RE.search(log_path.read_text())
+            time.sleep(0.05)
+        router = (match.group(1), int(match.group(2)))
+        files = [str(p) for p in load_system("ip").core_files]
+        cold = SafeFlow().analyze_files(files, name="ip").render()
+        with SafeFlowClient(*router, request_timeout=120.0) as client:
+            while client.health().get("shards_healthy") != 2:
+                if time.monotonic() > deadline:
+                    fail("fleet shards did not become healthy")
+                time.sleep(0.05)
+            if client.analyze(files=files, name="ip")["render"] != cold:
+                fail("fleet: routed report differs from cold analysis")
+            shards = client.metrics()["shards"]
+        home = next(s for s in shards if s["routed"])
+        away = next(s for s in shards if s is not home)
+        host, port = away["address"]
+        with SafeFlowClient(host, int(port), request_timeout=120.0) as client:
+            result = client.analyze(files=files, name="ip")
+        hits = result["report"]["stats"]["frontend_cache_hits"]
+        if hits < 1:
+            fail(f"fleet: shard {away['shard']} missed the shared store")
+        if result["render"] != cold:
+            fail("fleet: non-home shard report differs from cold analysis")
+        print(f"serve-smoke: fleet: shard {away['shard']} answered shard "
+              f"{home['shard']}'s source from the shared store "
+              f"(frontend_cache_hits={hits}), byte-identical — OK")
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from .parser import (
     SHM_ALLOCATORS,
     SHM_DEALLOCATORS,
     ParsedUnit,
-    parse_files,
     parse_preprocessed,
 )
 from .preprocessor import (
@@ -55,6 +54,5 @@ __all__ = [
     "load_files",
     "load_source",
     "lower_units",
-    "parse_files",
     "parse_preprocessed",
 ]

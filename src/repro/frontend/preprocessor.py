@@ -131,6 +131,7 @@ class Preprocessor:
         recover: bool = False,
         fake_headers: bool = False,
         ignore_missing_includes: bool = False,
+        reads: Optional[Dict[str, Optional[str]]] = None,
     ):
         self.include_dirs = list(include_dirs)
         self.macros: Dict[str, Macro] = {}
@@ -147,6 +148,9 @@ class Preprocessor:
         #: skip (and record) local includes that cannot be found
         #: instead of raising (recovery ladder, prelude tier onward)
         self.ignore_missing_includes = ignore_missing_includes
+        #: every include read or looked for (:func:`note_read`), also
+        #: when the run fails part-way: the ``digests`` of the output
+        self.reads: Dict[str, Optional[str]] = {} if reads is None else reads
         #: stack of files currently being processed, outermost first —
         #: used to diagnose circular #include chains
         self._active: List[str] = []
@@ -167,7 +171,7 @@ class Preprocessor:
         return self.process_text(text, filename=path)
 
     def process_text(self, text: str, filename: str = "<text>") -> PreprocessedSource:
-        out = PreprocessedSource(text="")
+        out = PreprocessedSource(text="", digests=self.reads)
         lines: List[str] = []
         self._process(text, filename, 0, lines, out)
         out.text = "\n".join(lines) + ("\n" if lines else "")

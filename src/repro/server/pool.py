@@ -47,11 +47,13 @@ from concurrent.futures.process import BrokenProcessPool
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
+from ..perf.gcpause import freeze_survivors
 from ..resilience import CrashLedger, ResourceGuards, SupervisedExecutor, worker_harness
 from .protocol import (
     ANALYSIS_FAILED,
@@ -77,6 +79,10 @@ def _execute_spec(spec: Dict[str, Any], config) -> Dict[str, Any]:
     from ..core.driver import SafeFlow
     from ..errors import ResourceExhaustedError, SafeFlowError
 
+    if multiprocessing.parent_process() is not None:
+        # a pool worker serves until it dies: its pooled programs need
+        # not be scanned by every full collection
+        freeze_survivors()
     guards = None
     guards_tuple = spec.get("_guards")
     if guards_tuple is not None:

@@ -76,6 +76,32 @@ class TestByteIdentity:
                 assert again["counts"] == first["counts"]
 
 
+class TestSharedStore:
+    def test_a_primed_source_is_a_store_hit_on_its_non_home_shard(
+            self, fleet):
+        from repro.perf.ircache import IRCache
+
+        router, _host, _port = fleet
+        params = {"source": SOURCES["unguarded"], "filename": "away.c"}
+        before = {sid: shard.routed for sid, shard in router.shards.items()}
+        with fleet_client(fleet) as client:
+            primed = client.analyze(**params)
+        home = next(sid for sid, shard in router.shards.items()
+                    if shard.routed != before[sid])
+        away = next(sid for sid in sorted(router.shards) if sid != home)
+        # the embedded shards share this process's memory tier: drop
+        # it, so the answer comes from the one disk store
+        IRCache.memory.clear()
+        host, port = router.shards[away].backend.address
+        with SafeFlowClient(host=host, port=port,
+                            request_timeout=60.0) as client:
+            response = client.analyze(**params)
+        direct = SafeFlow(AnalysisConfig()).analyze_source(
+            SOURCES["unguarded"], filename="away.c")
+        assert response["report"]["stats"]["frontend_cache_hits"] == 1
+        assert response["render"] == primed["render"] == direct.render()
+
+
 class TestClientContract:
     def test_one_connection_many_requests(self, fleet):
         """SafeFlowClient needs no changes to speak to the fleet, and

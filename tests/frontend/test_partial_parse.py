@@ -1,13 +1,14 @@
-"""Parse only what changed: the prelude-once parse and the body-only
-re-parse, each held to a full-text parse of the same input.
+"""Parse only what changed: the prelude-once parse and an edited unit
+spliced against its previous parse, each held to a full-text parse of
+the same input.
 
 - the builtin prelude is parsed once per process and a stand-in takes
   its place in every unit's text; a full-text parse (what a
   ``parser_factory`` parser still does) must give the same AST digests,
   coordinates included, and the same ``ParseError`` message and
   location;
-- an incremental session re-parses only the function bodies an edit
-  touched; every verdict of a seeded edit sequence must render exactly
+- an incremental session re-parses only the definitions an edit
+  touched or moved; every verdict of a seeded edit sequence must render exactly
   as a cold ``analyze_files`` of the tree;
 - the regex-jumping definition splitter must return exactly what the
   character-by-character scan it replaced returns.
@@ -176,7 +177,7 @@ def test_prelude_nodes_are_shared_and_map_to_builtin():
 
 
 # ----------------------------------------------------------------------
-# body-only re-parse of one unit
+# an edit of one unit parsed against its previous parse
 # ----------------------------------------------------------------------
 
 UNIT = """typedef struct { int v; } S;
@@ -211,10 +212,10 @@ def test_same_line_body_edit_reuses_every_other_definition():
 
 
 def test_edit_before_a_definition_on_its_line_keeps_columns():
-    # f's body grows on the line g sits on; g moves right, so the
-    # skeleton moves and the whole unit is parsed again
+    # f's body grows on the line g sits on: g starts at another column,
+    # so it is parsed again with f; helper and k stand where they stood
     new = UNIT.replace("return helper(s->v);", "return helper(s->v) + 10;")
-    assert _reparsed(UNIT, new) == set()
+    assert _reparsed(UNIT, new) == {"helper", "k"}
 
 
 def test_edit_that_adds_lines_takes_the_full_parse():
@@ -222,9 +223,9 @@ def test_edit_that_adds_lines_takes_the_full_parse():
     assert _reparsed(UNIT, new) == set()
 
 
-def test_signature_change_takes_the_full_parse():
+def test_signature_change_parses_that_definition_again():
     new = UNIT.replace("int k(int y)", "int k(long y)")
-    assert _reparsed(UNIT, new) == set()
+    assert _reparsed(UNIT, new) == {"helper", "f", "g"}
 
 
 def test_body_edit_that_changes_its_length_reuses_the_rest():
@@ -237,7 +238,7 @@ def test_comment_only_edit_parses_only_the_line_it_touched():
     new = UNIT.replace("    if (y > 0) {\n", "    if (y > 0) { // positive\n")
     assert _reparsed(UNIT, new) == {"helper", "f", "g"}
     new = UNIT.replace("int table[3]", "/* table */ int table[3]")
-    assert _reparsed(UNIT, new) == set()
+    assert _reparsed(UNIT, new) == {"helper", "f", "g", "k"}
 
 
 def test_moved_definition_with_an_equal_skeleton_takes_the_full_parse():

@@ -236,6 +236,20 @@ class TestLadder:
         assert "good" in defs and "also_good" in defs
         assert "broken" not in defs
 
+    def test_salvage_drops_the_definition_of_a_line_less_error(self):
+        # "Invalid expression" names no line: the salvage tier takes it
+        # from the token the parser stopped at
+        source = ("int a(int x) { return x; }\n"
+                  "int b(void) {\n  int x = ;\n  return x;\n}\n"
+                  "int main(void) { return a(1); }\n")
+        r = frontend_unit(source, "three.c", recover_tiers=DEFAULT_TIERS)
+        assert r.tier == "salvage"
+        assert [u.function for u in r.degraded
+                if u.kind == KIND_FUNCTION] == ["b"]
+        report = SafeFlow(AnalysisConfig(
+            recover_tiers=DEFAULT_TIERS)).analyze_source(source, "three.c")
+        assert report.stats.functions == 2
+
     def test_salvage_location_is_line_accurate(self):
         (dropped,) = [u for u in frontend_unit(
             BROKEN_DEF_SOURCE, "mix.c",

@@ -18,7 +18,7 @@ import pytest
 from oracles.mem2reg import promote_to_ssa
 from repro.corpus import SYSTEM_KEYS, generate_core, load_system
 from repro.frontend.lower import lower_units
-from repro.frontend.parser import parse_files, parse_preprocessed
+from repro.frontend.parser import parse_preprocessed
 from repro.frontend.preprocessor import Preprocessor
 from repro.ir import (Argument, BasicBlock, Call, Constant, Function,
                       GlobalVariable, Instruction, Phi, UndefValue)
@@ -133,7 +133,10 @@ def test_corpus_system(key):
     system = load_system(key)
     paths = [str(p) for p in system.core_files]
     include = tuple(sorted({os.path.dirname(p) for p in paths}))
-    _assert_same_ssa(parse_files(paths, include_dirs=include))
+    _assert_same_ssa([
+        parse_preprocessed(Preprocessor(include_dirs=list(include))
+                           .process_file(path), name=path)
+        for path in paths])
 
 
 def test_running_example():

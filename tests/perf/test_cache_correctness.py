@@ -120,6 +120,35 @@ def test_frontend_cache_include_dependency_invalidation(tmp_path):
     assert edited.stats.frontend_cache_misses == 1
 
 
+@pytest.mark.parametrize("tier", ["memory", "disk"])
+def test_a_lost_unit_is_not_served_after_its_header_is_fixed(tmp_path,
+                                                             tier):
+    """A unit lost to a broken header records the reads made up to the
+    failure, so fixing the header invalidates the stored program."""
+    from repro.perf.ircache import IRCache
+
+    header = tmp_path / "bad.h"
+    header.write_text("int K = ;\n")
+    src = tmp_path / "main.c"
+    src.write_text('#include "bad.h"\n'
+                   "int f(int x) { return x + 1; }\n"
+                   "int main(void) { return f(2); }\n")
+    config = AnalysisConfig(recover_tiers=(),
+                            cache_dir=str(tmp_path / "cache"))
+    lost = SafeFlow(config).analyze_files([str(src)])
+    assert [u.kind for u in lost.degraded] == ["unit"]
+    header.write_text("int K = 1;\n")
+    if tier == "disk":
+        IRCache.memory.clear()
+    fixed = SafeFlow(config).analyze_files([str(src)])
+    cold = SafeFlow(AnalysisConfig(recover_tiers=())).analyze_files(
+        [str(src)])
+    assert not fixed.stats.verdict_replayed
+    assert fixed.stats.frontend_cache_hits == 0
+    assert fixed.stats.functions == cold.stats.functions == 2
+    assert fixed.render(verbose=True) == cold.render(verbose=True)
+
+
 def test_frontend_cache_defines_invalidation(tmp_path):
     src = tmp_path / "prog.c"
     src.write_text(SIMPLE)
