@@ -1,8 +1,9 @@
 """Analysis-service benchmark: warm daemon requests vs the cold CLI path.
 
 The point of running ``safeflow serve`` at all is that a long-lived
-daemon amortizes front-end and summary work across requests through
-the shared on-disk caches. This benchmark measures that directly:
+daemon amortizes work across requests: its workers share the on-disk
+IR cache, and a repeat request on the worker that pooled its program
+replays that program's verdict. This benchmark measures that directly:
 
 - *cold CLI*: a fresh ``SafeFlow`` with no cache directory, the same
   work ``safeflow analyze`` does on every invocation;
@@ -96,6 +97,7 @@ def test_warm_server_request_beats_cold_cli(tmp_path):
         json.dumps(payload, indent=2) + "\n")
 
     assert metrics["cache"]["frontend_hits"] > 0
+    assert metrics["cache"]["verdict_replays"] > 0
     assert warm_lat.summary()["p99_s"] >= warm_lat.summary()["p50_s"]
     # the persistent connection did persist: N requests, one connect
     assert client_stats["reconnects"] == 0

@@ -9,11 +9,10 @@ metrics plane, asks the daemon to shut down over RPC, and verifies a
 clean exit plus a well-formed ``--metrics-json`` file. Exits nonzero
 on the first discrepancy.
 
-The daemon runs in summary mode, whose summary store is its own warm
-path, so the repeats override ``summary_mode`` off: a worker's memoised
-program then replays its last verdict, which must come back marked
-``verdict_replayed`` and byte-identical to the cold in-process verdict.
-A repeat under another config override must be computed.
+The daemon runs in summary mode: a worker's memoised program replays
+its last verdict, which must come back marked ``verdict_replayed`` and
+byte-identical to the cold in-process verdict. A repeat under another
+config override must be computed.
 
 Then a two-shard ``safeflow fleet`` (shards sharing one store) answers
 one corpus system through the router, and the same request sent
@@ -97,13 +96,13 @@ def main():
             # warm repeats: every worker computes a verdict once, then
             # one of them must replay it
             files = [str(p) for p in load_system("ip").core_files]
-            cold = SafeFlow().analyze_files(files, name="ip")
+            cold = SafeFlow(AnalysisConfig(summary_mode=True)) \
+                .analyze_files(files, name="ip")
             expected = _comparable(cold.to_json())
             replayed = 0
             for attempt in range(WORKERS + 1):
-                result = client.analyze(
-                    files=files, name="ip", verbose=True,
-                    config={"summary_mode": False})
+                result = client.analyze(files=files, name="ip",
+                                        verbose=True)
                 if (result["render"] != cold.render(verbose=True)
                         or _comparable(result["report"]) != expected):
                     fail(f"warm repeat {attempt} differs from cold analysis")
@@ -115,8 +114,7 @@ def main():
                   f"{replayed} replayed")
             result = client.analyze(
                 files=files, name="ip",
-                config={"summary_mode": False,
-                        "track_control_dependence": False})
+                config={"track_control_dependence": False})
             if result["report"]["stats"].get("verdict_replayed"):
                 fail("a config override replayed another config's verdict")
             analyses = len(SYSTEM_KEYS) + WORKERS + 2

@@ -296,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME",
                        help="run only this schedule (repeatable); one of "
                             "kill, quarantine, slow, corrupt-ir, "
-                            "torn-summary, serve-kill, kill-resume, "
-                            "watch-kill, tier-crash, overload")
+                            "serve-kill, kill-resume, watch-kill, "
+                            "tier-crash, overload")
     chaos.add_argument("--chaos-jobs", type=int, default=6, metavar="N",
                        help="generated programs in the workload "
                             "(default: 6)")
@@ -355,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-cache", action="store_true",
-                     help="disable the IR / summary caches")
+                     help="disable the IR cache and segment store")
     sub.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="cache directory (default: $SAFEFLOW_CACHE_DIR "
                           "or ~/.cache/safeflow)")

@@ -18,15 +18,15 @@ The three phases follow §3.3 of the paper:
 
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
-two-tier store (in memory over on disk), and in ``summary_mode``
-value-flow summary bodies of unchanged functions are replayed instead
-of recomputed. A program the memory tier pools keeps the last verdict
-computed on it, and a memory hit under the same config fingerprint
-replays that verdict without running phases 1-3
-(``AnalysisStats.verdict_replayed``). All three paths are
-behavior-preserving — reports render byte-identical to a
-cold run — and observable through ``AnalysisStats.phase_timings`` and
-the cache hit/miss counters.
+two-tier store (in memory over on disk). A program the memory tier
+pools keeps the last verdict computed on it, and a memory hit under
+the same config fingerprint replays that verdict without running
+phases 1-3 (``AnalysisStats.verdict_replayed``). The incremental
+session (:mod:`repro.incremental`) additionally hands phase 3 its
+segment store, so summary bodies of unchanged functions are replayed
+instead of recomputed. All three paths are behavior-preserving —
+reports render byte-identical to a cold run — and observable through
+``AnalysisStats.phase_timings`` and the cache hit/miss counters.
 """
 
 from __future__ import annotations
@@ -212,23 +212,23 @@ class SafeFlow:
                         source_text: Optional[str] = None,
                         frontend_seconds: Optional[float] = None,
                         ir_cache=None, summary_store=None) -> AnalysisReport:
-        """``summary_store`` overrides the config-derived store: the
-        incremental session (:mod:`repro.incremental`) injects its
-        long-lived :class:`~repro.incremental.segments.SegmentStore`
-        here so successive verdicts share one on-disk segment map."""
+        """``summary_store`` is the incremental session's long-lived
+        :class:`~repro.incremental.segments.SegmentStore`
+        (:mod:`repro.incremental`): successive verdicts record and
+        replay summary bodies through one on-disk segment map."""
         from ..perf.gcpause import gc_paused
 
         with gc_paused(self.config.pause_gc):
             return self._analyze_program(
                 program, name=name, source_text=source_text,
                 frontend_seconds=frontend_seconds, ir_cache=ir_cache,
-                summary_store=summary_store,
+                store=summary_store,
             )
 
     def _analyze_program(self, program: Program, name: str = "program",
                          source_text: Optional[str] = None,
                          frontend_seconds: Optional[float] = None,
-                         ir_cache=None, summary_store=None) -> AnalysisReport:
+                         ir_cache=None, store=None) -> AnalysisReport:
         from ..restrictions.checker import check_restrictions
         from ..shm.propagation import ShmAnalysis
         from ..valueflow.engine import ValueFlowAnalysis
@@ -282,26 +282,21 @@ class SafeFlow:
 
         # phase 3: value flow
         phase_start = time.perf_counter()
-        store = summary_store if summary_store is not None \
-            else self._summary_store()
         if store is not None:
-            # a session-shared (incremental) store outlives this call:
-            # report this run's contribution as deltas. A store the
-            # driver just created reports absolute counts — its load-
-            # time integrity evictions belong to this run.
-            shared = summary_store is not None
-            hits_before = store.hits if shared else 0
-            misses_before = store.misses if shared else 0
-            integrity_before = store.integrity_evictions if shared else 0
-            evictions_before = getattr(store, "evictions", 0) if shared else 0
+            # the session's store outlives this call: report this run's
+            # contribution as deltas
+            hits_before = store.hits
+            misses_before = store.misses
+            integrity_before = store.integrity_evictions
+            evictions_before = store.evictions
         vf = ValueFlowAnalysis(program, shm, self.config, summary_store=store)
         vf.run()
-        if getattr(vf, "replay_validation_failed", False):
+        if vf.replay_validation_failed:
             # optimistic (trusted) segment replay could not prove its
             # deferred reads against the converged state: rerun phase 3
             # with validating replay. Every mismatching record is then
-            # rejected sweep-by-sweep and recomputed — byte-identical
-            # to a cold run by the summary-store argument.
+            # rejected sweep-by-sweep and recomputed, so the rerun's
+            # fixpoint is a cold run's.
             report.stats.segment_fallbacks += 1
             prior_trust = store.trust_replay
             store.trust_replay = False
@@ -321,10 +316,9 @@ class SafeFlow:
                 fname for fname, _, status in vf.summary_events
                 if status == "miss"
             })
-            report.stats.dirty_cone_size = len(
-                getattr(store, "last_cone", ()))
+            report.stats.dirty_cone_size = len(store.last_cone)
             report.stats.segment_evictions = (
-                getattr(store, "evictions", 0) - evictions_before)
+                store.evictions - evictions_before)
         report.stats.kernel_counters = dict(vf.kernel_counters)
         for key, value in taint_cache_stats().items():
             report.stats.kernel_counters[key] = value - taint_before.get(key, 0)
@@ -384,33 +378,11 @@ class SafeFlow:
 
         return IRCache(self.config.cache_dir)
 
-    def _uses_summary_store(self) -> bool:
-        # summary bodies only exist in context-sensitive summary mode
-        return bool(self.config.cache_dir and self.config.summary_mode
-                    and self.config.context_sensitive)
-
-    def _summary_store(self):
-        if not self._uses_summary_store():
-            return None
-        from ..perf.fingerprint import config_fingerprint
-        from ..perf.summary_store import SummaryStore
-
-        fp = config_fingerprint(self.config)[:16]
-        return SummaryStore(
-            os.path.join(self.config.cache_dir, f"summaries-{fp}.pkl")
-        )
-
     def _verdict_key(self) -> Optional[str]:
         """The key a pooled program's verdict slot is filled and
-        replayed under, or ``None`` when this run must compute.
-
-        ``profile`` runs measure their hotspots; summary-store runs
-        have the store as their own warm path, whose hit counters and
-        integrity checks belong to the run. That is decided from the
-        config alone: opening the store here would heal a torn store
-        before the run could see and count its eviction.
-        """
-        if self.config.profile or self._uses_summary_store():
+        replayed under, or ``None`` when this run must compute:
+        ``profile`` runs measure their hotspots."""
+        if self.config.profile:
             return None
         from ..perf.fingerprint import config_fingerprint
 

@@ -13,8 +13,8 @@ Two interchangeable backends implement the same synchronous contract
 
 A shard keeps its identity across restarts: the same
 :class:`ShardSpec` (and in particular the same ``cache_dir``) is
-reused, so a restarted shard comes back with its disk caches — IR,
-summaries, segments — already warm. Only the port may change
+reused, so a restarted shard comes back with its disk IR cache
+already warm. Only the port may change
 (ephemeral bind), which the router re-reads from :attr:`address`
 after every (re)start.
 

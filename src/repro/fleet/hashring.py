@@ -1,8 +1,8 @@
 """Consistent hashing of analysis jobs onto shards.
 
 Two jobs with the same inputs must land on the same shard, or the
-per-shard caches (IR cache, summary store, segment store, the
-in-memory program memo) thrash: DFI's per-function segment keying —
+per-shard memory tier (pooled programs and the verdicts they keep)
+thrashes: DFI's per-function segment keying —
 already our cache key — gives the sharding dimension, and the fleet
 routes whole jobs by a content key derived the same way as
 :func:`repro.perf.journal.job_fingerprint`.

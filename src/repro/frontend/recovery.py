@@ -38,8 +38,8 @@ Fail-closed discipline (the whole point):
   only go ``pass → degraded``, never ``degraded → pass``;
 - the enabled-tier set, the tier format version and the active GNU
   parser strategy fold into ``config_fingerprint`` and the IR-cache
-  keys, so caches/summary stores/incremental segments never replay
-  across recovery-config changes;
+  keys, so caches and incremental segments never replay across
+  recovery-config changes;
 - a tier that *crashes* (including injected
   :func:`repro.resilience.faults.on_recovery_tier` chaos faults)
   counts as that tier failing, never as a driver error.
@@ -184,8 +184,8 @@ def recovery_fingerprint(tiers: Sequence[str]) -> str:
     """Cache-key component for an enabled-tier set.
 
     Folds the tier format version and the GNU parser strategy in:
-    flipping any of the three gives caches, summary stores and
-    incremental segments a fresh namespace.
+    flipping any of the three gives caches and incremental segments a
+    fresh namespace.
     """
     order = tuple(t for t in TIER_ORDER if t in tuple(tiers))
     if not order:

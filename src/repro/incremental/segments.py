@@ -4,12 +4,12 @@ A *segment* is one persisted summary/effects body run — the
 :class:`repro.perf.summary_store.BodyRecord` (reads, writes, warnings,
 failures, VFG edges, call dispatches, returned taint) plus its identity
 metadata: function, body kind, closure fingerprint, assumed-core
-context and serialized argument taints. Segments are keyed exactly like
-:class:`repro.perf.summary_store.SummaryStore` entries, so the
-value-flow engine drives both stores through one duck-typed protocol
-(``entry_key`` / ``lookup`` / ``stage`` / ``flush``).
+context and serialized argument taints. It is the only store of body
+records: the value-flow engine records and replays summary bodies
+through it (``entry_key`` / ``lookup`` / ``stage`` / ``flush``) when
+the incremental session hands it in.
 
-What the segment store adds over the summary store:
+The store provides:
 
 - **an append-only checksum-framed log**: every frame is length-
   prefixed and sealed (:mod:`repro.perf.integrity`), appended with an
@@ -30,9 +30,9 @@ What the segment store adds over the summary store:
 
 - **trusted (optimistic) replay** (``trust_replay``): recorded cell
   reads reflect the final converged state of the producing run, so
-  validating them against mid-fixpoint state (the summary store's
-  discipline) rejects nearly every record in the early sweeps and
-  re-pays the whole fixpoint. With ``trust_replay`` the engine applies
+  validating them against mid-fixpoint state (the engine's validating
+  replay) rejects nearly every record in the early sweeps and re-pays
+  the whole fixpoint. With ``trust_replay`` the engine applies
   intact segments without sweep-time read validation, *defers* every
   read check to the converged end state, and the driver falls back to
   a validating rerun if any deferred check fails. Eviction of the
@@ -60,10 +60,10 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..perf.fingerprint import SCHEMA_VERSION
+from ..perf.fingerprint import SCHEMA_VERSION, combine
 from ..perf.integrity import (
     frame, read_frame_log, read_sealed, write_file, write_sealed)
-from ..perf.summary_store import BodyRecord, SummaryStore
+from ..perf.summary_store import BodyRecord
 from ..resilience.faults import on_segment_flush
 from .depgraph import DependencyGraph
 
@@ -250,10 +250,15 @@ class SegmentStore:
 
     def entry_key(self, func_name: str, kind: str, closure_fp: str,
                   ctx: Tuple[str, ...], args: tuple) -> str:
-        """Same digest as :meth:`SummaryStore.entry_key` (the protocols
-        are interchangeable); additionally captures the metadata that
-        turns a staged record into a full :class:`Segment`."""
-        key = SummaryStore.entry_key(func_name, kind, closure_fp, ctx, args)
+        """The digest of a body's identity; also captures the metadata
+        that turns a staged record into a full :class:`Segment`."""
+        key = combine([
+            f"func={func_name}",
+            f"kind={kind}",
+            f"closure={closure_fp}",
+            f"ctx={ctx!r}",
+            f"args={args!r}",
+        ])
         self._pending_meta[key] = (func_name, kind, closure_fp, ctx, args)
         return key
 

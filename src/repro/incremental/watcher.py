@@ -215,9 +215,10 @@ class IncrementalSession:
     def _make_store(self, root: Optional[str]) -> Optional[SegmentStore]:
         config = self.config
         if root is None:
-            # segments replay summary bodies: same preconditions as the
-            # config-derived summary store
-            if not self.driver._uses_summary_store():
+            # segments persist summary bodies, which only exist in
+            # context-sensitive summary mode
+            if not (config.cache_dir and config.summary_mode
+                    and config.context_sensitive):
                 return None
             from ..perf.fingerprint import config_fingerprint
 

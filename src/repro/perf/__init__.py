@@ -1,15 +1,15 @@
 """Performance layer: content-hashed caching + parallel batch driver.
 
-Three cooperating pieces, all strictly behavior-preserving (every
+Cooperating pieces, all strictly behavior-preserving (every
 cached or parallel path renders a report byte-identical to the
 sequential cold path):
 
 - :class:`IRCache` — the store of front-ended programs (a process-wide
   memory tier over an on-disk tier) keyed by input content hashes +
   front-end config (:mod:`repro.perf.ircache`);
-- :class:`SummaryStore` — persistent ESP-summary records keyed by
-  transitive IR fingerprints, replayed with full validation
-  (:mod:`repro.perf.summary_store`);
+- :class:`BodyRecord` — what one ESP-summary body run read and did,
+  the unit the incremental session's segment store persists and
+  replays (:mod:`repro.perf.summary_store`);
 - :func:`run_batch` — process-parallel fan-out over independent
   programs with crash supervision (:mod:`repro.perf.batch`,
   :mod:`repro.resilience`);
@@ -40,7 +40,7 @@ from .fingerprint import (
 from .integrity import IntegrityError, seal, unseal
 from .ircache import IRCache
 from .journal import BatchJournal, JournalReplay, job_fingerprint, run_journaled
-from .summary_store import BodyRecord, BodyRecorder, CellNamer, SummaryStore
+from .summary_store import BodyRecord, BodyRecorder, CellNamer
 
 __all__ = [
     "BatchJob",
@@ -55,7 +55,6 @@ __all__ = [
     "IntegrityError",
     "JournalReplay",
     "SCHEMA_VERSION",
-    "SummaryStore",
     "config_fingerprint",
     "file_digest",
     "function_fingerprint",

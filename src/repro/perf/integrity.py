@@ -1,8 +1,8 @@
 """The one on-disk codec of the performance layer: checksummed files
 and checksummed frame logs (torn-write detection).
 
-Whole-file stores (IR-cache entries, the summary store, the segment
-store's ``deps.bin``) are written atomically (``mkstemp`` +
+Whole-file stores (IR-cache entries, the segment store's
+``deps.bin``) are written atomically (``mkstemp`` +
 ``os.replace``), which protects against *concurrent* readers — but not
 against partial disks, bit rot, or a crash mid-``write`` on
 filesystems where replace lands but the temp data didn't all make it.

@@ -1,33 +1,20 @@
-"""Persistent ESP-summary reuse for the value-flow phase.
+"""Body records: what one ESP-summary body run observed and did.
 
 :class:`repro.valueflow.engine.ValueFlowAnalysis` in ``summary_mode``
 analyzes each (function, assumed-core context) once per outer fixpoint
-iteration. For a function whose analysis-relevant inputs have not
-changed since a previous *process*, that work is replayable: this
-module persists, per summary/effects body run, everything the run
-observed and everything it did.
-
-**Key** (see :mod:`repro.perf.fingerprint`): the function's transitive
-closure fingerprint (its own IR with locations, every reachable
-callee's IR, the per-function shared-memory facts, the global region /
-assertion tables and the analysis config), the assumed-core context,
-the body kind, and the serialized argument taints. Editing one function
-therefore invalidates exactly that function and its transitive callers;
-everything else keeps replaying.
+iteration. When the engine is handed a body store (the incremental
+session's :class:`repro.incremental.segments.SegmentStore`), each
+summary/effects body run is recorded so a later verdict can replay it
+instead of recomputing it.
 
 **Record**: the returned taint, plus the body's observable effects —
 warnings ensured, critical-dependency failures accumulated, value-flow
 graph edges added, memory-cell taints joined — plus its *inputs*: the
 first-read taint of every memory cell it consulted and the (callee,
-context, argument-taints, result) of every call it dispatched.
-
-**Replay** is validating, never trusting: a record is applied only if
-every recorded cell read matches the engine's current cell state, every
-re-dispatched call returns the recorded taint, and no re-dispatched
-call mutated cell state out from under the recorded reads. Any mismatch
-falls back to recomputing the body, which is always safe because every
-effect is an idempotent join. The engine's outer fixpoint then
-converges to the same state, and the same report, as a cold run.
+context, argument-taints, result) of every call it dispatched. The
+store keys it by the function's transitive closure fingerprint (see
+:mod:`repro.perf.fingerprint`), the assumed-core context, the body kind
+and the serialized argument taints.
 
 Memory cells are identified across processes by *canonical names*
 derived from the points-to graph structure (:class:`CellNamer`), never
@@ -37,12 +24,8 @@ by the process-local ``Cell.id`` counter.
 from __future__ import annotations
 
 import heapq
-import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from .fingerprint import SCHEMA_VERSION, combine
-from .integrity import read_sealed, write_sealed
 
 if TYPE_CHECKING:  # imported lazily at runtime: valueflow imports us
     from ..valueflow.taint import Taint
@@ -254,92 +237,3 @@ class CellNamer:
     def cell_for(self, name: str):
         cell = self._cells.get(name)
         return cell.find() if cell is not None else None
-
-
-# ----------------------------------------------------------------------
-# the store
-# ----------------------------------------------------------------------
-
-@dataclass
-class _StoreFile:
-    schema: int = SCHEMA_VERSION
-    entries: Dict[str, BodyRecord] = field(default_factory=dict)
-
-
-class SummaryStore:
-    """On-disk map from body keys to :class:`BodyRecord`.
-
-    Load-on-construct, stage-in-memory, merge-and-flush atomically.
-    Concurrent writers (batch workers) may race; the merge-then-
-    ``os.replace`` discipline keeps the file consistent, and a lost
-    update only costs a future cache miss.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.hits = 0
-        self.misses = 0
-        self.integrity_evictions = 0
-        data = self._read_file()
-        self._entries: Dict[str, BodyRecord] = (
-            dict(data.entries) if data is not None else {})
-        self._staged: Dict[str, BodyRecord] = {}
-
-    def _read_file(self) -> Optional[_StoreFile]:
-        """The on-disk store, or None when absent/damaged.
-
-        A checksum failure (torn write, bit rot, pre-checksum legacy
-        file) evicts the file and counts an ``integrity_eviction`` —
-        summaries are pure acceleration, so the recovery is simply an
-        empty store and a cold first run.
-        """
-        payload, evicted = read_sealed(self.path)
-        self.integrity_evictions += evicted
-        if payload is None:
-            return None
-        try:
-            data: _StoreFile = pickle.loads(payload)
-            if getattr(data, "schema", None) == SCHEMA_VERSION:
-                return data
-        except Exception:  # fail-open: a corrupt store is an empty one
-            pass
-        return None
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def entry_key(func_name: str, kind: str, closure_fp: str,
-                  ctx: Tuple[str, ...], args: Tuple[SerTaint, ...]) -> str:
-        return combine([
-            f"func={func_name}",
-            f"kind={kind}",
-            f"closure={closure_fp}",
-            f"ctx={ctx!r}",
-            f"args={args!r}",
-        ])
-
-    def lookup(self, key: str) -> Optional[BodyRecord]:
-        return self._entries.get(key)
-
-    def stage(self, key: str, record: BodyRecord) -> None:
-        self._staged[key] = record
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    # ------------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Merge staged records into the file (atomic replace)."""
-        if not self._staged:
-            return
-        current = self._read_file() or _StoreFile()
-        current.entries.update(self._staged)
-        try:
-            payload = pickle.dumps(current,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return
-        if write_sealed(self.path, payload):
-            self._entries.update(self._staged)
-            self._staged.clear()

@@ -50,11 +50,10 @@ from . import faults
 from .faults import FaultPlan
 
 #: schedule names in execution order; ``--smoke`` runs the starred core
-SCHEDULES = ("kill", "quarantine", "slow", "corrupt-ir", "torn-summary",
-             "serve-kill", "kill-resume", "watch-kill", "tier-crash",
-             "overload")
-SMOKE_SCHEDULES = ("kill", "corrupt-ir", "torn-summary", "serve-kill",
-                   "kill-resume", "watch-kill", "tier-crash", "overload")
+SCHEDULES = ("kill", "quarantine", "slow", "corrupt-ir", "serve-kill",
+             "kill-resume", "watch-kill", "tier-crash", "overload")
+SMOKE_SCHEDULES = ("kill", "corrupt-ir", "serve-kill", "kill-resume",
+                   "watch-kill", "tier-crash", "overload")
 
 #: the job a schedule's fault targets (second job: exercises recovery
 #: with completed work before and pending work after the crash)
@@ -248,29 +247,6 @@ def _schedule_corrupt_ir(report, jobs, baseline, config, workers, scratch):
                     for r in outcome.results if r.ok)
     if evictions < 1:
         report.fail("damaged entries were not detected/evicted")
-    else:
-        report.note(f"{evictions} integrity eviction(s) counted")
-    _compare(report, baseline, _fingerprints(outcome))
-
-
-def _schedule_torn_summary(report, jobs, _unused_baseline, config, workers,
-                           scratch):
-    # summary mode changes what work is replayed, not the verdicts;
-    # the baseline is a summary-mode fault-free run of the same jobs
-    cache_dir = os.path.join(scratch, "cache-summary")
-    summary = dataclasses.replace(config, cache_dir=cache_dir,
-                                  summary_mode=True)
-    baseline = _fingerprints(_run_batch(jobs, summary, workers))
-    torn = faults.tear_summary_store(cache_dir)
-    if torn is None:
-        report.fail("no summary store was written to tear")
-        return
-    report.note("tore the summary store mid-file")
-    outcome = _run_batch(jobs, summary, workers)
-    evictions = sum(r.report.stats.cache_integrity_evictions
-                    for r in outcome.results if r.ok)
-    if evictions < 1:
-        report.fail("torn store was not detected/evicted")
     else:
         report.note(f"{evictions} integrity eviction(s) counted")
     _compare(report, baseline, _fingerprints(outcome))
@@ -739,7 +715,6 @@ _RUNNERS: Dict[str, Callable] = {
     "quarantine": _schedule_quarantine,
     "slow": _schedule_slow,
     "corrupt-ir": _schedule_corrupt_ir,
-    "torn-summary": _schedule_torn_summary,
     "serve-kill": _schedule_serve_kill,
     "kill-resume": _schedule_kill_resume,
     "watch-kill": _schedule_watch_kill,

@@ -3,8 +3,7 @@
 A :class:`FaultPlan` describes *what goes wrong and when* — kill the
 worker while it runs job k, stall it, raise an artificial allocation
 failure — plus the on-disk corruptions the chaos harness applies
-between passes (flip bytes in an IR-cache entry, tear a summary-store
-write). Plans travel through the ``SAFEFLOW_FAULTS`` environment
+between passes (flip bytes in an IR-cache entry, truncate another). Plans travel through the ``SAFEFLOW_FAULTS`` environment
 variable as JSON so that fork- and spawn-started worker processes
 inherit them without any plumbing through the analysis API: production
 code paths call :func:`on_job_start` unconditionally, and with no plan
@@ -248,13 +247,12 @@ def on_segment_flush(fileobj, blob: bytes) -> None:
 # on-disk corruption helpers (driver-level faults of the chaos harness)
 # ----------------------------------------------------------------------
 
-def _store_file(directory: str, prefix: str = "",
-                last: bool = False) -> Optional[str]:
+def _store_file(directory: str, last: bool = False) -> Optional[str]:
     """The first (or ``last``) ``.pkl`` file of a store directory by
     name, or None when there is none."""
     try:
         names = sorted(n for n in os.listdir(directory)
-                       if n.startswith(prefix) and n.endswith(".pkl"))
+                       if n.endswith(".pkl"))
     except OSError:
         return None
     return os.path.join(directory, names[-1 if last else 0]) \
@@ -289,7 +287,3 @@ def truncate_ir_entry(cache_dir: str) -> Optional[str]:
     return _truncate_half(_store_file(os.path.join(cache_dir, "ir"),
                                       last=True))
 
-
-def tear_summary_store(cache_dir: str) -> Optional[str]:
-    """Tear the summary store mid-write (truncate to half); path/None."""
-    return _truncate_half(_store_file(cache_dir, prefix="summaries-"))

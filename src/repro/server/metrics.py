@@ -110,8 +110,6 @@ class ServerMetrics:
         self._cache = {
             "frontend_hits": 0,
             "frontend_misses": 0,
-            "summary_hits": 0,
-            "summary_misses": 0,
             "integrity_evictions": 0,
             #: verdicts replayed from a memoised program's last verdict
             "verdict_replays": 0,
@@ -120,14 +118,6 @@ class ServerMetrics:
             "worker_restarts": 0,
             "jobs_resubmitted": 0,
             "jobs_quarantined": 0,
-        }
-        #: incremental-analysis totals (repro.incremental), folded from
-        #: the segment-store fields of every completed analysis
-        self._incremental = {
-            "functions_reanalyzed": 0,
-            "dirty_cone_functions": 0,
-            "segment_evictions": 0,
-            "segment_fallbacks": 0,
         }
         #: compiled value-flow kernel totals, folded from the
         #: ``kernel_*`` entries of every completed analysis's
@@ -222,10 +212,6 @@ class ServerMetrics:
                 stats.get("frontend_cache_hits", 0) or 0)
             self._cache["frontend_misses"] += int(
                 stats.get("frontend_cache_misses", 0) or 0)
-            self._cache["summary_hits"] += int(
-                stats.get("summary_cache_hits", 0) or 0)
-            self._cache["summary_misses"] += int(
-                stats.get("summary_cache_misses", 0) or 0)
             self._cache["integrity_evictions"] += int(
                 stats.get("cache_integrity_evictions", 0) or 0)
             if stats.get("verdict_replayed"):
@@ -241,14 +227,6 @@ class ServerMetrics:
                 for tier, n in (stats.get(key) or {}).items():
                     counts = self._recovery[bucket]
                     counts[tier] = counts.get(tier, 0) + int(n or 0)
-            self._incremental["functions_reanalyzed"] += int(
-                stats.get("functions_reanalyzed", 0) or 0)
-            self._incremental["dirty_cone_functions"] += int(
-                stats.get("dirty_cone_size", 0) or 0)
-            self._incremental["segment_evictions"] += int(
-                stats.get("segment_evictions", 0) or 0)
-            self._incremental["segment_fallbacks"] += int(
-                stats.get("segment_fallbacks", 0) or 0)
             counters = stats.get("kernel_counters") or {}
             for key, value in counters.items():
                 if key.startswith("kernel_"):
@@ -306,7 +284,6 @@ class ServerMetrics:
                 "kernel": dict(sorted(self._kernel.items())),
                 "resilience": dict(self._resilience),
                 "qos": qos,
-                "incremental": dict(self._incremental),
                 "degraded": dict(self._degraded),
                 "recovery": {
                     "recovered_units": self._recovery["recovered_units"],

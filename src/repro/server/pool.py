@@ -6,11 +6,11 @@ long-lived supervised process executor (fork where available, spawn
 otherwise), falling back to in-process execution when no process pool
 can be created at all. Worker processes are the isolation boundary —
 a crashing analysis (or a pycparser recursion blow-up) kills a worker,
-not the daemon — and they share the on-disk ``IRCache`` /
-``SummaryStore`` through ``config.cache_dir``, which is what makes the
-daemon *warm*: the second request for an unchanged translation unit
-skips the front end entirely, and in summary mode an edit to one
-function re-analyzes only that function and its transitive callers.
+not the daemon — and they share the on-disk ``IRCache`` through
+``config.cache_dir``, which is what makes the daemon *warm*: the
+second request for an unchanged translation unit skips the front end
+entirely, and a repeat on the worker that pooled its program replays
+the verdict without running phases 1-3.
 
 Crash isolation (:mod:`repro.resilience`): a worker death breaks the
 underlying ``ProcessPoolExecutor`` and fails every outstanding future;

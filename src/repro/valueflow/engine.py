@@ -114,7 +114,7 @@ class _CellMap(dict):
 class _RecordingCellMap(_CellMap):
     """``_CellMap`` that additionally feeds the summary-body recorder.
 
-    Installed only when a summary store is active. ``get`` reports the
+    Installed only when a segment store is active. ``get`` reports the
     observed taint to the current body recorder (a record's *inputs*);
     ``__setitem__`` reports joins (its *effects*).
     """
@@ -125,8 +125,7 @@ class _RecordingCellMap(_CellMap):
         recorder = engine._active_recorder()
         if recorder is not None:
             recorder.note_read(engine._cell_key(cell), value)
-        elif engine._track_couplings and engine._body_stack \
-                and len(engine._body_stack[-1]) == 1:
+        elif engine._body_stack and len(engine._body_stack[-1]) == 1:
             # merged (context-budget) bodies have no recorder, but
             # their cell couplings must still reach the segment
             # store's dependency graph (dirty-cone soundness)
@@ -139,8 +138,7 @@ class _RecordingCellMap(_CellMap):
         recorder = engine._active_recorder()
         if recorder is not None:
             recorder.note_write(engine._cell_key(cell), value)
-        elif engine._track_couplings and engine._body_stack \
-                and len(engine._body_stack[-1]) == 1:
+        elif engine._body_stack and len(engine._body_stack[-1]) == 1:
             engine._note_merged_coupling(cell, read=False)
 
 
@@ -166,7 +164,6 @@ class _Finished:
     """The engine as its cell map and graph see it once the run is
     over: no body is running, so nothing is observed or recorded."""
 
-    _track_couplings = False
     _body_stack = ()
 
     @property
@@ -193,8 +190,8 @@ class ValueFlowAnalysis:
         self.module = program.module
         self.points_to = PointsToAnalysis(self.module, shm.callgraph).run()
 
-        #: optional :class:`repro.perf.SummaryStore`; when set, summary
-        #: bodies are recorded/replayed across processes
+        #: optional :class:`repro.incremental.segments.SegmentStore`;
+        #: when set, summary bodies are recorded/replayed across verdicts
         self.summary_store = summary_store
         #: (function, body kind, "hit"|"miss") per summary body, in
         #: execution order — lets tests pin down exact invalidation
@@ -206,8 +203,8 @@ class ValueFlowAnalysis:
         #: sweep-time read validation and re-check every replayed read
         #: against the *converged* state at the end of the run; on any
         #: mismatch the driver falls back to a validating rerun
-        self._trust_replay = bool(getattr(summary_store, "trust_replay",
-                                          False))
+        self._trust_replay = (summary_store is not None
+                              and summary_store.trust_replay)
         self._deferred_reads: List[Tuple] = []  # (cell, expected ser)
         self._deferred_seen: Set[Tuple] = set()
         #: merged-input seeds applied this run (function → the seed
@@ -216,7 +213,6 @@ class ValueFlowAnalysis:
         self.replay_validation_failed = False
         #: cell couplings of merged bodies (no recorder), reported to
         #: the segment store as dependency-graph stubs
-        self._track_couplings = hasattr(summary_store, "note_coupling")
         self._merged_coupling: Dict[str, Tuple[Set[str], Set[str]]] = {}
 
         self._profile = bool(getattr(self.config, "profile", False))
@@ -311,10 +307,10 @@ class ValueFlowAnalysis:
 
     def _run(self) -> "ValueFlowAnalysis":
         """Outer fixpoint over the interprocedural cell/taint state (see
-        :meth:`_converge`), then the report artifacts and the summary
+        :meth:`_converge`), then the report artifacts and the segment
         store's flush."""
         store = self.summary_store
-        if store is not None and hasattr(store, "begin_run"):
+        if store is not None:
             # incremental invalidation: hand the store every defined
             # function's closure fingerprint so it can evict the dirty
             # cone (changed functions + transitive callers via the
@@ -336,23 +332,18 @@ class ValueFlowAnalysis:
             # driver reruns validating. Poison the held seeds too: the
             # fallback rerun re-harvests correct ones.
             self.replay_validation_failed = True
-            if hasattr(store, "discard_staged"):
-                store.discard_staged()
-            if hasattr(store, "hold_merged_seeds"):
-                store.hold_merged_seeds(None)
+            store.discard_staged()
+            store.hold_merged_seeds(None)
             return self
         self.contexts_analyzed = self._reachable_contexts()
         self._kernel.publish_counters(self.kernel_counters)
         self._finalize()
-        if self.summary_store is not None:
-            if self._track_couplings:
-                for fname in sorted(self._merged_coupling):
-                    reads, writes = self._merged_coupling[fname]
-                    self.summary_store.note_coupling(fname, reads, writes)
-            self.summary_store.flush()
-            if hasattr(self.summary_store, "hold_merged_seeds"):
-                self.summary_store.hold_merged_seeds(
-                    self._harvest_merged_seeds())
+        if store is not None:
+            for fname in sorted(self._merged_coupling):
+                reads, writes = self._merged_coupling[fname]
+                store.note_coupling(fname, reads, writes)
+            store.flush()
+            store.hold_merged_seeds(self._harvest_merged_seeds())
         return self
 
     def _converge(self, roots: List[Function]) -> None:
@@ -423,11 +414,10 @@ class ValueFlowAnalysis:
     def _apply_merged_seeds(self, store) -> None:
         """Start the merged-input joins at the previous run's converged
         values, minus the dirty cone's downward call closure."""
-        seeds = getattr(store, "merged_seeds", None)
+        seeds = store.merged_seeds
         if not seeds:
             return
-        drop = set(getattr(store, "last_cone", ()))
-        drop |= set(getattr(store, "last_seeds", ()))
+        drop = set(store.last_cone) | store.last_seeds
         if drop:
             old_calls = seeds.get("calls", {})
             callgraph = self.shm.callgraph
@@ -919,7 +909,7 @@ class ValueFlowAnalysis:
         return self._substitute_summary(self._memo[summary_key], arg_taints)
 
     # ------------------------------------------------------------------
-    # persistent summary reuse (repro.perf.summary_store)
+    # summary-body record/replay through the segment store
     # ------------------------------------------------------------------
 
     def _active_recorder(self) -> Optional[BodyRecorder]:
@@ -941,7 +931,7 @@ class ValueFlowAnalysis:
         The last re-analysis of a body before the fixpoint converges
         sees already-converged cell state, so its joins are no-ops and
         never reach ``cell_taint.__setitem__`` — but the *record* of
-        that final run is what the summary/segment store keeps. Without
+        that final run is what the segment store keeps. Without
         this hook such records claim the body wrote nothing, and a
         fresh run replaying them can never reconstruct the converged
         state (trusted segment replay would fall back every time).
@@ -949,8 +939,7 @@ class ValueFlowAnalysis:
         recorder = self._active_recorder()
         if recorder is not None:
             recorder.note_write(self._cell_key(cell), value)
-        elif self._track_couplings and self._body_stack \
-                and len(self._body_stack[-1]) == 1:
+        elif self._body_stack and len(self._body_stack[-1]) == 1:
             self._note_merged_coupling(cell, read=False)
 
     def _note_merged_coupling(self, cell, read: bool) -> None:
@@ -1017,7 +1006,7 @@ class ValueFlowAnalysis:
             self._recorders.pop()
         if recorder.ok:
             store.stage(key, recorder.finish(ret))
-        elif hasattr(store, "note_coupling"):
+        else:
             # unpersistable body (unnamed cell): its named-cell
             # couplings still belong in the dependency graph
             reads, writes = recorder.coupling()

@@ -127,7 +127,7 @@ class KernelState:
     and observability counters. Owned by one :class:`ValueFlowAnalysis`;
     programs hold live IR/cell references, so they are process-local
     artifacts — cross-process reuse happens one level up, through the
-    summary store, whose fingerprints include the opcode format
+    segment store, whose fingerprints include the opcode format
     version."""
 
     def __init__(self, engine):

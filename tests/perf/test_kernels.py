@@ -18,6 +18,8 @@ import pytest
 from repro import SafeFlow
 from repro.core.config import AnalysisConfig
 from repro.corpus import generate_core
+from repro.frontend import load_source
+from repro.incremental.segments import SegmentStore
 from repro.restrictions.solver import (
     Constraint,
     _can_violate_bounds_fresh,
@@ -81,7 +83,7 @@ class TestTaintInterning:
         assert clone is t
 
     def test_pickle_inside_containers_preserves_identity(self):
-        # the summary store pickles whole record structures holding
+        # stores pickle whole record structures holding
         # taints; every unpickled taint must re-enter the intern table
         t1 = Taint(frozenset({_src("r1")}))
         t2 = t1.join(Taint(frozenset(), frozenset({_src("r2")})))
@@ -100,13 +102,21 @@ class TestTaintInterning:
         assert SAFE.as_control() is SAFE
 
     def test_summary_store_round_trip_is_byte_identical(self, tmp_path):
-        program = generate_core(chain_depth=3, monitored_regions=2)
-        config = AnalysisConfig(
-            summary_mode=True, cache_dir=str(tmp_path)
-        )
-        cold = SafeFlow(config).analyze_source(program.source, name="g")
-        warm = SafeFlow(config).analyze_source(program.source, name="g")
+        # body records persisted by one segment store and replayed
+        # through a reopened one deserialize to the interned taints
+        source = generate_core(chain_depth=3, monitored_regions=2).source
+        flow = SafeFlow(AnalysisConfig(summary_mode=True))
+
+        def run():
+            return flow.analyze_program(
+                load_source(source, filename="g.c"), name="g",
+                summary_store=SegmentStore(str(tmp_path)))
+
+        cold = run()
+        warm = run()
+        assert cold.stats.summary_cache_hits == 0
         assert warm.stats.summary_cache_hits > 0
+        assert warm.stats.summary_cache_misses == 0
         assert warm.render(verbose=True) == cold.render(verbose=True)
         assert warm.witness_graphs == cold.witness_graphs
 

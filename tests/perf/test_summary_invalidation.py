@@ -1,13 +1,14 @@
 """Exact summary invalidation: one edit busts exactly the edited
 function and its transitive callers, nothing else.
 
-Uses the engine directly so ``ValueFlowAnalysis.summary_events`` (the
+Drives the engine directly over a reopened segment store (the store of
+the incremental session), so ``ValueFlowAnalysis.summary_events`` (the
 ordered (function, kind, hit|miss) trace) is observable.
 """
 
 from repro.core.config import AnalysisConfig
 from repro.frontend import load_source
-from repro.perf.summary_store import SummaryStore
+from repro.incremental.segments import SegmentStore
 from repro.shm.propagation import ShmAnalysis
 from repro.valueflow.engine import ValueFlowAnalysis
 
@@ -51,9 +52,10 @@ def _run(source: str, store_path: str) -> ValueFlowAnalysis:
     config = AnalysisConfig(summary_mode=True)
     program = load_source(source, filename="prog.c")
     shm = ShmAnalysis(program, config).run()
-    store = SummaryStore(store_path)
-    return ValueFlowAnalysis(program, shm, config,
-                             summary_store=store).run()
+    store = SegmentStore(store_path)
+    vf = ValueFlowAnalysis(program, shm, config, summary_store=store).run()
+    assert not vf.replay_validation_failed
+    return vf
 
 
 def _missed(vf: ValueFlowAnalysis):
@@ -67,7 +69,7 @@ def _hit(vf: ValueFlowAnalysis):
 
 
 def test_warm_run_replays_everything(tmp_path):
-    store_path = str(tmp_path / "summaries.pkl")
+    store_path = str(tmp_path / "segments")
     cold = _run(PROGRAM, store_path)
     assert _hit(cold) == set()
     assert {"main", "helper", "leaf", "other"} <= _missed(cold)
@@ -80,7 +82,7 @@ def test_warm_run_replays_everything(tmp_path):
 def test_one_line_edit_busts_exactly_the_affected_closure(tmp_path):
     """Editing ``leaf`` must re-analyze leaf + its transitive callers
     (helper, main) and *only* those; ``other`` keeps replaying."""
-    store_path = str(tmp_path / "summaries.pkl")
+    store_path = str(tmp_path / "segments")
     _run(PROGRAM, store_path)
 
     edited = _run(EDITED, store_path)
@@ -93,7 +95,7 @@ def test_one_line_edit_busts_exactly_the_affected_closure(tmp_path):
 
 
 def test_reports_identical_across_cold_and_warm(tmp_path):
-    store_path = str(tmp_path / "summaries.pkl")
+    store_path = str(tmp_path / "segments")
     cold = _run(PROGRAM, store_path)
     warm = _run(PROGRAM, store_path)
     assert warm.warnings == cold.warnings

@@ -105,23 +105,6 @@ class TestIRCacheSelfHeal:
         assert healed.stats.cache_integrity_evictions >= 1
 
 
-class TestSummaryStoreSelfHeal:
-    def test_torn_store_is_evicted_and_recomputed(self, tmp_path):
-        config = AnalysisConfig(
-            summary_mode=True, cache_dir=str(tmp_path / "cache"))
-        cold = SafeFlow(config).analyze_source(SIMPLE)
-        assert faults.tear_summary_store(config.cache_dir) is not None
-        healed = SafeFlow(config).analyze_source(SIMPLE)
-        assert healed.render(verbose=True) == cold.render(verbose=True)
-        assert healed.stats.cache_integrity_evictions >= 1
-        assert healed.stats.summary_cache_hits == 0
-
-        # the store heals: a further run replays summaries again
-        warm = SafeFlow(config).analyze_source(SIMPLE)
-        assert warm.render(verbose=True) == cold.render(verbose=True)
-        assert warm.stats.summary_cache_hits >= 1
-
-
 def _layout_seal(payload: bytes) -> bytes:
     """The sealed-file layout, spelled out without the codec."""
     return b"SFCK1\n" + hashlib.sha256(payload).digest() + payload
@@ -155,7 +138,6 @@ class TestCodecLayout:
     def test_hand_built_stores_load(self, tmp_path):
         from repro.incremental.segments import SEGMENT_FORMAT_VERSION
         from repro.perf.fingerprint import SCHEMA_VERSION
-        from repro.perf.summary_store import SummaryStore, _StoreFile
 
         log = tmp_path / "seg"
         log.mkdir()
@@ -173,11 +155,6 @@ class TestCodecLayout:
         replay = BatchJournal(str(journal)).replay()
         assert replay.truncated_records == 0
         assert replay.header == {"type": "header", "version": 1}
-
-        summaries = tmp_path / "summaries.pkl"
-        with open(summaries, "wb") as f:
-            f.write(_layout_seal(pickle.dumps(_StoreFile())))
-        assert SummaryStore(str(summaries)).integrity_evictions == 0
 
     def test_torn_frame_log_is_cut_to_its_intact_prefix(self, tmp_path):
         path = tmp_path / "log"

@@ -82,8 +82,8 @@ class TestServerMetrics:
         m.count_response(False, "queue_full", seconds=0.001)
         m.observe_analysis({
             "phase_timings": {"frontend": 0.02, "valueflow": 0.01},
-            "frontend_cache_hits": 1, "summary_cache_hits": 3,
-            "frontend_cache_misses": 0, "summary_cache_misses": 2,
+            "frontend_cache_hits": 1, "frontend_cache_misses": 2,
+            "verdict_replayed": True,
         })
         snap = m.snapshot()
         json.dumps(snap)  # must never contain non-JSON values
@@ -91,8 +91,11 @@ class TestServerMetrics:
         assert snap["responses_total"] == {"ok": 1, "error": 1}
         assert snap["errors_total"] == {"queue_full": 1}
         assert snap["analyses"]["completed"] == 1
-        assert snap["cache"]["frontend_hits"] == 1
-        assert snap["cache"]["summary_misses"] == 2
+        assert snap["cache"] == {
+            "frontend_hits": 1, "frontend_misses": 2,
+            "integrity_evictions": 0, "verdict_replays": 1,
+        }
+        assert "incremental" not in snap
         assert set(snap["latency"]["phases"]) == {"frontend", "valueflow"}
         assert snap["latency"]["request"]["count"] == 2
 

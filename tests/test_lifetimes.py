@@ -27,6 +27,7 @@ from pycparser.c_parser import CParser
 from repro import AnalysisConfig, SafeFlow
 from repro.corpus import generate_core_files
 from repro.frontend import load_files, load_source
+from repro.incremental.segments import SegmentStore
 from repro.incremental.watcher import IncrementalSession
 from repro.ir import BasicBlock, Function, Instruction
 from repro.perf.integrity import unseal
@@ -71,12 +72,18 @@ def _cyclic_garbage_of(run):
     ({}, "compiled"), ({}, "object"), ({"summary_mode": True}, "compiled"),
 ], ids=["compiled", "object", "summary-store"])
 def test_cold_verdict_leaves_no_transient_cycles(options, kernel, tmp_path):
-    if options.get("summary_mode"):
-        options = dict(options, cache_dir=str(tmp_path))
     analyzer = SafeFlow(AnalysisConfig(**options))
+
+    def verdict():
+        if not options.get("summary_mode"):
+            return analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c")
+        # the recording cell map and graph of a segment-store run
+        return analyzer.analyze_program(
+            load_source(FIGURE2_SOURCE, filename="figure2.c"),
+            summary_store=SegmentStore(str(tmp_path)))
+
     with oracles.installed(kernel=kernel):
-        garbage = _cyclic_garbage_of(
-            lambda: analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c"))
+        garbage = _cyclic_garbage_of(verdict)
     leaked = sorted({getattr(o, "__qualname__", type(o).__qualname__)
                      for o in garbage if _transient(o)})
     assert leaked == []
