@@ -16,9 +16,11 @@ subprocess with best-of-N timing:
   iteration: the body-execution-heavy regime the compiled kernel
   targets. The value-flow phase time is recorded separately to
   isolate kernel work from the (identical) front end;
-- ``compiled-warm`` — re-analysis with a primed IR cache: the
-  steady state of the daemon / batch / editor loop, and the headline
-  ``reanalysis_speedup`` against a cold object-kernel run.
+- ``compiled-warm`` — re-analysis of a ``Program`` loaded from a
+  primed IR cache (its verdict record removed, so phases 1-3 run):
+  what a disk hit costs when no verdict record answers it (a config
+  not analysed before), and the headline ``reanalysis_speedup``
+  against a cold object-kernel run.
 
 The object kernel and the dense loop are not configuration: they are
 the reference engines of the differential tests (``tests/oracles``),
@@ -94,12 +96,12 @@ SMOKE_CONFIGS = [
 #: a pre-fast-kernel tree understands) or "<kernel>[-dense|-warm]";
 #: the object kernel and the dense loop are the oracles of the tests/
 #: directory given as the fourth argument. "-warm" primes an IR cache
-#: with one untimed analysis first, then drops the in-memory program
-#: memo (whose pooled program would replay the primed verdict) and
-#: times a kernel run against the primed cache; it fails if no body
-#: was analyzed.
+#: with one untimed analysis first, then drops the memory tier and the
+#: verdict records (either would replay the primed verdict) and times
+#: a kernel run on the program record; it fails if no body was
+#: analyzed.
 _TIMER = r"""
-import json, sys, tempfile, time
+import glob, json, os, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 from repro import SafeFlow
 mode = sys.argv[3]
@@ -126,6 +128,8 @@ else:
         SafeFlow(AnalysisConfig(**opts)).analyze_source(text, name="prime")
         from repro.perf.ircache import IRCache
         IRCache.memory.clear()
+        for record in glob.glob(os.path.join(cache.name, "ir", "*.verdict")):
+            os.remove(record)
     with oracles.installed(kernel, fixpoint):
         elapsed, report = run(SafeFlow(AnalysisConfig(**opts)))
 counters = report.stats.kernel_counters or {}

@@ -18,9 +18,10 @@ The three phases follow §3.3 of the paper:
 
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
-two-tier store (in memory over on disk). A program the memory tier
-pools keeps the last verdict computed on it, and a memory hit under
-the same config fingerprint replays that verdict without running
+two-tier store (in memory over on disk). Every verdict computed there
+is kept beside its program, in the pooled program's slot and in a
+verdict record on disk, and a later hit under the same config
+fingerprint, in either tier, replays that verdict without running
 phases 1-3 (``AnalysisStats.verdict_replayed``). The incremental
 session (:mod:`repro.incremental`) additionally hands phase 3 its
 segment store, so summary bodies of unchanged functions are replayed
@@ -84,37 +85,35 @@ class SafeFlow:
 
     def _analyze_loaded(self, frontend, cache_key, name: str,
                         source_text: Optional[str] = None) -> AnalysisReport:
-        """Lease the stored program under ``cache_key(cache)`` — or
-        build it with ``frontend()`` and store it — and analyze it.
+        """Look ``cache_key(cache)`` up in the program store — or build
+        the program with ``frontend()`` and store it — and analyze it.
 
-        A program from the store's memory tier carries the last verdict
-        computed on it (``Program.verdict``). When this run is eligible
-        (:meth:`_verdict_key`) and the slot holds a verdict under the
-        same config fingerprint, the verdict is replayed and phases 1-3
-        are skipped; otherwise the computed verdict takes the slot
-        before the program goes back to the store.
+        When this run is eligible (:meth:`_verdict_key`), the store
+        answers with a verdict under the same config fingerprint if it
+        has one (the memory tier's slot, else the verdict record on
+        disk), and that verdict is replayed without running phases
+        1-3. Otherwise the computed verdict takes the program's slot
+        and is recorded on disk before the program goes back to the
+        store.
         """
         from ..perf.gcpause import gc_paused
 
         with gc_paused(self.config.pause_gc):
             cache = self._ir_cache()
             started = time.perf_counter()
-            key = program = None
+            key = program = verdict = verdict_key = None
             if cache is not None:
                 key = cache_key(cache)
-                program = cache.lease(key)
-            if program is None:
+                verdict_key = self._verdict_key()
+                program, verdict = cache.lease(key, verdict_key)
+            if program is None and verdict is None:
                 program = frontend()
                 if cache is not None:
                     cache.store(key, program)
             frontend_seconds = time.perf_counter() - started
             try:
-                verdict_key = self._verdict_key() if cache is not None \
-                    else None
-                slot = program.verdict
-                if (verdict_key is not None and slot is not None
-                        and slot[0] == verdict_key):
-                    return _replay(slot[1], name, cache, frontend_seconds,
+                if verdict is not None:
+                    return _replay(verdict, name, cache, frontend_seconds,
                                    started)
                 report = self.analyze_program(
                     program,
@@ -124,10 +123,14 @@ class SafeFlow:
                     ir_cache=cache,
                 )
                 if verdict_key is not None:
-                    program.verdict = (verdict_key, report.verdict_copy(name))
+                    verdict = report.verdict_copy(name)
+                    program.verdict = (verdict_key, verdict)
+                    cache.store_verdict(key, verdict_key, program.deps,
+                                        verdict)
                 return report
             finally:
-                if cache is None or not cache.give_back(key, program):
+                if program is not None and (
+                        cache is None or not cache.give_back(key, program)):
                     # pooled by nobody (the disk tier holds it pickled)
                     program.module.release()
                 # drop the frame's reference now, so the program's
@@ -379,9 +382,9 @@ class SafeFlow:
         return IRCache(self.config.cache_dir)
 
     def _verdict_key(self) -> Optional[str]:
-        """The key a pooled program's verdict slot is filled and
-        replayed under, or ``None`` when this run must compute:
-        ``profile`` runs measure their hotspots."""
+        """The key a verdict is kept and replayed under (the memory
+        slot's and the verdict record's), or ``None`` when this run
+        must compute: ``profile`` runs measure their hotspots."""
         if self.config.profile:
             return None
         from ..perf.fingerprint import config_fingerprint
@@ -403,7 +406,7 @@ class SafeFlow:
 
 def _replay(verdict: AnalysisReport, name: str, cache,
             frontend_seconds: float, started: float) -> AnalysisReport:
-    """A memoised verdict as this request's report: the findings and
+    """A stored verdict as this request's report: the findings and
     program-derived stats, with this run's IR-cache counters and a
     ``frontend``/``total`` timing (phases 1-3 did not run)."""
     report = verdict.verdict_copy(name)

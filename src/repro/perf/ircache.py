@@ -24,17 +24,15 @@ a miss in either tier. One request digests each
 file at most once: the digests its key was computed from are reused
 by the validation, and the validation of one tier by the other's.
 
-**Memory tier** (:class:`MemoryTier`, one per process). A disk hit
-still unpickles the whole ``Program`` (~1.5 ms even for a trivial
-unit), while re-analyzing one loaded ``Program`` is report-preserving,
-so an LRU pool lends recently used programs out instead. Leases are
-*exclusive*: a leased program is out of the pool, so two threads (the
-daemon's in-process fallback pool) never analyze one object graph —
-the second request unpickles its own copy. Keys are scoped by the
-absolute cache directory. A pooled program also carries the last
-verdict computed on it (``Program.verdict``), which ``SafeFlow``
-replays on a memory hit under the same config fingerprint; the store
-never looks at it, and it is never pickled.
+**Memory tier** (:class:`MemoryTier`, one per process). Unpickling a
+``Program`` costs ~1.5 ms even for a trivial unit, while re-analyzing
+one loaded ``Program`` is report-preserving, so an LRU pool lends
+recently used programs out instead. Leases are *exclusive*: a leased
+program is out of the pool, so two threads (the daemon's in-process
+fallback pool) never analyze one object graph — the second request
+unpickles its own copy. Keys are scoped by the absolute cache
+directory. A pooled program also carries the last verdict computed on
+it (``Program.verdict``, never pickled).
 
 Ownership: :meth:`IRCache.give_back` transfers the program to the
 memory tier; the caller must not touch it afterwards. Pooled programs
@@ -46,14 +44,21 @@ a lease — LRU eviction, stale-dependency eviction,
 :meth:`repro.ir.Module.release`, outside the lock, so it dies by
 refcount instead of waiting for a full collection.
 
-**Disk tier** (:meth:`IRCache.fetch` / :meth:`IRCache.store`). Each
-entry is a pickled :class:`CacheEntry` in a sealed file of
-:mod:`repro.perf.integrity`: writes are atomic, and a damaged entry
-(bit rot, partial disk write) is detected before it reaches
-``pickle``, evicted, counted in ``integrity_evictions``, and
-recomputed silently. Failures are never fatal: any OS, pickle, or
-recursion error turns into a miss (or a skipped store) and the caller
-re-parses.
+**Disk tier.** Two sealed record kinds of :mod:`repro.perf.integrity`
+live in ``ir/``: the *program record* ``{key}.pkl`` (a pickled
+:class:`CacheEntry`, :meth:`IRCache.fetch` / :meth:`IRCache.store`)
+and the *verdict record* ``{key}.{config fingerprint}.verdict`` (a
+pickled :class:`VerdictEntry`: the program's ``deps`` and the verdict
+computed on it under that config, :meth:`IRCache.store_verdict`). A
+verdict record is validated against the current files exactly like a
+program record, so a disk hit replays its verdict without unpickling
+the IR. :meth:`IRCache.lease` looks in this order: the memory tier's
+program and its verdict slot, the verdict record, the program record.
+Writes are atomic, and a damaged record (bit rot, partial disk write)
+is detected before it reaches ``pickle``, evicted, counted in
+``integrity_evictions``, and recomputed silently. Failures are never
+fatal: any OS, pickle, or recursion error turns into a miss (or a
+skipped store) and the caller re-parses or recomputes.
 """
 
 from __future__ import annotations
@@ -102,6 +107,15 @@ class CacheEntry:
     #: front end read or looked for
     deps: List[Tuple[str, Optional[str]]]
     program_blob: bytes
+
+
+@dataclass
+class VerdictEntry:
+    """One verdict computed on a stored program, under one config."""
+
+    deps: List[Tuple[str, Optional[str]]]
+    #: the acyclic ``AnalysisReport.verdict_copy`` the memory slot holds
+    verdict: object
 
 
 class MemoryTier:
@@ -259,20 +273,30 @@ class IRCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
 
+    def _verdict_path(self, key: str, fingerprint: str) -> str:
+        return os.path.join(self.directory, f"{key}.{fingerprint}.verdict")
+
     # ------------------------------------------------------------------
     # both tiers
     # ------------------------------------------------------------------
 
-    def lease(self, key: Optional[str]):
-        """The program for ``key`` from the memory tier, else from
-        disk; ``None`` on a miss. Either tier's hit counts in
+    def lease(self, key: Optional[str], fingerprint: Optional[str] = None):
+        """``(program, verdict)`` for ``key``: the memory tier's
+        program, and the verdict under ``fingerprint`` from its slot,
+        else from the verdict record; with neither, the program from
+        disk. Either is ``None`` on a miss, and a hit counts once in
         ``hits``. The caller owns the program until
         :meth:`give_back`."""
         program = self.memory.acquire(self._memory_key(key), self._digest)
-        if program is None:
-            return self.fetch(key)
+        slot = program.verdict if program is not None else None
+        verdict = slot[1] if slot is not None and slot[0] == fingerprint \
+            else None
+        if verdict is None and key is not None and fingerprint is not None:
+            verdict = self._read_verdict(key, fingerprint)
+        if program is None and verdict is None:
+            return self.fetch(key), None
         self.hits += 1
-        return program
+        return program, verdict
 
     def give_back(self, key: Optional[str], program) -> bool:
         """Pool ``program`` in the memory tier; False when it cannot be
@@ -297,7 +321,24 @@ class IRCache:
         return program
 
     def _read(self, key: str):
-        payload, evicted = read_sealed(self._path(key))
+        entry = self._load(self._path(key))
+        if entry is None:
+            return None
+        try:
+            program = _deep(pickle.loads, entry.program_blob)
+            program.deps = entry.deps
+            return program
+        except Exception:
+            return None
+
+    def _read_verdict(self, key: str, fingerprint: str):
+        entry = self._load(self._verdict_path(key, fingerprint))
+        return None if entry is None else entry.verdict
+
+    def _load(self, path: str):
+        """The sealed entry at ``path`` with its ``deps`` as a tuple,
+        or ``None`` when absent, damaged, unreadable, or stale."""
+        payload, evicted = read_sealed(path)
         self.integrity_evictions += evicted
         if payload is None:
             return None
@@ -306,13 +347,9 @@ class IRCache:
             # skewed entry can raise nearly any exception out of
             # pickle, and a malformed one can fail attribute access /
             # unpacking below
-            entry: CacheEntry = pickle.loads(payload)
-            deps = tuple((path, digest) for path, digest in entry.deps)
-            if not _fresh(deps, self._digest):
-                return None
-            program = _deep(pickle.loads, entry.program_blob)
-            program.deps = deps
-            return program
+            entry = pickle.loads(payload)
+            entry.deps = tuple((dep, digest) for dep, digest in entry.deps)
+            return entry if _fresh(entry.deps, self._digest) else None
         except Exception:
             return None
 
@@ -328,6 +365,20 @@ class IRCache:
         except Exception:
             return False
         return write_sealed(self._path(key), payload)
+
+    def store_verdict(self, key: Optional[str], fingerprint: str,
+                      deps, verdict) -> bool:
+        """Record ``verdict``, computed under ``fingerprint`` on the
+        program of ``key`` whose dependencies are ``deps``; False when
+        not cacheable."""
+        if key is None or deps is None:
+            return False
+        try:
+            payload = pickle.dumps(VerdictEntry(list(deps), verdict),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return False
+        return write_sealed(self._verdict_path(key, fingerprint), payload)
 
 
 def _deep(function, *args):

@@ -12,6 +12,9 @@ fault schedule (:mod:`repro.resilience.faults`) and assert that
   the baseline;
 - the supervision layer actually engaged (worker restarts observed for
   kill schedules, integrity evictions counted for corruption ones);
+- for the ``corrupt-ir`` schedule, one program's verdict record and
+  program record are damaged, and its next request must read, evict
+  and rebuild both;
 - for the ``serve-kill`` schedule, the daemon answers a *follow-up*
   request in the same process — one worker crash never costs the
   service;
@@ -233,20 +236,33 @@ def _schedule_slow(report, jobs, baseline, config, workers, scratch):
 
 
 def _schedule_corrupt_ir(report, jobs, baseline, config, workers, scratch):
+    from ..perf.integrity import read_sealed
+    from ..perf.ircache import IRCache
+
     cache_dir = os.path.join(scratch, "cache-corrupt")
     cached = dataclasses.replace(config, cache_dir=cache_dir)
     _run_batch(jobs, cached, workers)  # cold pass populates the cache
-    flipped = faults.corrupt_ir_entry(cache_dir)
-    torn = faults.truncate_ir_entry(cache_dir)
-    if flipped is None and torn is None:
-        report.fail("no IR cache entries were written to corrupt")
+    # one program's two records: its next request reads the verdict
+    # record first, and then (evicted) the program record
+    damaged = {"verdict": faults.corrupt_ir_entry(cache_dir),
+               "program": faults.truncate_ir_entry(cache_dir)}
+    if None in damaged.values():
+        report.fail("no verdict and program record were written to damage")
         return
-    report.note("corrupted one IR entry, truncated another")
+    report.note("corrupted one verdict record, truncated its program record")
+    IRCache.memory.clear()  # an in-process pass would answer from memory
     outcome = _run_batch(jobs, cached, workers)
     evictions = sum(r.report.stats.cache_integrity_evictions
                     for r in outcome.results if r.ok)
-    if evictions < 1:
-        report.fail("damaged entries were not detected/evicted")
+    for kind, path in damaged.items():
+        # a damaged record is rewritten only after it was read, evicted
+        # and recomputed
+        if read_sealed(path)[0] is None:
+            report.fail(f"the damaged {kind} record was not evicted "
+                        f"and rebuilt")
+    if evictions < len(damaged):
+        report.fail(f"{evictions} of {len(damaged)} damaged records "
+                    f"were detected/evicted")
     else:
         report.note(f"{evictions} integrity eviction(s) counted")
     _compare(report, baseline, _fingerprints(outcome))

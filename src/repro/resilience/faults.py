@@ -247,30 +247,27 @@ def on_segment_flush(fileobj, blob: bytes) -> None:
 # on-disk corruption helpers (driver-level faults of the chaos harness)
 # ----------------------------------------------------------------------
 
-def _store_file(directory: str, last: bool = False) -> Optional[str]:
-    """The first (or ``last``) ``.pkl`` file of a store directory by
-    name, or None when there is none."""
+def ir_record(cache_dir: str, kind: str) -> Optional[str]:
+    """The ``kind`` record (``"verdict"`` or ``"program"``) of the first
+    program by name in an IR cache that has a verdict record; path, or
+    None when it is not there."""
+    directory = os.path.join(cache_dir, "ir")
     try:
         names = sorted(n for n in os.listdir(directory)
-                       if n.endswith(".pkl"))
+                       if n.endswith(".verdict"))
     except OSError:
         return None
-    return os.path.join(directory, names[-1 if last else 0]) \
-        if names else None
+    if not names:
+        return None
+    if kind == "program":
+        names[0] = names[0].split(".")[0] + ".pkl"
+    path = os.path.join(directory, names[0])
+    return path if os.path.exists(path) else None
 
 
-def _truncate_half(path: Optional[str]) -> Optional[str]:
-    if path is not None:
-        size = os.path.getsize(path)
-        with open(path, "r+b") as f:
-            f.truncate(max(1, size // 2))
-    return path
-
-
-def corrupt_ir_entry(cache_dir: str) -> Optional[str]:
-    """Flip bytes in the middle of the first IR-cache entry; path or
-    None."""
-    path = _store_file(os.path.join(cache_dir, "ir"))
+def corrupt_ir_entry(cache_dir: str, kind: str = "verdict") -> Optional[str]:
+    """Flip bytes in the middle of :func:`ir_record`; path or None."""
+    path = ir_record(cache_dir, kind)
     if path is not None:
         with open(path, "r+b") as f:
             data = f.read()
@@ -280,10 +277,13 @@ def corrupt_ir_entry(cache_dir: str) -> Optional[str]:
     return path
 
 
-def truncate_ir_entry(cache_dir: str) -> Optional[str]:
-    """Truncate the last IR-cache entry to half (partial-disk write) —
-    not the one :func:`corrupt_ir_entry` flips, when there are two;
-    path or None."""
-    return _truncate_half(_store_file(os.path.join(cache_dir, "ir"),
-                                      last=True))
-
+def truncate_ir_entry(cache_dir: str, kind: str = "program") -> Optional[str]:
+    """Truncate :func:`ir_record` to half (a partial disk write); path
+    or None. With the defaults the two helpers damage both records of
+    one program, and its next request reads both: the verdict record,
+    then the program record."""
+    path = ir_record(cache_dir, kind)
+    if path is not None:
+        with open(path, "r+b") as f:
+            f.truncate(max(1, os.path.getsize(path) // 2))
+    return path

@@ -99,6 +99,8 @@ class TestSharedStore:
         direct = SafeFlow(AnalysisConfig()).analyze_source(
             SOURCES["unguarded"], filename="away.c")
         assert response["report"]["stats"]["frontend_cache_hits"] == 1
+        # the primed verdict record answers: no phase runs there
+        assert response["report"]["stats"]["verdict_replayed"] is True
         assert response["render"] == primed["render"] == direct.render()
 
 

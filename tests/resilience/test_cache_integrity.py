@@ -55,6 +55,10 @@ class TestSealUnseal:
 
 
 class TestIRCacheSelfHeal:
+    """A request reads the verdict record first and the program record
+    only when no verdict record answers: each case damages the record
+    its next request reads."""
+
     @pytest.fixture(autouse=True)
     def disk_tier_only(self, monkeypatch):
         # no memory tier: these tests corrupt the *disk* tier and
@@ -64,12 +68,21 @@ class TestIRCacheSelfHeal:
     def _config(self, tmp_path):
         return AnalysisConfig(cache_dir=str(tmp_path / "cache"))
 
+    def _program_record_next(self, config):
+        """Drop the verdict record, so the next request reads the
+        program record."""
+        path = faults.ir_record(config.cache_dir, "verdict")
+        assert path is not None
+        os.remove(path)
+
     def test_corrupt_entry_is_evicted_and_recomputed(self, tmp_path):
         config = self._config(tmp_path)
         cold = SafeFlow(config).analyze_source(SIMPLE)
         assert cold.stats.cache_integrity_evictions == 0
 
-        assert faults.corrupt_ir_entry(config.cache_dir) is not None
+        assert faults.corrupt_ir_entry(config.cache_dir,
+                                       "program") is not None
+        self._program_record_next(config)
         healed = SafeFlow(config).analyze_source(SIMPLE)
         assert healed.render(verbose=True) == cold.render(verbose=True)
         assert healed.stats.cache_integrity_evictions >= 1
@@ -85,6 +98,7 @@ class TestIRCacheSelfHeal:
         config = self._config(tmp_path)
         cold = SafeFlow(config).analyze_source(SIMPLE)
         assert faults.truncate_ir_entry(config.cache_dir) is not None
+        self._program_record_next(config)
         healed = SafeFlow(config).analyze_source(SIMPLE)
         assert healed.render(verbose=True) == cold.render(verbose=True)
         assert healed.stats.cache_integrity_evictions >= 1
@@ -92,17 +106,62 @@ class TestIRCacheSelfHeal:
     def test_legacy_raw_pickle_entry_is_evicted(self, tmp_path):
         config = self._config(tmp_path)
         cold = SafeFlow(config).analyze_source(SIMPLE)
+        self._program_record_next(config)
         ir_dir = os.path.join(config.cache_dir, "ir")
         names = [n for n in os.listdir(ir_dir) if n.endswith(".pkl")]
         assert names
-        path = os.path.join(ir_dir, names[0])
-        with open(path, "rb") as f:
-            payload = unseal(f.read())
-        with open(path, "wb") as f:
-            f.write(payload)  # strip the frame: pre-upgrade entry
+        _strip_frame(os.path.join(ir_dir, names[0]))
         healed = SafeFlow(config).analyze_source(SIMPLE)
         assert healed.render(verbose=True) == cold.render(verbose=True)
         assert healed.stats.cache_integrity_evictions >= 1
+
+    def test_corrupt_verdict_record_is_evicted_and_recomputed(
+            self, tmp_path):
+        config = self._config(tmp_path)
+        cold = SafeFlow(config).analyze_source(SIMPLE)
+
+        assert faults.corrupt_ir_entry(config.cache_dir) is not None
+        healed = SafeFlow(config).analyze_source(SIMPLE)
+        assert healed.render(verbose=True) == cold.render(verbose=True)
+        assert healed.stats.cache_integrity_evictions >= 1
+        # recomputed on the program record
+        assert not healed.stats.verdict_replayed
+        assert healed.stats.frontend_cache_hits == 1
+
+        # the recompute rewrote the record: the next run replays it
+        warm = SafeFlow(config).analyze_source(SIMPLE)
+        assert warm.render(verbose=True) == cold.render(verbose=True)
+        assert warm.stats.verdict_replayed
+        assert warm.stats.cache_integrity_evictions == 0
+
+    def test_truncated_verdict_record_is_evicted_and_recomputed(
+            self, tmp_path):
+        config = self._config(tmp_path)
+        cold = SafeFlow(config).analyze_source(SIMPLE)
+        assert faults.truncate_ir_entry(config.cache_dir,
+                                        "verdict") is not None
+        healed = SafeFlow(config).analyze_source(SIMPLE)
+        assert healed.render(verbose=True) == cold.render(verbose=True)
+        assert healed.stats.cache_integrity_evictions >= 1
+        assert not healed.stats.verdict_replayed
+
+    def test_legacy_raw_pickle_verdict_record_is_evicted(self, tmp_path):
+        config = self._config(tmp_path)
+        cold = SafeFlow(config).analyze_source(SIMPLE)
+        _strip_frame(faults.ir_record(config.cache_dir, "verdict"))
+        healed = SafeFlow(config).analyze_source(SIMPLE)
+        assert healed.render(verbose=True) == cold.render(verbose=True)
+        assert healed.stats.cache_integrity_evictions >= 1
+        assert not healed.stats.verdict_replayed
+
+
+def _strip_frame(path):
+    """Rewrite a sealed record as its bare payload: a pre-checksum
+    entry."""
+    with open(path, "rb") as f:
+        payload = unseal(f.read())
+    with open(path, "wb") as f:
+        f.write(payload)
 
 
 def _layout_seal(payload: bytes) -> bytes:

@@ -4,7 +4,12 @@ structured outcome whose byte-identity assertions actually executed.
 Only the cheapest schedule runs here — the full matrix is the CI
 chaos job (``safeflow chaos --smoke``) and ``safeflow chaos``."""
 
+import os
+
+from repro import AnalysisConfig, SafeFlow
+from repro.resilience import faults
 from repro.resilience.chaos import SCHEDULES, SMOKE_SCHEDULES, run_chaos
+from tests.conftest import FIGURE2_SOURCE
 
 
 def test_smoke_schedules_are_a_subset():
@@ -18,11 +23,21 @@ def test_kill_resume_schedule_is_registered():
     assert "kill-resume" in SMOKE_SCHEDULES
 
 
-def test_smoke_damages_every_on_disk_store():
-    # IR cache, segment log and batch journal: each of the stores
-    # written through the one codec is damaged in CI smoke
+def test_smoke_damages_every_on_disk_store(tmp_path):
+    # IR cache (its verdict and program records), segment log and
+    # batch journal: each of the stores written through the one codec
+    # is damaged in CI smoke
     for schedule in ("corrupt-ir", "watch-kill", "kill-resume"):
         assert schedule in SMOKE_SCHEDULES
+    # corrupt-ir damages both record kinds of one program
+    cache_dir = str(tmp_path)
+    SafeFlow(AnalysisConfig(cache_dir=cache_dir)).analyze_source(
+        FIGURE2_SOURCE, "f.c")
+    verdict = faults.corrupt_ir_entry(cache_dir)
+    program = faults.truncate_ir_entry(cache_dir)
+    assert verdict.endswith(".verdict") and program.endswith(".pkl")
+    key = os.path.basename(program)[:-len(".pkl")]
+    assert os.path.basename(verdict).startswith(key + ".")
 
 
 def test_corrupt_ir_schedule_passes_and_reports():
@@ -32,6 +47,8 @@ def test_corrupt_ir_schedule_passes_and_reports():
     report = outcome.schedules[0]
     assert report.passed and not report.skipped
     assert any("eviction" in note for note in report.notes)
+    assert "corrupted one verdict record, truncated its program record" \
+        in report.notes
     payload = outcome.to_json()
     assert payload["ok"] is True
     assert payload["schedules"][0]["name"] == "corrupt-ir"
