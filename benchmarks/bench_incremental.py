@@ -11,18 +11,25 @@ and its on-disk segment store:
   store populated (best of N fresh sessions);
 - ``noop``  — a verdict with nothing changed: every segment replays,
   zero functions re-analyzed;
-- ``edit``  — one filler-function body edit: the surgical unit swap
-  re-lowers a single unit and the value-flow phase re-analyzes only
-  the dirty cone (recorded, and asserted == the edited functions).
+- ``edit``  — one filler-function body edit in a filler unit: the
+  session re-lowers that one definition and the value-flow phase
+  re-analyzes only the dirty cone (recorded, and asserted == the
+  edited functions);
+- ``core_edit`` — one body edit in ``core.c``, the unit that holds
+  the annotations and the shm globals: it too re-lowers only its
+  definition (``core_unit_swaps`` counts the edits that did,
+  ``core_full_relowers`` those that re-lowered the whole program).
 
-Before timing, the edited-tree re-verdict is asserted byte-identical
-to a cold session over the same sources — the differential guarantee
-the incremental layer is built on.
+Each re-verdict is asserted byte-identical to a cold session over the
+same sources — the differential guarantee the incremental layer is
+built on.
 
-The headline machine-independent ratio is ``edit_ratio`` (edit /
-cold). The CI gate re-measures the ``large`` rung and fails when an
-edit re-verdict costs more than ``--gate`` (default 10%) of a cold
-run, or when the re-analyzed set exceeds the expected dirty cone.
+The headline machine-independent ratios are ``edit_ratio`` (edit /
+cold) and ``core_edit_ratio`` (core edit / cold). The CI gate
+re-measures the ``large`` rung and fails when either costs more than
+``--gate`` (default 10%) of a cold run, when a core edit re-lowers the
+whole program, or when the re-analyzed set exceeds the expected dirty
+cone.
 
 Usage::
 
@@ -160,13 +167,20 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
             f"{edit_report.stats.functions_reanalyzed} function(s) "
             f"(cone {cone}), expected exactly 1")
 
-    # differential guarantee: the warm re-verdict must be
-    # byte-identical to a cold session over the edited tree
-    cold_session = _session(paths, scratch / f"{spec['name']}-diff")
-    if (edit_report.render(verbose=True)
-            != cold_session.verdict().render(verbose=True)):
-        raise SystemExit(f"{spec['name']}: warm re-verdict differs from "
-                         f"a cold run; refusing to bench")
+    _differential(spec, paths, scratch, "diff", edit_report)
+
+    # a core.c body edit, toggled like the filler edit
+    swaps, relowers = session.swaps, session.full_relowers
+    with gc_paused(True):
+        core_best = None
+        for i in range(max(2, runs)):
+            _toggle(paths[0], i)
+            t0 = time.perf_counter()
+            core_report = session.verdict()
+            elapsed = time.perf_counter() - t0
+            core_best = elapsed if core_best is None \
+                else min(core_best, elapsed)
+    _differential(spec, paths, scratch, "diff-core", core_report)
 
     return {
         "name": spec["name"],
@@ -180,10 +194,25 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
         "noop_ratio": round(noop_best / cold_best, 4),
         "dirty_cone": cone,
         "functions_reanalyzed": edit_report.stats.functions_reanalyzed,
-        "unit_swaps": session.swaps,
+        "unit_swaps": swaps,
         "merged_seeds_applied": edit_report.stats.kernel_counters.get(
             "merged_seeds_applied", 0),
+        "core_edit_seconds": round(core_best, 4),
+        "core_edit_ratio": round(core_best / cold_best, 4),
+        "core_unit_swaps": session.swaps - swaps,
+        "core_full_relowers": session.full_relowers - relowers,
     }
+
+
+def _differential(spec: dict, paths, scratch: Path, tag: str,
+                  report) -> None:
+    """The warm re-verdict must be byte-identical to a cold session
+    over the edited tree."""
+    cold_session = _session(paths, scratch / f"{spec['name']}-{tag}")
+    if (report.render(verbose=True)
+            != cold_session.verdict().render(verbose=True)):
+        raise SystemExit(f"{spec['name']}: warm re-verdict differs from "
+                         f"a cold run; refusing to bench")
 
 
 def _check_regression(baseline_path: Path, runs: int, gate: float) -> int:
@@ -195,13 +224,19 @@ def _check_regression(baseline_path: Path, runs: int, gate: float) -> int:
     with tempfile.TemporaryDirectory(
             prefix="safeflow-bench-inc-") as scratch:
         entry = _bench_config(spec, runs, Path(scratch))
-    ratio = entry["edit_ratio"]
-    reference = by_name[spec["name"]]["edit_ratio"]
-    ok = ratio <= gate
-    print(f"{spec['name']}: edit_ratio {ratio:.4f} "
-          f"(baseline {reference:.4f}, gate {gate:.2f}) "
-          f"{'OK' if ok else 'REGRESSION'}")
-    return 0 if ok else 1
+    ok = True
+    for field in ("edit_ratio", "core_edit_ratio"):
+        ratio = entry[field]
+        reference = by_name[spec["name"]].get(field)
+        passed = ratio <= gate
+        ok = ok and passed
+        print(f"{spec['name']}: {field} {ratio:.4f} "
+              f"(baseline {reference}, gate {gate:.2f}) "
+              f"{'OK' if passed else 'REGRESSION'}")
+    relowers = entry["core_full_relowers"]
+    print(f"{spec['name']}: core edits re-lowered the whole program "
+          f"{relowers} time(s) {'OK' if relowers == 0 else 'REGRESSION'}")
+    return 0 if ok and relowers == 0 else 1
 
 
 def main() -> int:
@@ -237,7 +272,11 @@ def main() -> int:
                   f"edit={entry['edit_seconds'] * 1000:6.1f}ms "
                   f"(x{entry['edit_ratio']:.3f} of cold) "
                   f"cone={entry['dirty_cone']} "
-                  f"swaps={entry['unit_swaps']}")
+                  f"swaps={entry['unit_swaps']} "
+                  f"core={entry['core_edit_seconds'] * 1000:6.1f}ms "
+                  f"(x{entry['core_edit_ratio']:.3f}) "
+                  f"core_swaps={entry['core_unit_swaps']} "
+                  f"core_relowers={entry['core_full_relowers']}")
 
     if not args.smoke:
         payload = {

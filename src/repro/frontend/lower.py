@@ -313,9 +313,9 @@ class ModuleLowerer:
     def __init__(self, module_name: str = "program", run_ssa: bool = True,
                  recover: bool = False, module: Optional[Module] = None):
         #: lowering into an existing module (``module=``) is the
-        #: incremental front end's surgical unit swap: the edited
-        #: unit's new functions bind call targets against the live
-        #: function objects of every other (unchanged) unit
+        #: incremental session's per-definition re-lower: an edited
+        #: definition fills its own (reset) function object, and its
+        #: calls bind to the live function objects of the module
         self.module = module if module is not None else Module(module_name)
         self.run_ssa = run_ssa
         #: function name → start SourceLocation, used for annotation
@@ -453,13 +453,7 @@ class ModuleLowerer:
             except _AddressTaken as exc:
                 pinned.add(exc.args[0])
             types._anon_counter = anon_counter
-            for block in func.blocks:
-                block.instructions.clear()
-            func.blocks = []
-            func.arguments = []
-            func._next_temp = 0
-            func._next_block = 0
-            func.invalidate_analyses()
+            func.reset_body()
 
     def _lower_funcdef_recover(self, funcdef: c_ast.FuncDef,
                                types: TypeBuilder, unit: ParsedUnit) -> None:

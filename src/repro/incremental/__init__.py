@@ -1,10 +1,8 @@
 """Incremental analysis: disk-backed value-flow segments, a function
 dependency graph, and the ``safeflow watch`` session/loop.
 
-``IncrementalSession``/``WatchLoop`` are imported lazily: the package
-is also imported from :func:`repro.perf.fingerprint.config_fingerprint`
-(to fold ``SEGMENT_FORMAT_VERSION`` in), which must not drag the whole
-driver stack along.
+``IncrementalSession``/``WatchLoop`` are imported lazily, so that
+importing the segment store does not import the whole driver stack.
 """
 
 from .depgraph import DependencyGraph

@@ -60,23 +60,23 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..perf.fingerprint import SCHEMA_VERSION, combine
+from ..perf.fingerprint import code_digest, combine
 from ..perf.integrity import (
     frame, read_frame_log, read_sealed, write_file, write_sealed)
 from ..perf.summary_store import BodyRecord
 from ..resilience.faults import on_segment_flush
 from .depgraph import DependencyGraph
 
-#: bump on any change to the segment/frame layout; folded into
-#: ``config_fingerprint`` so a format rev namespaces every store
+#: bump on any change to the segment/frame layout (named in the header)
 SEGMENT_FORMAT_VERSION = 1
 
 LOG_NAME = "segments.log"
 DEPS_NAME = "deps.bin"
 
-#: the first frame of every log
-_HEADER = frame(("header", {"format": SEGMENT_FORMAT_VERSION,
-                            "schema": SCHEMA_VERSION}))
+
+def _header() -> dict:
+    """The first frame's payload: the format and the writer's code."""
+    return {"format": SEGMENT_FORMAT_VERSION, "code": code_digest()}
 
 
 @dataclass
@@ -159,8 +159,7 @@ class SegmentStore:
         header = frames[0]
         if (not isinstance(header, tuple) or len(header) != 2
                 or header[0] != "header"
-                or header[1].get("format") != SEGMENT_FORMAT_VERSION
-                or header[1].get("schema") != SCHEMA_VERSION):
+                or header[1] != _header()):
             # foreign or stale-format store: evict wholesale and
             # recompute (stale segments must never replay)
             self.integrity_evictions += 1
@@ -328,7 +327,7 @@ class SegmentStore:
             return
         frames: List[bytes] = []
         if self._disk_frames == 0:
-            frames.append(_HEADER)
+            frames.append(frame(("header", _header())))
         if self._tombstones:
             frames.append(frame(("evict", tuple(self._tombstones))))
         if self._uncouple:
@@ -366,7 +365,7 @@ class SegmentStore:
 
     def _compact(self) -> None:
         """Rewrite the log with only live frames (atomic replace)."""
-        frames = [_HEADER]
+        frames = [frame(("header", _header()))]
         if self._closures:
             frames.append(frame(("closures", dict(self._closures))))
         for function, (reads, writes) in sorted(self._couplings.items()):

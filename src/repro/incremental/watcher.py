@@ -10,25 +10,45 @@ program alive between verdicts:
   :func:`repro.frontend.parser.parse_preprocessed`), and a verdict over
   *all*-unchanged digests short-circuits to a memoized copy of the last
   report without touching any phase;
-- the lowered :class:`~repro.frontend.driver.Program`, updated by a
-  **surgical unit swap** when the edit allows it (a single changed unit
-  that defines only plain functions, no annotations, the same function
-  names as before, none of them referenced from other units): per-def
-  AST digests prune the swap to the definitions that actually changed —
-  their old function objects are unbound and only they are re-lowered
-  into the live module, so every other definition's IR — and with it
-  the per-function fingerprint memoization — survives untouched. Any
-  edit outside that envelope (signature change, annotation change, new
-  or deleted file, degraded unit) falls back to a full re-lower over
-  the cached parse trees, which is still parse-free;
+- the lowered :class:`~repro.frontend.driver.Program`, updated **per
+  definition** when the edit allows it: each definition whose AST
+  changed is lowered again into its existing :class:`~repro.ir.Function`
+  (:meth:`~repro.ir.Function.reset_body`, then the lowerer fills the
+  declaration in place), so calls and address-taken uses in every
+  other unit stay bound to it and nothing is relinked; every other
+  function's IR, and its memoized fingerprint, survives. The edit
+  takes this path only when that gives a cold lowering of the edited
+  tree:
+
+  - the old and the new unit are strict-tier and not degraded;
+  - the unit's *frame* is unchanged: every top-level node that is not
+    a definition (typedefs, globals, prototypes), coordinates
+    included, and each definition's name, signature and start
+    location, in order; and so are its annotations (location, text);
+  - no changed definition is degraded or declares a struct, union or
+    enum type or a local function (an anonymous aggregate's tag comes
+    from a per-unit counter the definitions before it advanced);
+  - a changed definition refers only to globals declared before it and
+    to functions defined before it, or never defined and declared
+    before it or referred to by its old body too (a cold lowering binds
+    a forward reference to the callee's earlier declaration, a
+    prototype or C90's implicit ``int f()``, whose type the live module
+    no longer holds);
+  - lowering adds no function, global or struct to the module.
+
+  Any other edit (a signature, annotation, typedef or global, a line
+  added above a definition, a new or deleted file, a degraded unit)
+  re-lowers the whole program from the cached parse trees, which is
+  still parse-free;
 - the long-lived :class:`~repro.incremental.segments.SegmentStore`,
   injected into every verdict so the value-flow phase replays intact
   segments and re-analyzes only the dirty cone.
 
 The session keeps IR past its gc guards, so it owns that IR: a full
-re-lower releases the program it replaces and a swap releases the
-functions it pops (:meth:`repro.ir.Function.release`), and both die by
-refcount instead of waiting for a full collection.
+re-lower releases the program it replaces and a per-definition
+re-lower tears down the bodies it replaces (:meth:`repro.ir.Function.
+reset_body`), and both die by refcount instead of waiting for a full
+collection.
 
 :class:`WatchLoop` polls mtimes (content hashes confirm real changes),
 re-verdicts on change, and holds the :func:`repro.perf.gcpause.
@@ -50,12 +70,12 @@ from pycparser import c_ast
 from ..core.config import AnalysisConfig
 from ..core.driver import SafeFlow
 from ..core.results import AnalysisReport
-from ..errors import IRError, LoweringError, ParseError
+from ..errors import IRError, LoweringError
 from ..frontend.driver import Program, UnitInfo, _finish
 from ..frontend.lower import ModuleLowerer
 from ..frontend.parser import ParsedUnit
 from ..frontend.recovery import TIER_STRICT, RecoveredUnit, frontend_file
-from ..ir import Function
+from ..ir import Function, GlobalVariable
 from ..ir.verifier import verify_function
 from ..perf.fingerprint import text_digest
 from .segments import SegmentStore
@@ -83,69 +103,90 @@ def _ast_digest(node) -> str:
     return text_digest("\x00".join(parts))
 
 
+def _declares_types(funcdef: c_ast.FuncDef) -> bool:
+    """True when ``funcdef`` declares a struct, union or enum type, or
+    a function inside its body: lowering it alone would not give what
+    it gave inside a cold lowering of its unit."""
+    stack: List[c_ast.Node] = [funcdef]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (c_ast.Struct, c_ast.Union)):
+            if node.name is None or node.decls is not None:
+                return True
+        elif isinstance(node, c_ast.Enum):
+            if node.values is not None:
+                return True
+        elif (isinstance(node, c_ast.Decl) and node is not funcdef.decl
+              and isinstance(node.type, c_ast.FuncDecl)):
+            return True
+        stack.extend(child for _, child in node.children())
+    return False
+
+
+def _changed_definitions(
+        old: ParsedUnit,
+        new: ParsedUnit) -> Optional[List[c_ast.FuncDef]]:
+    """The definitions of ``new`` whose body an edit changed, or
+    ``None`` when the edit moved the unit's frame or changed a
+    definition that declares a type (:func:`_declares_types`).
+
+    A definition the re-parse took over from the previous tree is the
+    same node, so it is unchanged without being digested."""
+    old_ext, new_ext = old.ast.ext, new.ast.ext
+    if len(old_ext) != len(new_ext):
+        return None
+    changed: List[c_ast.FuncDef] = []
+    for a, b in zip(old_ext, new_ext):
+        if a is b:
+            continue
+        if isinstance(a, c_ast.FuncDef) and isinstance(b, c_ast.FuncDef):
+            # a definition starts where its declaration does
+            if (a.param_decls is not None or b.param_decls is not None
+                    or _ast_digest(a.decl) != _ast_digest(b.decl)):
+                return None
+            if _ast_digest(a.body) != _ast_digest(b.body):
+                if _declares_types(a) or _declares_types(b):
+                    return None
+                changed.append(b)
+        elif _ast_digest(a) != _ast_digest(b):
+            return None
+    return changed
+
+
+def _references(func: Function) -> Tuple[Set[str], Set[str]]:
+    """Names of the functions and of the globals ``func``'s body
+    refers to: call targets and every operand (address-taken uses)."""
+    functions: Set[str] = set()
+    globals_: Set[str] = set()
+    for inst in func.instructions():
+        values = list(inst.operands)
+        values.append(getattr(inst, "callee", None))
+        values.extend(getattr(inst, "incoming", {}).values())
+        for value in values:
+            if isinstance(value, Function):
+                functions.add(value.name)
+            elif isinstance(value, GlobalVariable):
+                globals_.add(value.name)
+    return functions, globals_
+
+
+def _annotation_keys(state: "_UnitState") -> List[tuple]:
+    return [(a.location, a.raw_text) for a in state.result.annotations]
+
+
 class _UnitState:
     """Cached front-end state of one translation unit."""
 
-    __slots__ = ("path", "digest", "result", "unit", "annotations",
-                 "degraded", "defs", "refs", "funcs_only", "def_digests")
+    __slots__ = ("digest", "result", "unit")
 
-    def __init__(self, path: str, digest: str, result: RecoveredUnit,
-                 previous: Optional["_UnitState"] = None):
-        self.path = path
+    def __init__(self, digest: str, result: RecoveredUnit):
         self.digest = digest
         #: the unit as :func:`~repro.frontend.recovery.frontend_file`
         #: returned it (recovery-ladder counters included); every full
         #: re-lower hands these to the same ``_finish`` a cold
         #: ``safeflow analyze`` runs
         self.result = result
-        self.unit = unit = result.unit
-        self.annotations = result.annotations
-        self.degraded = result.degraded
-        #: function names defined by this unit (definition order)
-        self.defs: Tuple[str, ...] = ()
-        #: function names this unit's code references (call targets and
-        #: address-taken uses) — maintained after lowering
-        self.refs: Set[str] = set()
-        #: the surgical swap envelope: top level is function
-        #: definitions plus nodes every unit re-lowers idempotently
-        #: into a shared module anyway (typedefs, extern declarations,
-        #: function prototypes — the preprocessor prelude consists of
-        #: exactly these). A non-extern variable declaration defines
-        #: module state and disqualifies the unit; annotations are
-        #: checked separately.
-        self.funcs_only = False
-        if unit is not None:
-            defs = []
-            funcs_only = True
-            for ext in unit.ast.ext:
-                if isinstance(ext, c_ast.FuncDef):
-                    defs.append(ext.decl.name)
-                elif isinstance(ext, (c_ast.Typedef, c_ast.Pragma)):
-                    continue
-                elif isinstance(ext, c_ast.Decl):
-                    if not isinstance(ext.type, c_ast.FuncDecl) \
-                            and "extern" not in (ext.storage or []):
-                        funcs_only = False
-                else:
-                    funcs_only = False
-            self.defs = tuple(defs)
-            self.funcs_only = funcs_only
-        #: per-definition AST digests (swap-eligible units only): lets
-        #: the surgical swap re-lower just the defs that changed. A
-        #: definition the re-parse took over from ``previous``'s tree
-        #: is the same node, so it keeps its digest.
-        self.def_digests: Dict[str, str] = {}
-        if unit is not None and self.funcs_only:
-            kept: Dict[int, str] = {}
-            if previous is not None and previous.def_digests:
-                kept = {id(ext): previous.def_digests[ext.decl.name]
-                        for ext in previous.unit.ast.ext
-                        if isinstance(ext, c_ast.FuncDef)
-                        and ext.decl.name in previous.def_digests}
-            for ext in unit.ast.ext:
-                if isinstance(ext, c_ast.FuncDef):
-                    self.def_digests[ext.decl.name] = (
-                        kept.get(id(ext)) or _ast_digest(ext))
+        self.unit = result.unit
 
     def reusable_parse(self) -> Optional[ParsedUnit]:
         """The parse an edit of this unit may re-parse against: a clean
@@ -156,25 +197,6 @@ class _UnitState:
                 or result.tier not in (None, TIER_STRICT):
             return None
         return result.unit
-
-
-def _function_refs(module, fnames: Sequence[str]) -> Set[str]:
-    """Names of functions referenced from the bodies of ``fnames``
-    (call targets and any function-valued operand — covers
-    address-taken uses)."""
-    refs: Set[str] = set()
-    for fname in fnames:
-        func = module.get_function(fname)
-        if func is None:
-            continue
-        for inst in func.instructions():
-            callee = getattr(inst, "callee", None)
-            if isinstance(callee, Function):
-                refs.add(callee.name)
-            for op in inst.operands:
-                if isinstance(op, Function):
-                    refs.add(op.name)
-    return refs
 
 
 class IncrementalSession:
@@ -190,8 +212,8 @@ class IncrementalSession:
         self.driver = SafeFlow(self.config)
         self._paths: List[str] = list(paths)
         self._units: Dict[str, _UnitState] = {}
-        #: new states of changed units, waiting for the swap or full
-        #: re-lower that consumes them (see :meth:`_refresh_units`)
+        #: new states of changed units, waiting for the per-definition
+        #: or full re-lower that consumes them (see :meth:`_refresh_units`)
         self._pending: Dict[str, _UnitState] = {}
         self.program: Optional[Program] = None
         self.store = store if store is not None \
@@ -202,13 +224,14 @@ class IncrementalSession:
         self._pending_integrity = (
             self.store.integrity_evictions if self.store is not None else 0)
         self.verdicts = 0
+        #: verdicts whose changed units took the per-definition re-lower
         self.swaps = 0
         self.full_relowers = 0
         #: verdicts answered from the previous report because no input
         #: digest moved (editor touch/save-without-change events)
         self.memo_verdicts = 0
         self.last_changed: Tuple[str, ...] = ()
-        #: function names the last surgical swap actually re-lowered
+        #: function names the last per-definition re-lower lowered again
         self.last_swap_defs: Tuple[str, ...] = ()
         self._last_report: Optional[AnalysisReport] = None
 
@@ -267,7 +290,7 @@ class IncrementalSession:
                                        frontend_started)
             except BaseException:
                 # the refreshed units are committed, but the module may
-                # be half-swapped and the memo is an edit behind: the
+                # be half re-lowered and the memo is an edit behind: the
                 # next verdict re-lowers from the cached parse trees
                 self.program = None
                 self._last_report = None
@@ -282,19 +305,9 @@ class IncrementalSession:
 
     def _analyze(self, changed, added, removed,
                  frontend_started: float) -> AnalysisReport:
-        if self.program is None or added or removed:
+        if self.program is None or added or removed \
+                or (changed and not self._relower_in_place(changed)):
             self._full_frontend()
-        elif changed:
-            if len(changed) == 1 and self._swap_eligible(changed[0]):
-                try:
-                    self._swap_unit(changed[0])
-                    self.swaps += 1
-                except (LoweringError, IRError, ParseError):
-                    # the swap mutated the module before failing; the
-                    # cached parse trees rebuild it from scratch
-                    self._full_frontend()
-            else:
-                self._full_frontend()
         return self.driver.analyze_program(
             self.program, name=self.name,
             frontend_seconds=perf_counter() - frontend_started,
@@ -321,8 +334,9 @@ class IncrementalSession:
         committed unless every file front-ended: a file that raises
         leaves the session as the last verdict left it. Added and
         removed units are committed then; the new :class:`_UnitState` of
-        a changed unit replaces the old one only after a swap or full
-        re-lower consumed both (``_pending`` holds it until then).
+        a changed unit replaces the old one only after a per-definition
+        or full re-lower consumed both (``_pending`` holds it until
+        then).
         """
         changed: List[str] = []
         added: List[str] = []
@@ -340,9 +354,9 @@ class IncrementalSession:
             if state is not None and state.digest == digest:
                 continue
             previous = state.reusable_parse() if state is not None else None
-            fresh[path] = _UnitState(path, digest, frontend_file(
+            fresh[path] = _UnitState(digest, frontend_file(
                 path, self.config.include_dirs, self.config.defines,
-                self.config.recover_tiers, previous), state)
+                self.config.recover_tiers, previous))
             (added if state is None else changed).append(path)
         removed = [p for p in self._units
                    if p in unreadable or p not in self._paths]
@@ -370,122 +384,103 @@ class IncrementalSession:
             # the session alone kept this IR past its guard
             replaced.module.release()
         self.full_relowers += 1
-        # reference sets for future swap-eligibility checks
-        module = self.program.module
-        for state in self._units.values():
-            state.refs = _function_refs(module, state.defs)
 
     # ------------------------------------------------------------------
-    # surgical unit swap
+    # per-definition re-lower
     # ------------------------------------------------------------------
 
-    def _swap_eligible(self, path: str) -> bool:
-        """A changed unit can be re-lowered into the live module only
-        when nothing outside the unit can observe the difference:
-
-        - old and new top level contain nothing but function
-          definitions, and neither carries annotations;
-        - the new unit defines exactly the same function names (a
-          rename, addition or deletion moves call bindings and
-          module order — full re-lower);
-        - no other unit references any of those functions (the IR
-          binds calls to function *objects*; external references
-          would keep pointing at the old bodies);
-        - none of the functions is degraded or annotated.
-        """
-        program = self.program
-        old = self._units.get(path)
-        new = self._pending.get(path)
-        if program is None or old is None or new is None:
-            return False
-        if old.unit is None or new.unit is None:
-            return False
-        if old.degraded or new.degraded:
-            return False
-        if not old.funcs_only or not new.funcs_only:
-            return False
-        if old.annotations or new.annotations:
-            return False
-        if tuple(sorted(old.defs)) != tuple(sorted(new.defs)):
-            return False
-        names = set(old.defs)
-        if names & set(program.degraded_functions or ()):
-            return False
-        for fname in names:
-            if program.function_annotations.get(fname):
-                return False
-        for other_path, state in self._units.items():
-            if other_path == path:
-                continue
-            if names & state.refs:
-                return False
-            if names & set(state.defs):
-                return False
-        return True
-
-    def _swap_unit(self, path: str) -> None:
-        old = self._units[path]
-        # the new state stays pending until the swap succeeded: a swap
-        # that fails falls back to a full re-lower, which must see it
-        new = self._pending[path]
+    def _relower_in_place(self, changed: Sequence[str]) -> bool:
+        """Lower every changed definition of the ``changed`` units again
+        into its own :class:`Function`, when the module then equals a
+        cold lowering of the edited tree (the rules in the module
+        docstring). Returns ``False`` when a rule does not hold; the
+        module may then be half re-lowered, and the caller re-lowers
+        the whole program."""
         program = self.program
         module = program.module
-        # prune the swap to the defs whose ASTs actually moved — a
-        # one-function edit (or a comment/whitespace-only change) need
-        # not re-lower its 30 siblings. Pruning is sound only when no
-        # kept def references a re-lowered one: kept bodies bind call
-        # operands to function *objects*, which the re-lower replaces.
-        swapped = [f for f in new.defs
-                   if new.def_digests.get(f) != old.def_digests.get(f)]
-        if swapped and len(swapped) != len(new.defs):
-            kept = [f for f in new.defs if f not in set(swapped)]
-            if _function_refs(module, kept) & set(swapped):
-                swapped = list(new.defs)
-        self.last_swap_defs = tuple(swapped)
-        if swapped:
-            original_order = list(module.functions)
-            popped = [module.functions.pop(fname) for fname in swapped
-                      if fname in module.functions]
-            # nothing kept references the popped bodies (see above and
-            # _swap_eligible), and the session alone kept them past
-            # their guard
-            for func in popped:
-                func.release()
-            unit = new.unit
-            if len(swapped) != len(new.defs):
-                keep = set(swapped)
-                pruned = c_ast.FileAST(ext=[
-                    ext for ext in new.unit.ast.ext
-                    if not (isinstance(ext, c_ast.FuncDef)
-                            and ext.decl.name not in keep)
-                ])
-                unit = ParsedUnit(pruned, new.unit.source,
-                                  name=new.unit.name)
-            lowerer = ModuleLowerer(run_ssa=True, recover=False,
-                                    module=module)
-            lowerer.lower_unit(unit)
-            if self.config.verify_ir:
-                for fname in swapped:
-                    func = module.get_function(fname)
-                    if func is not None and not func.is_declaration:
+        edits: List[Tuple[str, List[c_ast.FuncDef]]] = []
+        for path in changed:
+            old, new = self._units[path], self._pending[path]
+            if old.reusable_parse() is None or new.reusable_parse() is None \
+                    or _annotation_keys(old) != _annotation_keys(new):
+                return False
+            defs = _changed_definitions(old.unit, new.unit)
+            if defs is None:
+                return False
+            edits.append((path, defs))
+        names = [d.decl.name for _, defs in edits for d in defs]
+        funcs = [module.functions.get(name) for name in names]
+        if any(f is None or f.is_declaration for f in funcs) \
+                or set(names) & program.degraded_functions:
+            return False
+        if funcs:
+            declared, defined = self._positions()
+            before = {f.name: _references(f)[0] for f in funcs}
+            for func in funcs:
+                func.reset_body()
+            sizes = (len(module.functions), len(module.globals),
+                     len(module.structs))
+            try:
+                for path, defs in edits:
+                    if not defs:
+                        continue
+                    new = self._pending[path].unit
+                    keep = {id(d) for d in defs}
+                    ModuleLowerer(module=module).lower_unit(ParsedUnit(
+                        c_ast.FileAST(ext=[
+                            ext for ext in new.ast.ext
+                            if not isinstance(ext, c_ast.FuncDef)
+                            or id(ext) in keep]),
+                        new.source, name=new.name))
+                if sizes != (len(module.functions), len(module.globals),
+                             len(module.structs)):
+                    return False
+                for func in funcs:
+                    at = defined[func.name]
+                    functions, globals_ = _references(func)
+                    for name in functions | before[func.name]:
+                        if name in defined:
+                            if defined[name] > at:
+                                return False
+                        elif declared.get(name, at) >= at and not (
+                                name in functions
+                                and name in before[func.name]):
+                            return False
+                    if any(declared.get(name, at) >= at
+                           for name in globals_):
+                        return False
+                    if self.config.verify_ir:
                         verify_function(func)
-            # restore the cold module order (same names, new objects),
-            # with any newly created external declarations at the tail
-            # — byte-identity with a cold run depends on deterministic
-            # iteration
-            reordered = {}
-            for fname in original_order:
-                if fname in module.functions:
-                    reordered[fname] = module.functions[fname]
-            for fname, func in module.functions.items():
-                if fname not in reordered:
-                    reordered[fname] = func
-            module.functions = reordered
-        index = next(i for i, info in enumerate(program.units)
-                     if info.name == old.unit.name)
-        program.units[index] = UnitInfo.of(new.unit)
-        self._units[path] = self._pending.pop(path)
-        new.refs = _function_refs(module, new.defs)
+            except (LoweringError, IRError, RecursionError):
+                return False
+        for path, _ in edits:
+            state = self._units[path] = self._pending.pop(path)
+            index = next(i for i, info in enumerate(program.units)
+                         if info.name == state.unit.name)
+            program.units[index] = UnitInfo.of(state.unit)
+        self.swaps += 1
+        self.last_swap_defs = tuple(names)
+        return True
+
+    def _positions(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Where each name is first declared and where each function is
+        defined: indices into the top-level nodes of every unit, in the
+        order a cold lowering visits them."""
+        declared: Dict[str, int] = {}
+        defined: Dict[str, int] = {}
+        index = 0
+        for path in self._paths:
+            state = self._units.get(path)
+            if state is None or state.unit is None:
+                continue
+            for ext in state.unit.ast.ext:
+                if isinstance(ext, c_ast.FuncDef):
+                    defined.setdefault(ext.decl.name, index)
+                    declared.setdefault(ext.decl.name, index)
+                elif isinstance(ext, c_ast.Decl) and ext.name:
+                    declared.setdefault(ext.name, index)
+                index += 1
+        return declared, defined
 
 
 class WatchLoop:

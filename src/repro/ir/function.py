@@ -25,7 +25,7 @@ class Function(Value):
         self._next_temp = 0
         self._next_block = 0
         #: memoized derived analyses (dominator trees, control
-        #: dependence); see :meth:`cached_analysis`
+        #: dependence, fingerprint); see :meth:`cached_analysis`
         self._analysis_cache: Dict[object, object] = {}
 
     # -- construction -------------------------------------------------
@@ -112,9 +112,10 @@ class Function(Value):
 
         ``builder`` receives the function and its result is kept until
         :meth:`invalidate_analyses` — which every IR-mutating pass must
-        call. Used for dominator trees and control dependence, so
-        repeated analyses of one loaded Program (warm server, repeated
-        SafeFlow runs, fingerprinting) stop recomputing them.
+        call (:meth:`reset_body` does). Used for dominator trees,
+        control dependence and the function's fingerprint, so repeated
+        analyses of one loaded Program (warm server, repeated SafeFlow
+        runs, an incremental session) stop recomputing them.
         """
         value = self._analysis_cache.get(key)
         if value is None:
@@ -128,18 +129,17 @@ class Function(Value):
 
     # -- teardown -----------------------------------------------------
 
-    def release(self) -> None:
-        """Tear this function's IR down so that it dies by refcount.
+    def reset_body(self) -> None:
+        """Tear this function's body and arguments down so that they
+        die by refcount, leaving a declaration with the same identity
+        that lowering can fill again in place.
 
         Operands, phi incoming maps, branch targets and parent links
-        tie a function's blocks and instructions into reference
-        cycles, and IR kept past a :func:`repro.perf.gcpause.gc_paused`
-        guard is promoted out of generation 0, so without a teardown
-        only a full collection frees it. Whoever keeps IR past a guard
-        calls this when it drops the function. It clears the
-        derived-analysis memo and the instance state of every block,
-        instruction and argument, and of the function itself: any
-        later use raises ``AttributeError``.
+        tie blocks and instructions into reference cycles, and IR kept
+        past a :func:`repro.perf.gcpause.gc_paused` guard is promoted
+        out of generation 0, so without the teardown only a full
+        collection would free the old body. Any later use of one of
+        its blocks, instructions or arguments raises ``AttributeError``.
         """
         for block in self.blocks:
             for inst in block.instructions:
@@ -147,7 +147,17 @@ class Function(Value):
             block.__dict__.clear()
         for arg in self.arguments:
             arg.__dict__.clear()
-        self._analysis_cache.clear()
+        self.blocks = []
+        self.arguments = []
+        self._next_temp = 0
+        self._next_block = 0
+        self.invalidate_analyses()
+
+    def release(self) -> None:
+        """:meth:`reset_body`, then clear the function's own state:
+        whoever keeps IR past a gc guard calls this when it drops the
+        function, and any later use raises ``AttributeError``."""
+        self.reset_body()
         self.__dict__.clear()
 
     def short(self) -> str:

@@ -30,7 +30,7 @@ from .batch import (
     run_batch,
 )
 from .fingerprint import (
-    SCHEMA_VERSION,
+    code_digest,
     config_fingerprint,
     file_digest,
     function_fingerprint,
@@ -54,7 +54,7 @@ __all__ = [
     "IRCache",
     "IntegrityError",
     "JournalReplay",
-    "SCHEMA_VERSION",
+    "code_digest",
     "config_fingerprint",
     "file_digest",
     "function_fingerprint",

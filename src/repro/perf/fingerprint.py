@@ -7,6 +7,10 @@ processes and machines. Three fingerprint families live here:
 
 - :func:`file_digest` / :func:`text_digest` — raw input hashing for the
   front-end IR cache;
+- :func:`code_digest` — the source of the ``repro`` package itself,
+  folded into every persisted record's key (the program key,
+  :func:`config_fingerprint`, the segment-store header), so a record
+  one build of the analysis wrote is never served to another;
 - :func:`config_fingerprint` — the analysis-relevant slice of
   :class:`repro.core.config.AnalysisConfig` (cache plumbing fields are
   excluded so toggling the cache never invalidates it);
@@ -24,8 +28,9 @@ that differ between processes. Here every instruction is named by its
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import weakref
+import os
 from dataclasses import fields as dataclass_fields
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
@@ -44,12 +49,6 @@ from ..ir.instructions import (
     Ret,
 )
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
-
-#: bump when the fingerprint composition or the shape of a cached
-#: program changes; folded into every key. 2: programs keep no parse
-#: trees or lowerer (entries of 1 would unpickle both). 3: the lowerer
-#: builds SSA itself (phis are numbered differently, dead phis are gone)
-SCHEMA_VERSION = 3
 
 #: AnalysisConfig fields that only steer the performance layer itself —
 #: never part of a semantic cache key. ``profile`` and ``pause_gc``
@@ -83,9 +82,28 @@ def combine(parts: Iterable[str]) -> str:
     return h.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Digest of the ``repro`` package's source (every ``*.py`` file,
+    by relative path and content; about 1 MB), once per process. It
+    stands where a hand-bumped schema constant stood: any edit to the
+    analysis renames every record."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                h.update(os.path.relpath(path, root).encode("utf-8"))
+                with open(path, "rb") as f:
+                    h.update(b"\x00" + f.read() + b"\x00")
+    return h.hexdigest()
+
+
 def config_fingerprint(config) -> str:
     """Deterministic digest of the analysis-relevant config fields."""
-    parts = [f"schema={SCHEMA_VERSION}"]
+    parts = [f"code={code_digest()}"]
     for f in sorted(dataclass_fields(config), key=lambda f: f.name):
         if f.name in CACHE_ONLY_FIELDS:
             continue
@@ -97,19 +115,10 @@ def config_fingerprint(config) -> str:
         else:
             rendered = repr(value)
         parts.append(f"{f.name}={rendered}")
-    # the compiled kernel's persisted side effects (summary records)
-    # depend on its program/lattice format: fold the opcode format
-    # version in, so records written under one format are never
-    # replayed into another
+    # the compiled kernel's format, by version as well as by source
     from ..valueflow.opcodes import OPCODE_FORMAT_VERSION
 
     parts.append(f"opcodes=v{OPCODE_FORMAT_VERSION}")
-    # persisted value-flow segments (repro.incremental) have their own
-    # on-disk format; fold its version in so a format rev gives stores
-    # and summary caches a fresh namespace, like OPCODE_FORMAT_VERSION
-    from ..incremental.segments import SEGMENT_FORMAT_VERSION
-
-    parts.append(f"segments=v{SEGMENT_FORMAT_VERSION}")
     # the recovery ladder rewrites unit text before parsing: fold the
     # tier format version and GNU parser strategy in (the enabled-tier
     # set itself is an ordinary config field above), so a rewrite-rule
@@ -132,15 +141,6 @@ def _loc_text(location) -> str:
     return f"{location.filename}:{location.line}:{location.column}"
 
 
-#: memoized digests keyed by Function identity. IR functions are
-#: immutable once the front end hands them to the analysis pipeline, so
-#: the digest of a live object never changes; weak keys let programs be
-#: garbage-collected normally.
-_FUNCTION_FP_CACHE: "weakref.WeakKeyDictionary[Function, str]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def function_fingerprint(func: Function) -> str:
     """Structural + positional digest of one function's IR.
 
@@ -149,16 +149,16 @@ def function_fingerprint(func: Function) -> str:
     edit and a pure line-shift change the fingerprint — either would
     change the diagnostics the cached summaries reproduce.
 
-    Memoized per live ``Function`` object: summary replay fingerprints
-    every function once per analyzed program, and long-lived processes
-    (``safeflow serve``, batch workers) re-fingerprint shared corpora.
+    Memoized on the function (:meth:`Function.cached_analysis`):
+    summary replay fingerprints every function once per analyzed
+    program, and long-lived processes (``safeflow serve``, batch
+    workers, the incremental session) re-fingerprint the same IR. IR
+    is not immutable — the incremental session lowers an edited
+    definition again into its existing ``Function`` — so the memo
+    lives where :meth:`Function.invalidate_analyses` drops it: a stale
+    fingerprint would replay a stale segment.
     """
-    cached = _FUNCTION_FP_CACHE.get(func)
-    if cached is not None:
-        return cached
-    fp = _function_fingerprint_uncached(func)
-    _FUNCTION_FP_CACHE[func] = fp
-    return fp
+    return func.cached_analysis("fingerprint", _function_fingerprint_uncached)
 
 
 def _function_fingerprint_uncached(func: Function) -> str:

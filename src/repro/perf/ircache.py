@@ -71,7 +71,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fingerprint import SCHEMA_VERSION, combine, file_digest, text_digest
+from .fingerprint import code_digest, combine, file_digest, text_digest
 from .integrity import read_sealed, write_sealed
 
 #: deep IR/AST object graphs need headroom beyond the default 1000
@@ -232,7 +232,7 @@ class IRCache:
     ) -> Optional[str]:
         self._digests = {}
         parts = [
-            f"schema={SCHEMA_VERSION}", _DEPS,
+            f"code={code_digest()}", _DEPS,
             f"pycparser={_pycparser_version()}",
             f"include_dirs={tuple(include_dirs)!r}",
             f"defines={sorted((defines or {}).items())!r}",
@@ -256,7 +256,7 @@ class IRCache:
     ) -> str:
         self._digests = {}
         return combine([
-            f"schema={SCHEMA_VERSION}", _DEPS,
+            f"code={code_digest()}", _DEPS,
             f"pycparser={_pycparser_version()}",
             f"defines={sorted((defines or {}).items())!r}",
             f"verify={verify}",

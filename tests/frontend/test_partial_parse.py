@@ -9,7 +9,8 @@ the same input.
   location;
 - an incremental session re-parses only the definitions an edit
   touched or moved; every verdict of a seeded edit sequence must render exactly
-  as a cold ``analyze_files`` of the tree;
+  as a cold ``analyze_files`` of the tree, and every function of the
+  session's program must fingerprint as a cold ``load_files``' does;
 - the regex-jumping definition splitter must return exactly what the
   character-by-character scan it replaced returns.
 """
@@ -37,10 +38,11 @@ from repro.frontend.parser import (
     match_pair,
     parse_preprocessed,
 )
-from repro.frontend import recovery
+from repro.frontend import load_files, recovery
 from repro.frontend.preprocessor import Preprocessor
 from repro.frontend.recovery import cleanup_source, normalize_gnu
 from repro.incremental.watcher import IncrementalSession, _ast_digest
+from repro.perf.fingerprint import function_fingerprint
 
 from conftest import FIGURE2_SOURCE
 
@@ -317,6 +319,80 @@ def test_session_edit_sequence_matches_cold_analysis(tmp_path, seed):
         want = cold.analyze_files(paths, name=session.name) \
             .render(verbose=True)
         assert got == want, f"step {step}: {kind} edit of {path}"
+        assert _fingerprints(session.program) \
+            == _fingerprints(load_files(paths)), f"step {step}"
+
+
+def _fingerprints(program):
+    return {name: function_fingerprint(func)
+            for name, func in program.module.functions.items()}
+
+
+#: same-line edits of ``core.c`` bodies, each swapping one digit (the
+#: regex's group) for its pair: the annotated monitor, a fan-out helper
+#: that ``user.c`` calls too, the annotated ``main``, and a pipeline
+#: stage that writes a shm global
+_CORE_EDITS = {
+    "monitor": (re.compile(r"v > 10\.([05]) \|\|"), "05"),
+    "fan": (re.compile(r"return x \* 0\.5 \+ \d\.([27])5;"), "27"),
+    "main": (re.compile(r"output \* 1\.0([12]);"), "12"),
+    "stage": (re.compile(r"v \* 0\.5 \+ \d\.([05]);"), "05"),
+}
+
+USER_C = """\
+double fan0(double x);
+double fan1(double x);
+
+double use_fans(double x)
+{
+    return fan0(x) + fan1(x);
+}
+"""
+
+
+def _edit_core(rng: random.Random, text: str, kind: str) -> str:
+    if kind == "filler":
+        return _edit(rng, text, "body")
+    pattern, pair = _CORE_EDITS[kind]
+    m = rng.choice(list(pattern.finditer(text)))
+    flipped = pair[1] if m.group(1) == pair[0] else pair[0]
+    return text[:m.start(1)] + flipped + text[m.end(1):]
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_session_core_edit_sequence_relowers_in_place(tmp_path, seed):
+    # core.c holds the annotations and the shm globals; each body edit
+    # re-lowers only its definition, and the program stays a cold one
+    generated = generate_core_files(
+        filler_functions=4, chain_depth=3, call_fanout=2,
+        pipeline_stages=4, monitored_regions=1, filler_units=2,
+        fillers_per_unit=4)
+    paths = generated.write_to(str(tmp_path / "src"))
+    user = str(tmp_path / "src" / "user.c")
+    with open(user, "w") as f:
+        f.write(USER_C)
+    paths.append(user)
+    session = IncrementalSession(paths, config=AnalysisConfig(
+        cache_dir=str(tmp_path / "cache"), summary_mode=True))
+    cold = SafeFlow(AnalysisConfig(summary_mode=True))
+    session.verdict()
+    rng = random.Random(seed)
+    core = paths[0]
+    text = open(core).read()
+    for step in range(10):
+        kind = rng.choice(["filler", *_CORE_EDITS])
+        text = _edit_core(rng, text, kind)
+        with open(core, "w") as f:
+            f.write(text)
+        swaps = session.swaps
+        got = session.verdict().render(verbose=True)
+        assert session.swaps == swaps + 1, f"step {step}: {kind}"
+        assert len(session.last_swap_defs) == 1, f"step {step}: {kind}"
+        assert got == cold.analyze_files(paths, name=session.name) \
+            .render(verbose=True), f"step {step}: {kind}"
+        assert _fingerprints(session.program) \
+            == _fingerprints(load_files(paths)), f"step {step}: {kind}"
+    assert session.full_relowers == 1
 
 
 def test_session_body_edit_parses_only_the_changed_body(tmp_path):

@@ -12,7 +12,7 @@ from repro.incremental.depgraph import DependencyGraph
 from repro.incremental.segments import (
     SEGMENT_FORMAT_VERSION, SegmentStore,
 )
-from repro.perf.fingerprint import SCHEMA_VERSION
+from repro.perf.fingerprint import code_digest
 from repro.perf.integrity import frame
 from repro.perf.summary_store import BodyRecord
 
@@ -135,7 +135,7 @@ def test_stale_format_store_is_evicted_wholesale(tmp_path):
     tmp_path.mkdir(exist_ok=True)
     with open(path, "wb") as f:
         f.write(frame(("header", {"format": SEGMENT_FORMAT_VERSION + 1,
-                                   "schema": SCHEMA_VERSION})))
+                                   "code": code_digest()})))
         f.write(frame(("segment", "k", None)))
     reopened = SegmentStore(str(tmp_path))
     assert reopened.integrity_evictions == 1

@@ -258,10 +258,10 @@ def test_ir_cache_entry_of_an_older_schema_is_not_served(tmp_path,
             cache.store(key, load_source(SIMPLE, filename="simple.c"))
 
     cache = IRCache(str(tmp_path))
-    monkeypatch.setattr(ircache, "SCHEMA_VERSION", 2)
+    monkeypatch.setattr(ircache, "code_digest", lambda: "an older build")
     load(cache)
     monkeypatch.undo()
-    assert ircache.SCHEMA_VERSION == 3
+    assert ircache.code_digest() != "an older build"
     load(cache)
     assert (cache.hits, cache.misses) == (0, 2)
     load(cache)

@@ -196,13 +196,13 @@ class TestCodecLayout:
 
     def test_hand_built_stores_load(self, tmp_path):
         from repro.incremental.segments import SEGMENT_FORMAT_VERSION
-        from repro.perf.fingerprint import SCHEMA_VERSION
+        from repro.perf.fingerprint import code_digest
 
         log = tmp_path / "seg"
         log.mkdir()
         with open(log / "segments.log", "wb") as f:
             f.write(_layout_frame(("header", {
-                "format": SEGMENT_FORMAT_VERSION, "schema": SCHEMA_VERSION})))
+                "format": SEGMENT_FORMAT_VERSION, "code": code_digest()})))
             f.write(_layout_frame(("closures", {"f": "fp-f"})))
         store = SegmentStore(str(log))
         assert store.integrity_evictions == 0

@@ -178,9 +178,23 @@ def test_session_swap_frees_the_popped_functions(tmp_path):
     assert _ir_garbage(garbage) == []
 
 
+def test_session_core_edit_frees_the_replaced_body(tmp_path):
+    session, paths = _generated_session(tmp_path)
+    _toggle_first_filler(paths[0])  # main: annotated, in core.c
+    garbage = _cyclic_garbage_of(session.verdict)
+    assert session.swaps == 1 and session.full_relowers == 1
+    assert len(session.last_swap_defs) == 1
+    assert _ir_garbage(garbage) == []
+
+
 def test_session_relower_frees_the_replaced_program(tmp_path):
     session, paths = _generated_session(tmp_path)
-    _toggle_first_filler(paths[0])  # core.c carries annotations
+    with open(paths[0]) as f:
+        text = f.read()
+    signature = "double monitor0(Region *r, double fb)"
+    assert signature in text
+    with open(paths[0], "w") as f:  # a signature change
+        f.write(text.replace(signature, signature.replace(" fb", "  fb")))
     garbage = _cyclic_garbage_of(session.verdict)
     assert session.swaps == 0 and session.full_relowers == 2
     assert _ir_garbage(garbage) == []
