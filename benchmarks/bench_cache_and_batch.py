@@ -4,8 +4,8 @@ Two acceptance properties of the ``repro.perf`` layer, measured and
 asserted:
 
 - a warm-cache re-analysis of a corpus system is at least 2x faster
-  than a cold one (the pooled program's verdict is replayed, so the
-  front end and phases 1-3 are skipped);
+  than a cold one (the verdict record is replayed, so the front end
+  and phases 1-3 are skipped);
 - a 4-worker batch over the three Table-1 systems beats running the
   same jobs sequentially.
 
@@ -22,7 +22,6 @@ from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
 from repro.corpus import load_all, load_system
 from repro.perf.batch import BatchJob
-from repro.perf.ircache import IRCache
 
 
 def _best_of(fn, rounds):
@@ -41,14 +40,12 @@ def test_warm_cache_vs_cold(benchmark, tmp_path):
     config = AnalysisConfig(summary_mode=True, cache_dir=cache_dir)
 
     def cold_run():
-        # both tiers: a program pooled in memory would replay its verdict
         shutil.rmtree(cache_dir, ignore_errors=True)
-        IRCache.memory.clear()
         system.analyze(config)
 
     cold = _best_of(cold_run, rounds=3)
 
-    system.analyze(config)  # prime both tiers
+    system.analyze(config)  # prime the store
     benchmark.pedantic(lambda: system.analyze(config),
                        rounds=5, iterations=1, warmup_rounds=1)
     warm = benchmark.stats.stats.min

@@ -96,10 +96,9 @@ SMOKE_CONFIGS = [
 #: a pre-fast-kernel tree understands) or "<kernel>[-dense|-warm]";
 #: the object kernel and the dense loop are the oracles of the tests/
 #: directory given as the fourth argument. "-warm" primes an IR cache
-#: with one untimed analysis first, then drops the memory tier and the
-#: verdict records (either would replay the primed verdict) and times
-#: a kernel run on the program record; it fails if no body was
-#: analyzed.
+#: with one untimed analysis first, then deletes the verdict records
+#: (they would replay the primed verdict) and times a kernel run on
+#: the program record; it fails if no body was analyzed.
 _TIMER = r"""
 import glob, json, os, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
@@ -126,8 +125,6 @@ else:
         cache = tempfile.TemporaryDirectory()
         opts["cache_dir"] = cache.name
         SafeFlow(AnalysisConfig(**opts)).analyze_source(text, name="prime")
-        from repro.perf.ircache import IRCache
-        IRCache.memory.clear()
         for record in glob.glob(os.path.join(cache.name, "ir", "*.verdict")):
             os.remove(record)
     with oracles.installed(kernel, fixpoint):

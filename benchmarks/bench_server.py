@@ -2,8 +2,8 @@
 
 The point of running ``safeflow serve`` at all is that a long-lived
 daemon amortizes work across requests: its workers share the on-disk
-IR cache, and a repeat request on the worker that pooled its program
-replays that program's verdict. This benchmark measures that directly:
+IR cache, and a repeat request on any worker replays the verdict
+record the first one wrote. This benchmark measures that directly:
 
 - *cold CLI*: a fresh ``SafeFlow`` with no cache directory, the same
   work ``safeflow analyze`` does on every invocation;

@@ -23,9 +23,8 @@ lists become tuples), so a renamed or folded field can still be
 compared. ``--warm-rounds N`` runs the working tree's side under a
 scratch cache dir and analyses every input N more times right after
 its first verdict: each repeat must come back ``verdict_replayed`` and
-match the rev's cold verdict. Odd rounds replay from the program
-pooled in the memory tier; every even round empties the memory tier
-first, so it replays from the verdict record on disk.
+match the rev's cold verdict; every round replays from the verdict
+record on disk.
 ``--ssa-labels`` accepts a change of SSA value names in the last two:
 it normalises ``%name.N`` to ``%name.#`` and the block index of
 unnamed temps (``@L<line>.<block>.N``) to ``#``, and drops the
@@ -68,19 +67,12 @@ _TEMP_INDEX = re.compile(r"(@L(?:\d+|\?)\.[\w.]+)\.\d+\b")
 #: as JSON to the third. The fourth is the number of warm rounds: with
 #: rounds, each input is analysed under a scratch cache dir once and
 #: then that many times more, back to back, so that the store replays
-#: its verdict: from the memory tier, and in every even round (which
-#: empties the memory tier) from the verdict record. The fifth is the
-#: JSON object of ``AnalysisConfig`` keyword arguments
+#: its verdict record. The fifth is the JSON object of
+#: ``AnalysisConfig`` keyword arguments
 _CHILD = r"""
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 from repro import AnalysisConfig, SafeFlow
-
-def warm_round(analyzer, item, number):
-    if number % 2 == 0:
-        from repro.perf.ircache import IRCache
-        IRCache.memory.clear()
-    return analyse(analyzer, item)
 
 def analyse(analyzer, item):
     try:
@@ -115,8 +107,7 @@ for item in manifest:
     analyzer = SafeFlow(AnalysisConfig(cache_dir=cache.name, **options))
     results[item["label"]] = analyse(analyzer, item)
     results[item["label"]]["warm"] = [
-        warm_round(analyzer, item, number)
-        for number in range(1, rounds + 1)]
+        analyse(analyzer, item) for _ in range(rounds)]
 with open(sys.argv[3], "w") as f:
     json.dump(results, f)
 """

@@ -70,9 +70,9 @@ class AnalysisConfig:
     message_passing_extension: bool = True
     #: directory for the performance layer's on-disk caches; None
     #: disables all caching (the default — caching is opt-in for the
-    #: library, opted into by the CLI). It also scopes the process-
-    #: wide memory tier of the program store (:mod:`repro.perf.ircache`).
-    #: Never part of a cache key.
+    #: library, opted into by the CLI): the program store
+    #: (:mod:`repro.perf.ircache`) lives under it. Never part of a cache
+    #: key.
     cache_dir: Optional[str] = None
     #: collect kernel counters and per-body timings during the
     #: value-flow phase (surfaced as ``AnalysisStats.hotspots`` /

@@ -18,11 +18,10 @@ The three phases follow §3.3 of the paper:
 
 With ``config.cache_dir`` set, the performance layer (:mod:`repro.perf`)
 kicks in: front-ended programs are reused from a content-hash-keyed
-two-tier store (in memory over on disk). Every verdict computed there
-is kept beside its program, in the pooled program's slot and in a
-verdict record on disk, and a later hit under the same config
-fingerprint, in either tier, replays that verdict without running
-phases 1-3 (``AnalysisStats.verdict_replayed``). The incremental
+store on disk. Every verdict computed there is kept beside its
+program as a verdict record, and a later hit under the same config
+fingerprint replays that verdict without running phases 1-3
+(``AnalysisStats.verdict_replayed``). The incremental
 session (:mod:`repro.incremental`) additionally hands phase 3 its
 segment store, so summary bodies of unchanged functions are replayed
 instead of recomputed. All three paths are behavior-preserving —
@@ -89,12 +88,11 @@ class SafeFlow:
         the program with ``frontend()`` and store it — and analyze it.
 
         When this run is eligible (:meth:`_verdict_key`), the store
-        answers with a verdict under the same config fingerprint if it
-        has one (the memory tier's slot, else the verdict record on
-        disk), and that verdict is replayed without running phases
-        1-3. Otherwise the computed verdict takes the program's slot
-        and is recorded on disk before the program goes back to the
-        store.
+        answers with the verdict record under the same config
+        fingerprint if it has one, and that verdict is replayed
+        without running phases 1-3. Otherwise the computed verdict is
+        recorded. The program this request built or unpickled is its
+        own, and it is released before the request returns.
         """
         from ..perf.gcpause import gc_paused
 
@@ -123,15 +121,11 @@ class SafeFlow:
                     ir_cache=cache,
                 )
                 if verdict_key is not None:
-                    verdict = report.verdict_copy(name)
-                    program.verdict = (verdict_key, verdict)
                     cache.store_verdict(key, verdict_key, program.deps,
-                                        verdict)
+                                        report.verdict_copy(name))
                 return report
             finally:
-                if program is not None and (
-                        cache is None or not cache.give_back(key, program)):
-                    # pooled by nobody (the disk tier holds it pickled)
+                if program is not None:
                     program.module.release()
                 # drop the frame's reference now, so the program's
                 # acyclic parts die by refcount before the guard exits
@@ -382,9 +376,9 @@ class SafeFlow:
         return IRCache(self.config.cache_dir)
 
     def _verdict_key(self) -> Optional[str]:
-        """The key a verdict is kept and replayed under (the memory
-        slot's and the verdict record's), or ``None`` when this run
-        must compute: ``profile`` runs measure their hotspots."""
+        """The key a verdict record is kept and replayed under, or
+        ``None`` when this run must compute: ``profile`` runs measure
+        their hotspots."""
         if self.config.profile:
             return None
         from ..perf.fingerprint import config_fingerprint

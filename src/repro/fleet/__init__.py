@@ -9,8 +9,8 @@ point it at the router and every verdict is byte-identical to a
 direct daemon (or a direct :class:`repro.core.SafeFlow` call).
 
 - :mod:`repro.fleet.hashring` — the consistent-hash ring mapping job
-  routing keys onto shards so each shard's memory tier (pooled
-  programs and their verdicts) stays hot for its slice of the corpus;
+  routing keys onto shards, so each shard keeps reading the same
+  slice of the one shared store (page-cache locality);
 - :mod:`repro.fleet.backend` — shard lifecycle: spawn, supervise,
   restart (``ProcessBackend`` runs real ``safeflow serve``
   subprocesses; ``InProcessBackend`` embeds daemons in-process for

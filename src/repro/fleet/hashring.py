@@ -1,10 +1,11 @@
 """Consistent hashing of analysis jobs onto shards.
 
-Two jobs with the same inputs must land on the same shard, or the
-per-shard memory tier (pooled programs and the verdicts they keep)
-thrashes: DFI's per-function segment keying —
-already our cache key — gives the sharding dimension, and the fleet
-routes whole jobs by a content key derived the same way as
+Two jobs with the same inputs land on the same shard. Every shard
+reads and writes one shared store, so this buys only page-cache
+locality: a shard keeps reading the records of its own slice of the
+corpus. DFI's per-function segment keying — already our cache key —
+gives the sharding dimension, and the fleet routes whole jobs by a
+content key derived the same way as
 :func:`repro.perf.journal.job_fingerprint`.
 
 The ring is the classic virtual-node construction: each shard owns
@@ -13,7 +14,7 @@ The ring is the classic virtual-node construction: each shard owns
 its own hash. Properties the fleet relies on:
 
 - *stability* — adding or removing one shard moves only ~1/N of the
-  keyspace; every other job keeps its warm shard;
+  keyspace; every other job keeps its shard;
 - *spread* — virtual nodes (default 64 per shard) keep the largest
   shard's keyspace share within a few percent of fair;
 - *walk-over* — :meth:`HashRing.lookup` takes a ``skip`` set of shard

@@ -7,17 +7,18 @@ forwards every ``analyze`` to one of N shard daemons:
 
 *Affinity.* The request's :func:`repro.fleet.hashring.routing_key`
 (job shape, the I/O-free sibling of ``job_fingerprint``) is looked up
-on a consistent-hash ring, so repeated jobs land on the shard whose
-memory tier already holds their program. Every shard's disk store is
-one directory, ``{cache_root}/store``: a job stolen or re-dispatched
-to another shard is a disk hit there (:mod:`repro.perf.ircache`).
+on a consistent-hash ring, so repeated jobs land on the same shard.
+Every shard's store is one directory, ``{cache_root}/store``, and
+holds no program in memory, so affinity buys only page-cache
+locality: a job stolen or re-dispatched to another shard is the same
+verdict-record hit there (:mod:`repro.perf.ircache`).
 
 *Backpressure + work stealing.* The router tracks its own in-flight
 count per shard and folds in each shard's health plane
 (``queue_depth``, rolling latency) from a periodic poll. When the
 home shard's load is past ``steal_threshold`` and another live shard
 is markedly colder (by ``steal_margin``), the job is *stolen* by the
-cold shard — losing cache affinity once beats queueing behind a hot
+cold shard — losing page-cache locality once beats queueing behind a hot
 spot — and both sides' metrics record the steal.
 
 *Supervision + re-dispatch.* A failed forward or failed health poll

@@ -116,21 +116,14 @@ class Program:
     #: digest taken from the bytes it read, and ``(path, None)`` for
     #: every include candidate it found absent; ``None`` when unknown
     #: or when one file was seen with two contents. The IR
-    #: cache validates both its tiers against it and keeps it beside
+    #: cache validates its records against it and keeps it beside
     #: the pickle (``CacheEntry.deps``), so it is never pickled here.
     deps: Optional[Tuple[Tuple[str, Optional[str]], ...]] = field(
-        default=None, compare=False, repr=False)
-    #: the last verdict computed on this program while the IR cache's
-    #: memory tier pooled it: ``(config fingerprint, report)``,
-    #: replayed by ``SafeFlow`` on the next memory hit under the same
-    #: fingerprint. One slot, never pickled; it dies with the program.
-    verdict: Optional[Tuple[str, object]] = field(
         default=None, compare=False, repr=False)
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("deps", None)
-        state.pop("verdict", None)
         return state
 
     @property

@@ -115,7 +115,6 @@ class TypeBuilder:
         self.unit = unit
         self.typedefs: Dict[str, CType] = {}
         self.enum_constants: Dict[str, int] = {}
-        self._anon_counter = 0
 
     # ------------------------------------------------------------------
 
@@ -161,8 +160,8 @@ class TypeBuilder:
         is_union = isinstance(node, c_ast.Union)
         tag = node.name
         if tag is None:
-            self._anon_counter += 1
-            tag = f"__anon{self._anon_counter}"
+            self.module.anon_tags += 1
+            tag = f"__anon{self.module.anon_tags}"
         struct = self.module.get_struct(tag, is_union)
         if node.decls is not None and not struct.is_complete:
             fields = []
@@ -331,6 +330,7 @@ class ModuleLowerer:
         self._shared_enums: Dict[str, int] = {}
 
     def lower_unit(self, unit: ParsedUnit) -> Module:
+        self.module.anon_bases.setdefault(unit.name, self.module.anon_tags)
         types = TypeBuilder(self.module, unit)
         types.typedefs = self.typedefs
         types.enum_constants = self._shared_enums
@@ -444,7 +444,7 @@ class ModuleLowerer:
         # scalars are promoted optimistically; one whose address turns
         # out to escape is pinned to memory and the body lowered again
         pinned: Set[object] = set()
-        anon_counter = types._anon_counter
+        anon_tags = self.module.anon_tags
         while True:
             lowerer = FunctionLowerer(self, func, types, unit, pinned)
             try:
@@ -452,7 +452,7 @@ class ModuleLowerer:
                 return
             except _AddressTaken as exc:
                 pinned.add(exc.args[0])
-            types._anon_counter = anon_counter
+            self.module.anon_tags = anon_tags
             func.reset_body()
 
     def _lower_funcdef_recover(self, funcdef: c_ast.FuncDef,

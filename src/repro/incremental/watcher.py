@@ -27,7 +27,7 @@ program alive between verdicts:
     location, in order; and so are its annotations (location, text);
   - no changed definition is degraded or declares a struct, union or
     enum type or a local function (an anonymous aggregate's tag comes
-    from a per-unit counter the definitions before it advanced);
+    from a module-wide counter every definition before it advanced);
   - a changed definition refers only to globals declared before it and
     to functions defined before it, or never defined and declared
     before it or referred to by its old body too (a cold lowering binds
@@ -426,12 +426,17 @@ class IncrementalSession:
                         continue
                     new = self._pending[path].unit
                     keep = {id(d) for d in defs}
+                    # the frame's anonymous aggregates take the tags
+                    # the unit's first lowering gave them
+                    tags = module.anon_tags
+                    module.anon_tags = module.anon_bases[new.name]
                     ModuleLowerer(module=module).lower_unit(ParsedUnit(
                         c_ast.FileAST(ext=[
                             ext for ext in new.ast.ext
                             if not isinstance(ext, c_ast.FuncDef)
                             or id(ext) in keep]),
                         new.source, name=new.name))
+                    module.anon_tags = tags
                 if sizes != (len(module.functions), len(module.globals),
                              len(module.structs)):
                     return False

@@ -4,9 +4,9 @@ Cooperating pieces, all strictly behavior-preserving (every
 cached or parallel path renders a report byte-identical to the
 sequential cold path):
 
-- :class:`IRCache` — the store of front-ended programs and their
-  verdicts (a process-wide memory tier over an on-disk tier) keyed by
-  input content hashes + front-end config (:mod:`repro.perf.ircache`);
+- :class:`IRCache` — the on-disk store of front-ended programs and
+  their verdicts, keyed by input content hashes + front-end config
+  (:mod:`repro.perf.ircache`);
 - :class:`BodyRecord` — what one ESP-summary body run read and did,
   the unit the incremental session's segment store persists and
   replays (:mod:`repro.perf.summary_store`);

@@ -28,28 +28,16 @@ collection still runs every :data:`FULL_COLLECT_INTERVAL` seconds.
 One-shot CLI runs behave as before: the very first exit is always
 past the interval, so it performs the full collection.
 
-That only holds under an ownership rule: whoever keeps IR past a
-guard releases it (:meth:`repro.ir.Module.release`,
-:meth:`repro.ir.Function.release`) when it drops it. IR that outlives
-its guard — a program pooled in the memory tier of :class:`repro.perf.
-ircache.IRCache`, an incremental session's live program — is promoted out
-of generation 0, so if its owner merely dropped it, it would wait as
-cyclic garbage for the periodic full collection, whose pause then
-grows with all the IR dropped since the last one (0.65–0.73 s in an
-in-process replay of the benchmark's service_mix stream, against
-38–51 ms with the rule). Released IR dies by refcount, and the full
-collection only scans.
-
-A serving worker's pooled programs live as long as it does, and
-scanning them took 76–85 ms per full collection (a warm service_mix
-pool, 160k objects), which set service_mix's latency tail. So a
-serving process (:func:`freeze_survivors`) freezes what a full
-collection leaves alive (``gc.freeze``): the next one scans only what
-was allocated since. Frozen objects still die by refcount, and under
-the ownership rule none is left as cyclic garbage. A run that raised
-freezes nothing: its exception's frames still hold what it built (a
-half-lowered module, say), which is cyclic garbage once the exception
-is dropped and would never be scanned again if frozen.
+That only holds under an ownership rule: whoever holds IR releases
+it (:meth:`repro.ir.Module.release`, :meth:`repro.ir.Function.release`)
+when it drops it. ``SafeFlow`` releases the program of every cached
+request before its guard exits, and IR that outlives its guard — an
+incremental session's live program — is promoted out of generation 0,
+so if its owner merely dropped it, it would wait as cyclic garbage for
+the periodic full collection, whose pause then grows with all the IR
+dropped since the last one (0.65–0.73 s in an in-process replay of the
+benchmark's service_mix stream, against 38–51 ms with the rule).
+Released IR dies by refcount, and the full collection only scans.
 """
 
 from __future__ import annotations
@@ -69,14 +57,6 @@ _LAST_FULL = 0.0
 #: seconds between full exit collections; generation-0 collections
 #: (proportional to the run's own allocations) cover the gaps
 FULL_COLLECT_INTERVAL = 5.0
-_FREEZE = False
-
-
-def freeze_survivors() -> None:
-    """Freeze what each later full exit collection leaves alive; for
-    processes that serve analyses until they die."""
-    global _FREEZE
-    _FREEZE = True
 
 
 @contextmanager
@@ -96,12 +76,8 @@ def gc_paused(active: bool = True):
             _WE_DISABLED = gc.isenabled()
             if _WE_DISABLED:
                 gc.disable()
-    failed = False
     try:
         yield
-    except BaseException:
-        failed = True
-        raise
     finally:
         full = False
         with _LOCK:
@@ -117,7 +93,5 @@ def gc_paused(active: bool = True):
             gc.enable()
             if full:
                 gc.collect()
-                if _FREEZE and not failed:
-                    gc.freeze()
             else:
                 gc.collect(0)

@@ -237,7 +237,6 @@ def _schedule_slow(report, jobs, baseline, config, workers, scratch):
 
 def _schedule_corrupt_ir(report, jobs, baseline, config, workers, scratch):
     from ..perf.integrity import read_sealed
-    from ..perf.ircache import IRCache
 
     cache_dir = os.path.join(scratch, "cache-corrupt")
     cached = dataclasses.replace(config, cache_dir=cache_dir)
@@ -250,7 +249,6 @@ def _schedule_corrupt_ir(report, jobs, baseline, config, workers, scratch):
         report.fail("no verdict and program record were written to damage")
         return
     report.note("corrupted one verdict record, truncated its program record")
-    IRCache.memory.clear()  # an in-process pass would answer from memory
     outcome = _run_batch(jobs, cached, workers)
     evictions = sum(r.report.stats.cache_integrity_evictions
                     for r in outcome.results if r.ok)
@@ -657,19 +655,27 @@ def _schedule_overload(report, jobs, baseline, config, workers, scratch):
             t.start()
         import time as time_mod
 
-        # kill mid-storm (every thread has had an answer) a shard the
-        # router holds at least two forwards on: the breaker opens on
-        # failures, and the first failed forward already routes the
-        # rest of the storm around the shard
+        # mid-storm (every thread has had an answer), stop the busiest
+        # shard and kill it once the router holds at least two forwards
+        # on it: a stopped shard answers nothing, so however fast a
+        # warm replay is, those forwards are in flight when the kill
+        # lands. The breaker opens on their failures, and the first
+        # failed forward already routes the rest of the storm around
+        # the shard
         deadline = time_mod.monotonic() + _RESTART_DEADLINE_S
-        while time_mod.monotonic() < deadline:
-            victim = max(router._shard_list(), key=lambda s: s.outstanding)
-            if (victim.outstanding >= 2
-                    and sum(outcomes.values()) >= threads_n):
-                break
+        while (sum(outcomes.values()) < threads_n
+               and time_mod.monotonic() < deadline):
             time_mod.sleep(0.001)
+        victim = max(router._shard_list(), key=lambda s: s.outstanding)
         victim_pid = victim.backend.pid
         if victim_pid is not None:
+            os.kill(victim_pid, signal_mod.SIGSTOP)
+            # let the router read what the shard wrote before it
+            # stopped: a forward counted after that is stuck on it
+            time_mod.sleep(0.05)
+            while (victim.outstanding < 2
+                   and time_mod.monotonic() < deadline):
+                time_mod.sleep(0.001)
             os.kill(victim_pid, signal_mod.SIGKILL)
         killed.set()
         for t in threads:

@@ -3,9 +3,9 @@
 The paper positions SafeFlow as a check on every build of an evolving
 control system; this package turns the one-shot analyzer into a
 daemon so that warm state — the content-hashed ``IRCache`` of
-:mod:`repro.perf`, whose memory tier also replays the last verdict of
-a pooled program — is amortized across requests instead of across
-manual CLI invocations.
+:mod:`repro.perf`, whose verdict records replay a repeat request's
+verdict — is amortized across requests instead of across manual CLI
+invocations.
 
 - :mod:`repro.server.protocol` — newline-delimited JSON-RPC framing
   and the service error-code space;

@@ -7,10 +7,11 @@ otherwise), falling back to in-process execution when no process pool
 can be created at all. Worker processes are the isolation boundary —
 a crashing analysis (or a pycparser recursion blow-up) kills a worker,
 not the daemon — and they share the on-disk ``IRCache`` through
-``config.cache_dir``, which is what makes the daemon *warm*: the
-second request for an unchanged translation unit skips the front end
-entirely, and a repeat on the worker that pooled its program replays
-the verdict without running phases 1-3.
+``config.cache_dir``, which is what makes the daemon *warm*: a
+repeat request for an unchanged translation unit, on any worker,
+replays its verdict record without running the front end or phases
+1-3, and a request under a new config unpickles the stored program
+instead of parsing it again.
 
 Crash isolation (:mod:`repro.resilience`): a worker death breaks the
 underlying ``ProcessPoolExecutor`` and fails every outstanding future;
@@ -47,13 +48,11 @@ from concurrent.futures.process import BrokenProcessPool
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
 import threading
 import time
 from typing import Any, Callable, Dict, Optional
 
-from ..perf.gcpause import freeze_survivors
 from ..resilience import CrashLedger, ResourceGuards, SupervisedExecutor, worker_harness
 from .protocol import (
     ANALYSIS_FAILED,
@@ -79,10 +78,6 @@ def _execute_spec(spec: Dict[str, Any], config) -> Dict[str, Any]:
     from ..core.driver import SafeFlow
     from ..errors import ResourceExhaustedError, SafeFlowError
 
-    if multiprocessing.parent_process() is not None:
-        # a pool worker serves until it dies: its pooled programs need
-        # not be scanned by every full collection
-        freeze_survivors()
     guards = None
     guards_tuple = spec.get("_guards")
     if guards_tuple is not None:

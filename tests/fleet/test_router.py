@@ -79,8 +79,6 @@ class TestByteIdentity:
 class TestSharedStore:
     def test_a_primed_source_is_a_store_hit_on_its_non_home_shard(
             self, fleet):
-        from repro.perf.ircache import IRCache
-
         router, _host, _port = fleet
         params = {"source": SOURCES["unguarded"], "filename": "away.c"}
         before = {sid: shard.routed for sid, shard in router.shards.items()}
@@ -89,9 +87,6 @@ class TestSharedStore:
         home = next(sid for sid, shard in router.shards.items()
                     if shard.routed != before[sid])
         away = next(sid for sid in sorted(router.shards) if sid != home)
-        # the embedded shards share this process's memory tier: drop
-        # it, so the answer comes from the one disk store
-        IRCache.memory.clear()
         host, port = router.shards[away].backend.address
         with SafeFlowClient(host=host, port=port,
                             request_timeout=60.0) as client:

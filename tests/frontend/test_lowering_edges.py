@@ -4,6 +4,7 @@ unsupported constructs, and numeric corner cases."""
 import pytest
 
 from repro.errors import LoweringError
+from repro.frontend import load_files
 from repro.ir import Interpreter, verify_module
 from tests.conftest import front
 
@@ -185,3 +186,52 @@ class TestDeclarations:
             }
         """)
         assert it.call("f", 1) == 20
+
+
+class TestAnonymousAggregatesAcrossUnits:
+    """Anonymous struct tags are numbered module-wide, so a second
+    unit's anonymous struct is never bound to the first unit's."""
+
+    def _load(self, tmp_path, main, lib):
+        paths = []
+        for name, text in (("main.c", main), ("lib.c", lib)):
+            path = tmp_path / name
+            path.write_text(text)
+            paths.append(str(path))
+        return load_files(paths)
+
+    def _layouts(self, program):
+        return sorted(
+            tuple((f.name, repr(f.type)) for f in struct.fields)
+            for struct in program.module.structs.values()
+            if struct.tag.startswith("__anon"))
+
+    def test_other_field_names_lower(self, tmp_path):
+        program = self._load(
+            tmp_path,
+            "typedef struct { double v; int flag; } R;\n"
+            "double use(R *r) { return r->v; }\n",
+            "double lib(void) {\n"
+            "    struct { int a; double b; } s;\n"
+            "    s.a = 1; s.b = 2.0; return s.b;\n"
+            "}\n")
+        assert self._layouts(program) == [
+            (("a", "int"), ("b", "double")),
+            (("v", "double"), ("flag", "int")),
+        ]
+
+    def test_same_field_names_keep_each_units_types(self, tmp_path):
+        program = self._load(
+            tmp_path,
+            "typedef struct { double a; double b; } R;\n"
+            "double use(R *r) { return r->a + r->b; }\n",
+            "int lib(void) {\n"
+            "    struct { int a; int b; } s;\n"
+            "    s.a = 1; s.b = 2; return s.a + s.b;\n"
+            "}\n")
+        assert self._layouts(program) == [
+            (("a", "double"), ("b", "double")),
+            (("a", "int"), ("b", "int")),
+        ]
+        verify_module(program.module)
+        assert Interpreter(program.module).call("lib") == 3

@@ -19,16 +19,14 @@ unchanged::
     with oracles.installed(kernel="object", fixpoint="dense"):
         report = SafeFlow(config).analyze_source(source)
 
-A program pooled in the IR cache's memory tier carries the last verdict
-computed on it, and ``SafeFlow`` replays it on a memory hit. So
-:func:`installed` empties the process-wide memory tier on entry and on
-exit: no verdict computed by one engine is ever handed back under
-another engine's label.
+With a cache dir, ``SafeFlow`` replays a verdict record whichever
+engine computed it (the config fingerprint does not name the engine),
+so an oracle comparison runs without one, or deletes the ``*.verdict``
+records first as ``bench_kernels.py``'s warm mode does.
 """
 
 from contextlib import contextmanager
 
-from repro.perf.ircache import IRCache
 from repro.valueflow import engine
 
 from .dense import DenseFixpoint
@@ -56,10 +54,8 @@ def installed(kernel: str = "compiled", fixpoint: str = "sparse"):
     """Make every ``SafeFlow`` analysis inside the block run the
     (kernel, fixpoint) engine."""
     previous = engine.ValueFlowAnalysis
-    IRCache.memory.clear()
     engine.ValueFlowAnalysis = _ENGINES[kernel, fixpoint]
     try:
         yield
     finally:
         engine.ValueFlowAnalysis = previous
-        IRCache.memory.clear()

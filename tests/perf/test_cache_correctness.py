@@ -121,13 +121,12 @@ def test_frontend_cache_include_dependency_invalidation(tmp_path):
     assert edited.stats.frontend_cache_misses == 1
 
 
-@pytest.mark.parametrize("tier", ["memory", "disk"])
+@pytest.mark.parametrize("record", ["verdict", "program"])
 def test_a_lost_unit_is_not_served_after_its_header_is_fixed(tmp_path,
-                                                             tier):
+                                                             record):
     """A unit lost to a broken header records the reads made up to the
-    failure, so fixing the header invalidates the stored program."""
-    from repro.perf.ircache import IRCache
-
+    failure, so fixing the header invalidates the stored verdict and
+    program."""
     header = tmp_path / "bad.h"
     header.write_text("int K = ;\n")
     src = tmp_path / "main.c"
@@ -139,8 +138,9 @@ def test_a_lost_unit_is_not_served_after_its_header_is_fixed(tmp_path,
     lost = SafeFlow(config).analyze_files([str(src)])
     assert [u.kind for u in lost.degraded] == ["unit"]
     header.write_text("int K = 1;\n")
-    if tier == "disk":
-        IRCache.memory.clear()
+    if record == "program":
+        for verdict in (tmp_path / "cache").rglob("*.verdict"):
+            verdict.unlink()
     fixed = SafeFlow(config).analyze_files([str(src)])
     cold = SafeFlow(AnalysisConfig(recover_tiers=())).analyze_files(
         [str(src)])
@@ -169,8 +169,7 @@ def test_frontend_cache_defines_invalidation(tmp_path):
 def test_summary_cache_config_flag_invalidation(tmp_path):
     """Analysis flags are part of the verdict key of a summary-mode
     run: flipping one must compute; flipping it back replays the
-    verdict record of the first config (the pooled program's slot
-    holds the flipped one's)."""
+    verdict record of the first config."""
     config = AnalysisConfig(summary_mode=True,
                             cache_dir=str(tmp_path / "cache"))
     flow = SafeFlow(config)
@@ -195,15 +194,7 @@ def test_summary_cache_config_flag_invalidation(tmp_path):
 
 
 def test_corrupt_cache_files_fail_open(tmp_path):
-    """Garbage in any cache file must read as a miss, never a crash.
-
-    The memory tier is emptied before each run: this test corrupts
-    the *disk* tier and asserts its fail-open behavior, which a memory
-    hit would mask (the memory tier has its own suite in
-    test_progmemo.py).
-    """
-    from repro.perf.ircache import IRCache
-
+    """Garbage in any cache file must read as a miss, never a crash."""
     cache = tmp_path / "cache"
     config = AnalysisConfig(summary_mode=True, cache_dir=str(cache))
     flow = SafeFlow(config)
@@ -211,14 +202,12 @@ def test_corrupt_cache_files_fail_open(tmp_path):
 
     for victim in [p for p in cache.rglob("*") if p.is_file()]:
         victim.write_text("GARBAGE\n")
-    IRCache.memory.clear()
     corrupted = flow.analyze_source(SIMPLE, name="prog")
     assert corrupted.render(verbose=True) == good.render(verbose=True)
     assert corrupted.stats.frontend_cache_hits == 0
     assert not corrupted.stats.verdict_replayed
 
     # the rewrite heals the cache: next run hits again
-    IRCache.memory.clear()
     healed = flow.analyze_source(SIMPLE, name="prog")
     assert healed.stats.frontend_cache_hits == 1
     assert healed.render(verbose=True) == good.render(verbose=True)

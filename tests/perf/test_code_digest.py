@@ -7,6 +7,8 @@ the digest of the ``repro`` package's source. A monkeypatch does not
 change the files on disk, so each case runs a *copy of the package
 with one source file edited* in a subprocess, against records the
 original wrote: the copy must miss them and give its own cold verdict.
+The edits are a diagnostic's wording, the lowering and the value-flow
+body transfer.
 """
 
 import json
@@ -16,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.corpus import generate_core_files
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -24,6 +28,16 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: original wrote would show in the copy's render
 MESSAGE = "unmonitored access to non-core shared variable"
 EDITED = "unmonitored read of non-core shared variable"
+
+#: a lowering that names an if statement's join block differently, so
+#: a stored program shows in the witness labels
+LOWERING = ("frontend/lower.py", 'new_block("if.end")',
+            'new_block("if.join")')
+#: a body transfer whose joins take their first operand's taint only,
+#: so a data dependency through an arithmetic op's second operand is
+#: lost
+TRANSFER = ("valueflow/kernel.py", "for op in inst.operands:",
+            "for op in inst.operands[:1]:")
 
 VERDICT = """
 import json, sys
@@ -48,14 +62,15 @@ print(json.dumps({"evictions": report.stats.cache_integrity_evictions,
 """
 
 
-def _edited_copy(tmp_path) -> str:
+def _edited_copy(tmp_path, path="valueflow/engine.py", old=MESSAGE,
+                 new=EDITED) -> str:
     root = tmp_path / "edited"
     shutil.copytree(SRC / "repro", root / "repro",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    engine = root / "repro" / "valueflow" / "engine.py"
-    text = engine.read_text()
-    assert MESSAGE in text
-    engine.write_text(text.replace(MESSAGE, EDITED))
+    source = root / "repro" / path
+    text = source.read_text()
+    assert old in text
+    source.write_text(text.replace(old, new))
     return str(root)
 
 
@@ -100,4 +115,27 @@ def test_segment_store_of_another_build_is_not_served(tmp_path):
     assert got["reanalyzed"] == first["reanalyzed"]
     cold = _run(edited, SESSION, tmp_path / "fresh", paths)
     assert EDITED in cold["render"]
+    assert got["render"] == cold["render"]
+
+
+@pytest.mark.parametrize("patch", [LOWERING, TRANSFER],
+                         ids=["lowering", "body-transfer"])
+def test_a_patched_analysis_misses_both_stores(tmp_path, patch):
+    paths = _program(tmp_path)
+    cache, store = tmp_path / "cache", tmp_path / "store"
+    verdict = _run(SRC, VERDICT, cache, paths)
+    session = _run(SRC, SESSION, store, paths)
+
+    edited = _edited_copy(tmp_path, *patch)
+    cold = _run(edited, VERDICT, tmp_path / "fresh", paths)
+    assert cold["render"] != verdict["render"]
+    got = _run(edited, VERDICT, cache, paths)
+    assert not got["replayed"] and got["hits"] == 0
+    assert got["render"] == cold["render"]
+
+    cold = _run(edited, SESSION, tmp_path / "fresh-store", paths)
+    assert cold["render"] != session["render"]
+    got = _run(edited, SESSION, store, paths)
+    assert got["evictions"] == 1
+    assert got["reanalyzed"] == session["reanalyzed"]
     assert got["render"] == cold["render"]

@@ -134,59 +134,6 @@ class TestAmortizedGcPause:
             assert collected == []
         assert len(collected) == 1
 
-    def test_a_serving_process_freezes_what_a_full_collection_leaves(
-            self, monkeypatch):
-        import weakref
-
-        class Pooled:
-            pass
-
-        monkeypatch.setattr(gcpause, "_FREEZE", True)
-        gcpause._LAST_FULL = 0.0
-        try:
-            kept = Pooled()
-            with gc_paused():
-                pass
-            frozen = gc.get_freeze_count()
-            assert frozen > 0
-            with gc_paused():  # a generation-0 exit freezes nothing
-                pass
-            assert gc.get_freeze_count() == frozen
-            # a frozen object still dies by refcount
-            ref = weakref.ref(kept)
-            del kept
-            assert ref() is None
-        finally:
-            gc.unfreeze()
-
-    def test_a_failed_run_freezes_nothing_its_exception_holds(
-            self, monkeypatch):
-        import weakref
-
-        class Module:
-            pass
-
-        refs = []
-
-        def lower():
-            module = Module()
-            module.functions = [module]  # IR references itself
-            refs.append(weakref.ref(module))
-            raise RuntimeError("lowering failed")
-
-        monkeypatch.setattr(gcpause, "_FREEZE", True)
-        monkeypatch.setattr(gcpause, "_LAST_FULL", 0.0)
-        try:
-            try:
-                with gc_paused():  # a full exit, with lower()'s frame
-                    lower()        # still alive in the traceback
-            except RuntimeError:
-                pass
-            gc.collect()
-            assert refs[0]() is None
-        finally:
-            gc.unfreeze()
-
     def test_inactive_is_a_no_op(self):
         with gc_paused(active=False):
             assert gc.isenabled()

@@ -1,12 +1,11 @@
-"""The program store's memory tier (``IRCache.memory``, in front of the
-disk tier): exclusive leases, staleness against edited file
-dependencies, LRU bounds, cache-dir scoping, report byte-identity
-through the driver, the dependency digests both tiers validate
-against, and how often one request digests a file. The disk tier's
-own correctness suite is tests/perf/test_cache_correctness.py."""
+"""The program store (``IRCache``): leases, staleness of its program
+and verdict records against edited file dependencies, cache-dir
+scoping, report byte-identity through the driver, the dependency
+digests every record is validated against, and how often one request
+digests a file. The store's correctness suite through the driver is
+tests/perf/test_cache_correctness.py."""
 
-import sys
-import threading
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +14,7 @@ from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
 from repro.perf import ircache
 from repro.perf.fingerprint import file_digest
-from repro.perf.ircache import IRCache, MemoryTier
+from repro.perf.ircache import IRCache
 
 SIMPLE = """
 int source(void);
@@ -41,161 +40,75 @@ HEADER = "#define LIMIT 10\n"
 HEADER_WITH_A_FUNCTION = HEADER + "int helper(void) { return 1; }\n"
 
 
-class _Module:
-    """Records whether the memory tier tore it down."""
-
-    released = False
-
-    def release(self):
-        assert not self.released, "released twice"
-        self.released = True
-
-
 def fake_program(paths=()):
-    """Just enough object graph for dependency validation and
-    teardown."""
+    """Just enough object graph to store and validate."""
     return SimpleNamespace(deps=tuple((p, file_digest(p)) for p in paths),
-                           module=_Module())
-
-
-@pytest.fixture(autouse=True)
-def clean_memory_tier():
-    IRCache.memory.clear()
-    yield
-    IRCache.memory.clear()
+                           module=SimpleNamespace())
 
 
 class TestLease:
-    def test_acquire_empty_is_miss(self):
-        memory = MemoryTier()
-        assert memory.acquire("k") is None
-        assert memory.counters() == {"stale_evictions": 0, "pooled": 0}
+    def test_acquire_empty_is_miss(self, tmp_path):
+        cache = IRCache(str(tmp_path))
+        assert cache.lease("k", "f") == (None, None)
+        assert (cache.hits, cache.misses) == (0, 1)
 
-    def test_release_then_acquire_returns_same_object(self):
-        memory = MemoryTier()
-        prog = fake_program()
-        assert memory.release("k", prog) is True
-        assert memory.acquire("k") is prog
-        assert memory.counters() == {"stale_evictions": 0, "pooled": 0}
+    def test_lease_is_exclusive(self, tmp_path):
+        # each lease unpickles its own copy: two threads never analyze
+        # one object graph
+        cache = IRCache(str(tmp_path))
+        assert cache.store("k", fake_program())
+        first, _ = cache.lease("k")
+        second, _ = cache.lease("k")
+        assert first is not None and second is not None
+        assert first is not second and first.module is not second.module
 
-    def test_lease_is_exclusive(self):
-        # a pooled program is handed to exactly one acquirer
-        memory = MemoryTier()
-        memory.release("k", fake_program())
-        assert memory.acquire("k") is not None
-        assert memory.acquire("k") is None
-
-    def test_none_key_is_never_memoized(self):
-        memory = MemoryTier()
-        assert memory.release(None, fake_program()) is False
-        assert memory.acquire(None) is None
-
-    def test_zero_capacity_disables(self):
-        memory = MemoryTier(capacity=0)
-        assert memory.release("k", fake_program()) is False
-        assert memory.acquire("k") is None
+    def test_none_key_is_never_memoized(self, tmp_path):
+        cache = IRCache(str(tmp_path))
+        assert cache.store(None, fake_program()) is False
+        assert cache.store_verdict(None, "f", (), "verdict") is False
+        assert cache.lease(None, "f") == (None, None)
 
 
 class TestStaleness:
     def test_edited_dependency_is_evicted(self, tmp_path):
         dep = tmp_path / "dep.h"
         dep.write_text("#define LIMIT 10\n")
-        memory = MemoryTier()
+        cache = IRCache(str(tmp_path / "c"))
         program = fake_program([str(dep)])
-        memory.release("k", program)
+        cache.store("k", program)
+        cache.store_verdict("k", "f", program.deps, "verdict")
         dep.write_text("#define LIMIT 99\n")
-        assert memory.acquire("k") is None
-        assert memory.counters()["stale_evictions"] == 1
-        assert program.module.released
+        assert cache.lease("k", "f") == (None, None)
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_unchanged_dependency_is_served(self, tmp_path):
         dep = tmp_path / "dep.h"
         dep.write_text("#define LIMIT 10\n")
-        memory = MemoryTier()
-        prog = fake_program([str(dep)])
-        memory.release("k", prog)
-        assert memory.acquire("k") is prog
+        cache = IRCache(str(tmp_path / "c"))
+        program = fake_program([str(dep)])
+        cache.store("k", program)
+        cache.store_verdict("k", "f", program.deps, "verdict")
+        assert cache.lease("k", "f") == (None, "verdict")
+        leased, verdict = cache.lease("k", "other")
+        assert verdict is None and leased.deps == program.deps
+        assert (cache.hits, cache.misses) == (2, 0)
 
     def test_unreadable_dependency_is_not_memoizable(self, tmp_path):
-        memory = MemoryTier()
+        cache = IRCache(str(tmp_path / "c"))
         # unknown dependencies (a file read twice with different bytes)
-        # cannot be validated, so the program is never pooled
-        unknown = SimpleNamespace(deps=None, module=_Module())
-        assert memory.release("k", unknown) is False
-        # a dependency that vanished after pooling is stale
+        # cannot be validated, so nothing is stored
+        unknown = SimpleNamespace(deps=None, module=SimpleNamespace())
+        assert cache.store("k", unknown) is False
+        assert cache.store_verdict("k", "f", None, "verdict") is False
+        # a dependency that vanished after storing is stale
         gone = tmp_path / "gone.h"
         gone.write_text("int x;")
-        memory.release("k", fake_program([str(gone)]))
+        program = fake_program([str(gone)])
+        cache.store("k", program)
+        cache.store_verdict("k", "f", program.deps, "verdict")
         gone.unlink()
-        assert memory.acquire("k") is None
-        assert memory.counters()["stale_evictions"] == 1
-
-
-class TestBounds:
-    def test_capacity_evicts_least_recently_used_key(self):
-        memory = MemoryTier(capacity=2)
-        a, b, c = fake_program(), fake_program(), fake_program()
-        memory.release("a", a)
-        memory.release("b", b)
-        memory.release("c", c)  # evicts the oldest key's entry ("a")
-        assert memory.counters()["pooled"] == 2
-        assert a.module.released  # torn down on eviction
-        assert not (b.module.released or c.module.released)
-        assert memory.acquire("a") is None
-        assert memory.acquire("b") is b
-        assert memory.acquire("c") is c
-
-    def test_clear_empties_pools(self):
-        memory = MemoryTier()
-        program = fake_program()
-        memory.release("k", program)
-        memory.clear()
-        assert memory.counters()["pooled"] == 0
-        assert program.module.released
-        assert memory.acquire("k") is None
-
-
-class TestTeardown:
-    def test_leased_program_is_never_released(self):
-        memory = MemoryTier(capacity=1)
-        a = fake_program()
-        memory.release("a", a)
-        assert memory.acquire("a") is a
-        memory.release("b", fake_program())
-        memory.clear()
-        assert not a.module.released
-
-    def test_threads_never_acquire_a_released_program(self):
-        # more threads than cores, a tiny pool and frequent switches:
-        # eviction must never tear down a program another thread holds
-        memory = MemoryTier(capacity=2)
-        errors = []
-
-        def worker(seed):
-            try:
-                for i in range(400):
-                    key = f"k{(seed + i) % 5}"
-                    program = memory.acquire(key) or fake_program()
-                    if program.module.released:
-                        errors.append(key)
-                    memory.release(key, program)
-            except AssertionError as exc:  # a double release
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(n,))
-                       for n in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert memory.counters()["pooled"] <= 2
+        assert cache.lease("k", "f") == (None, None)
+        assert (cache.hits, cache.misses) == (0, 1)
 
 
 class TestDriverIntegration:
@@ -204,7 +117,7 @@ class TestDriverIntegration:
         cold = flow.analyze_source(SIMPLE, filename="m.c")
         warm = flow.analyze_source(SIMPLE, filename="m.c")
         assert warm.render() == cold.render()
-        assert warm.stats.verdict_replayed  # only a memory hit replays
+        assert warm.stats.verdict_replayed  # from the verdict record
         assert (warm.stats.frontend_cache_hits,
                 warm.stats.frontend_cache_misses) == (1, 0)
 
@@ -223,7 +136,9 @@ class TestDriverIntegration:
             cache_dir=str(tmp_path / "two"))).analyze_source(
                 SIMPLE, filename="m.c")
         assert other.stats.frontend_cache_hits == 0
-        assert IRCache.memory.counters()["pooled"] == 2
+        for name in ("one", "two"):
+            records = os.listdir(tmp_path / name / "ir")
+            assert sum(r.endswith(".pkl") for r in records) == 1
 
     def test_edited_file_misses_through_the_driver(self, tmp_path):
         unit = tmp_path / "unit.c"
@@ -234,16 +149,16 @@ class TestDriverIntegration:
         unit.write_text("int helper(void) { return 1; }\n" + SIMPLE)
         edited = flow.analyze_files([str(unit)], name="unit")
         assert edited.stats.functions == 2, \
-            "memory tier must not serve the stale program"
+            "the store must not serve the stale program"
 
     def test_disabled_by_config(self, tmp_path):
-        # no cache dir, no store: nothing is pooled or served
+        # no cache dir, no store: nothing is stored or served
         flow = SafeFlow(AnalysisConfig(cache_dir=None))
         for _ in range(2):
             report = flow.analyze_source(SIMPLE, filename="m.c")
             assert (report.stats.frontend_cache_hits,
                     report.stats.frontend_cache_misses) == (0, 0)
-        assert IRCache.memory.counters()["pooled"] == 0
+            assert not report.stats.verdict_replayed
 
 
 def _include_unit(tmp_path):
@@ -269,12 +184,12 @@ def _edit_while(monkeypatch, owner, attr, header, call=1):
 
 
 class TestDependencyDigests:
-    """Both tiers validate against the digest of the bytes the
-    preprocessor read, not of the file as it is when the program is
-    stored or pooled: an include edited mid-request must miss, and so
-    must one created where it shadows the include that was read."""
+    """Both records validate against the digest of the bytes the
+    preprocessor read, not of the file as it is when they are stored:
+    an include edited mid-request must miss, and so must one created
+    where it shadows the include that was read."""
 
-    def test_include_edited_during_the_analysis_misses_in_memory(
+    def test_include_edited_mid_analysis_misses(
             self, tmp_path, monkeypatch):
         from repro.valueflow import engine
 
@@ -284,11 +199,10 @@ class TestDependencyDigests:
             _edit_while(patch, engine.ValueFlowAnalysis, "run", header)
             first = flow.analyze_files([str(main)])
         assert first.stats.functions == 1
-        stale = IRCache.memory.counters()["stale_evictions"]
         again = flow.analyze_files([str(main)])
         assert not again.stats.verdict_replayed
         assert again.stats.functions == 2
-        assert IRCache.memory.counters()["stale_evictions"] == stale + 1
+        assert again.stats.frontend_cache_hits == 0
 
     def test_include_edited_during_lowering_misses_on_disk(
             self, tmp_path, monkeypatch):
@@ -300,7 +214,6 @@ class TestDependencyDigests:
             _edit_while(patch, frontend_driver, "lower_units", header)
             first = flow.analyze_files([str(main)])
         assert first.stats.functions == 1
-        IRCache.memory.clear()  # a fresh process: only the disk tier
         again = flow.analyze_files([str(main)])
         assert again.stats.frontend_cache_hits == 0
         assert again.stats.functions == 2
@@ -320,7 +233,6 @@ class TestDependencyDigests:
         again = flow.analyze_files([str(main)])
         assert not again.stats.verdict_replayed
         assert again.stats.functions == 2
-        IRCache.memory.clear()
         assert flow.analyze_files([str(main)]).stats.frontend_cache_hits == 1
 
     def test_a_file_read_with_two_contents_is_not_stored(
@@ -344,12 +256,12 @@ class TestDependencyDigests:
         assert program.deps is None
         cache = IRCache(str(tmp_path / "c"))
         assert not cache.store("k", program)
-        assert not cache.give_back("k", program)
+        assert not cache.store_verdict("k", "f", program.deps, "verdict")
 
 
 class TestDigestCount:
     """One request digests each top-level file once, for its key, and
-    each include at most once, and only to validate a tier."""
+    each include at most once, and only to validate a record."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -369,25 +281,27 @@ class TestDigestCount:
         main, _ = _include_unit(tmp_path)
         flow = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path / "c")))
 
-        flow.analyze_files([str(main)])  # cold: both tiers miss
+        flow.analyze_files([str(main)])  # cold: both records miss
         assert self._counts(counted) == {"main.c": 1}
         counted.clear()
-        flow.analyze_files([str(main)])  # memory hit
+        flow.analyze_files([str(main)])  # verdict record hit
         assert self._counts(counted) == {"k.h": 1, "main.c": 1}
         counted.clear()
-        IRCache.memory.clear()
-        hit = flow.analyze_files([str(main)])  # disk hit
+        for record in os.listdir(tmp_path / "c" / "ir"):
+            if record.endswith(".verdict"):
+                os.remove(tmp_path / "c" / "ir" / record)
+        hit = flow.analyze_files([str(main)])  # program record hit
         assert hit.stats.frontend_cache_hits == 1
         assert self._counts(counted) == {"k.h": 1, "main.c": 1}
 
-    def test_stale_memory_then_stale_disk(self, tmp_path, counted):
+    def test_stale_verdict_then_stale_program_record(self, tmp_path,
+                                                     counted):
         main, header = _include_unit(tmp_path)
         flow = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path / "c")))
         flow.analyze_files([str(main)])
         header.write_text(HEADER_WITH_A_FUNCTION)
         counted.clear()
-        stale = IRCache.memory.counters()["stale_evictions"]
         report = flow.analyze_files([str(main)])
         assert report.stats.functions == 2
-        assert IRCache.memory.counters()["stale_evictions"] == stale + 1
+        assert report.stats.frontend_cache_hits == 0
         assert self._counts(counted) == {"k.h": 1, "main.c": 1}

@@ -1,13 +1,11 @@
 """The verdict record: a verdict computed with a cache dir is kept on
 disk beside its program record, keyed by the program's content key
-plus the config fingerprint, so a disk-tier hit replays it without
-unpickling the IR or running phases 1-3.
+plus the config fingerprint, so a hit replays it without unpickling
+the IR or running phases 1-3.
 
-Every test here empties the memory tier before the request it checks,
-so the answer can only come from disk. A record must be validated
-against the files as they are now (an edited or newly shadowing
-header misses), must be kept per config, and is neither read nor
-written by a ``profile`` run.
+A record must be validated against the files as they are now (an
+edited or newly shadowing header misses), must be kept per config,
+and is neither read nor written by a ``profile`` run.
 """
 
 import os
@@ -27,13 +25,6 @@ MEDIUM_RUNG = dict(filler_functions=120, chain_depth=8, call_fanout=2,
                    pipeline_stages=10, monitored_regions=2)
 
 
-@pytest.fixture(autouse=True)
-def clean_global_memo():
-    IRCache.memory.clear()
-    yield
-    IRCache.memory.clear()
-
-
 def verdict_records(cache_dir):
     directory = os.path.join(cache_dir, "ir")
     if not os.path.isdir(directory):
@@ -41,37 +32,38 @@ def verdict_records(cache_dir):
     return sorted(n for n in os.listdir(directory) if n.endswith(".verdict"))
 
 
-def from_disk(run):
-    """``run()`` with an empty memory tier: a fresh process."""
-    IRCache.memory.clear()
-    return run()
-
-
 class TestDiskHitReplays:
     @pytest.mark.parametrize("key", SYSTEM_KEYS)
-    def test_corpus_system(self, key, tmp_path):
+    def test_corpus_system(self, key, tmp_path, monkeypatch):
         files = [str(p) for p in load_system(key).core_files]
         cold = SafeFlow().analyze_files(files, name=key)
         warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
         first = warm.analyze_files(files, name=key)
         assert not first.stats.verdict_replayed
+        unpickled = []
+        read = IRCache._read
+
+        def counting_read(cache, key):
+            unpickled.append(key)
+            return read(cache, key)
+
+        monkeypatch.setattr(IRCache, "_read", counting_read)
         for _ in range(2):
-            hit = from_disk(lambda: warm.analyze_files(files, name=key))
+            hit = warm.analyze_files(files, name=key)
             assert hit.stats.verdict_replayed
             assert (hit.stats.frontend_cache_hits,
                     hit.stats.frontend_cache_misses) == (1, 0)
             assert hit.render(verbose=True) == cold.render(verbose=True)
             assert signature(hit) == signature(cold)
-        # the replay pooled nothing: the IR was never unpickled
-        assert IRCache.memory.counters()["pooled"] == 0
+        # the replay never unpickled the IR
+        assert unpickled == []
 
     def test_bench_kernels_medium_rung(self, tmp_path):
         source = generate_core(**MEDIUM_RUNG).source
         cold = SafeFlow().analyze_source(source, "medium.c", name="medium")
         warm = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
         warm.analyze_source(source, "medium.c", name="medium")
-        hit = from_disk(
-            lambda: warm.analyze_source(source, "medium.c", name="medium"))
+        hit = warm.analyze_source(source, "medium.c", name="medium")
         assert hit.stats.verdict_replayed
         assert hit.stats.loc_total == cold.stats.loc_total > 0
         assert hit.render(verbose=True) == cold.render(verbose=True)
@@ -95,8 +87,7 @@ def _include_unit(tmp_path):
                                    include_dirs=(str(inc),)))
     first = flow.analyze_files([str(main)])
     assert first.stats.functions == 1
-    assert from_disk(lambda: flow.analyze_files(
-        [str(main)])).stats.verdict_replayed
+    assert flow.analyze_files([str(main)]).stats.verdict_replayed
     return flow, main, src, inc
 
 
@@ -104,11 +95,11 @@ class TestValidation:
     def test_an_edited_header_misses(self, tmp_path):
         flow, main, _src, inc = _include_unit(tmp_path)
         (inc / "k.h").write_text(HEADER_WITH_A_FUNCTION)
-        edited = from_disk(lambda: flow.analyze_files([str(main)]))
+        edited = flow.analyze_files([str(main)])
         assert not edited.stats.verdict_replayed
         assert edited.stats.frontend_cache_hits == 0
         assert edited.stats.functions == 2
-        again = from_disk(lambda: flow.analyze_files([str(main)]))
+        again = flow.analyze_files([str(main)])
         assert again.stats.verdict_replayed
         assert again.stats.functions == 2
 
@@ -116,7 +107,7 @@ class TestValidation:
         flow, main, src, _inc = _include_unit(tmp_path)
         # the unit's own directory is searched first
         (src / "k.h").write_text(HEADER_WITH_A_FUNCTION)
-        shadowed = from_disk(lambda: flow.analyze_files([str(main)]))
+        shadowed = flow.analyze_files([str(main)])
         assert not shadowed.stats.verdict_replayed
         assert shadowed.stats.functions == 2
         cold = SafeFlow(AnalysisConfig(include_dirs=flow.config.include_dirs)
@@ -136,8 +127,8 @@ class TestPerConfig:
         assert signature(cold[0]) != signature(cold[1])
         for round_ in range(3):
             for config, expected in zip(configs, cold):
-                report = from_disk(lambda: SafeFlow(config).analyze_source(
-                    FIGURE2_SOURCE, "f.c"))
+                report = SafeFlow(config).analyze_source(FIGURE2_SOURCE,
+                                                         "f.c")
                 assert report.stats.verdict_replayed == (round_ > 0)
                 assert signature(report) == signature(expected)
         assert len(verdict_records(str(tmp_path))) == 2
@@ -155,8 +146,7 @@ class TestProfile:
         SafeFlow(AnalysisConfig(cache_dir=str(tmp_path))).analyze_source(
             FIGURE2_SOURCE, "f.c")
         assert len(verdict_records(str(tmp_path))) == 1
-        again = from_disk(lambda: profiled.analyze_source(
-            FIGURE2_SOURCE, "f.c"))
+        again = profiled.analyze_source(FIGURE2_SOURCE, "f.c")
         assert not again.stats.verdict_replayed
         assert again.stats.frontend_cache_hits == 1
         assert again.stats.kernel_counters["bodies_analyzed"] > 0

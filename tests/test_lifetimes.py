@@ -4,10 +4,10 @@ A verdict's transient state — parser, lexer and tokens, the parse
 tree, the lowerer, the value-flow engine and its kernel — must die by
 reference counting as soon as its phase ends; only the IR graph is
 cyclic. A report must not pin the IR, and a :class:`Program` (what the
-IR cache stores, in memory and on disk) keeps no parser artefacts. IR
-kept past a gc guard — pooled programs, an incremental session's live
-program — is released by its owner when it drops it, so it too dies by
-refcount. The deep-CFG tests pin the explicit-stack dominance walk and
+IR cache stores) keeps no parser artefacts. A cached request releases
+the program it built or unpickled before it returns, and IR kept past
+a gc guard — an incremental session's live program — is released by
+its owner when it drops it, so it too dies by refcount. The deep-CFG tests pin the explicit-stack dominance walk and
 the SSA construction's worklists, which replaced recursion.
 """
 
@@ -26,12 +26,12 @@ from pycparser.c_parser import CParser
 
 from repro import AnalysisConfig, SafeFlow
 from repro.corpus import generate_core_files
-from repro.frontend import load_files, load_source
+from repro.frontend import load_source
 from repro.incremental.segments import SegmentStore
 from repro.incremental.watcher import IncrementalSession
 from repro.ir import BasicBlock, Function, Instruction
 from repro.perf.integrity import unseal
-from repro.perf.ircache import IRCache, MemoryTier
+from repro.perf.ircache import IRCache
 from repro.valueflow.engine import ValueFlowAnalysis
 from repro.valueflow.kernel import KernelState
 from tests.conftest import FIGURE2_SOURCE
@@ -115,40 +115,32 @@ def _analyzed_program():
     return program
 
 
-def test_memo_lru_eviction_frees_the_evicted_ir():
-    memo = MemoryTier(capacity=2)
-    programs = [_analyzed_program() for _ in range(3)]
-
-    def feed():
-        for i in range(3):
-            memo.release(f"k{i}", programs.pop(0))
-
-    assert _ir_garbage(_cyclic_garbage_of(feed)) == []
-    assert memo.counters()["pooled"] == 2
-    assert memo.acquire("k0") is None
+def _live_ir():
+    return sum(isinstance(o, (Function, BasicBlock, Instruction))
+               for o in gc.get_objects())
 
 
-def test_memo_stale_eviction_frees_the_stale_ir(tmp_path):
-    unit = tmp_path / "unit.c"
-    unit.write_text(FIGURE2_SOURCE)
-    memo = MemoryTier()
-    program = load_files([str(unit)])
-    SafeFlow().analyze_program(program)
-    memo.release("k", program)
-    del program
-    unit.write_text(FIGURE2_SOURCE + "\n/* edited */\n")
-    garbage = _cyclic_garbage_of(lambda: memo.acquire("k"))
+@pytest.mark.parametrize("lookup", ["built", "unpickled", "replayed"])
+def test_cached_request_leaves_no_ir_alive(lookup, tmp_path):
+    # the request that builds or unpickles a program releases it, and
+    # a replay never unpickles one
+    analyzer = SafeFlow(AnalysisConfig(cache_dir=str(tmp_path)))
+    if lookup != "built":
+        analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c")
+    if lookup == "unpickled":
+        for name in os.listdir(tmp_path / "ir"):
+            if name.endswith(".verdict"):
+                os.remove(tmp_path / "ir" / name)
+    gc.collect()
+    before = _live_ir()
+    reports = []
+    garbage = _cyclic_garbage_of(lambda: reports.append(
+        analyzer.analyze_source(FIGURE2_SOURCE, "figure2.c")))
+    (report,) = reports
+    assert report.stats.verdict_replayed == (lookup == "replayed")
+    assert report.stats.frontend_cache_hits == (lookup != "built")
     assert _ir_garbage(garbage) == []
-    assert memo.counters()["stale_evictions"] == 1
-
-
-def test_memo_clear_frees_the_pooled_ir():
-    memo = MemoryTier()
-    programs = [_analyzed_program() for _ in range(2)]
-    while programs:
-        memo.release(f"k{len(programs)}", programs.pop())
-    assert _ir_garbage(_cyclic_garbage_of(memo.clear)) == []
-    assert memo.counters()["pooled"] == 0
+    assert _live_ir() == before
 
 
 def _generated_session(tmp_path):
