@@ -173,13 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--max-crashes", type=int, default=2, metavar="N",
                        help="worker crashes before a job is quarantined "
                             "(default: 2)")
-    batch.add_argument("--journal", metavar="PATH", default=None,
-                       help="append every completed job's result to a "
-                            "durable write-ahead journal at PATH")
-    batch.add_argument("--resume", action="store_true",
-                       help="replay --journal first and re-run only "
-                            "jobs without an intact, fingerprint-"
-                            "matching result")
     policy = batch.add_mutually_exclusive_group()
     policy.add_argument("--keep-going", action="store_true",
                         help="degraded mode: jobs with front-end "
@@ -638,11 +631,6 @@ def cmd_batch(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.resume and not args.journal:
-        print("safeflow batch: --resume requires --journal PATH",
-              file=sys.stderr)
-        return 2
-
     config = AnalysisConfig(
         summary_mode=args.summaries,
         include_dirs=tuple(args.include),
@@ -653,7 +641,7 @@ def cmd_batch(args) -> int:
     outcome = SafeFlow(config).analyze_batch(
         jobs, max_workers=max_workers, timeout=args.timeout,
         guards=_guards_from_args(args), max_crashes=args.max_crashes,
-        fail_fast=args.fail_fast, journal=args.journal, resume=args.resume,
+        fail_fast=args.fail_fast,
     )
 
     if args.json:
@@ -661,8 +649,6 @@ def cmd_batch(args) -> int:
             "wall_time": outcome.wall_time,
             "worker_restarts": outcome.worker_restarts,
             "quarantined": list(outcome.quarantined),
-            "resumed_jobs": outcome.resumed_jobs,
-            "journal_truncated_records": outcome.journal_truncated_records,
             "jobs": [
                 {
                     "name": r.name,
@@ -698,11 +684,6 @@ def cmd_batch(args) -> int:
             print(f"{failed} job(s) failed", file=sys.stderr)
         print(f"{len(outcome.results)} jobs in {outcome.wall_time:.2f}s "
               f"({max_workers} workers)")
-        if args.journal and (outcome.resumed_jobs
-                             or outcome.journal_truncated_records):
-            print(f"resumed from journal : {outcome.resumed_jobs} job(s) "
-                  f"reused, {outcome.journal_truncated_records} damaged "
-                  f"record(s) truncated")
         if args.stats:
             evictions = sum(r.report.stats.cache_integrity_evictions
                             for r in outcome.results if r.ok)

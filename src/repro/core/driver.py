@@ -156,9 +156,7 @@ class SafeFlow:
     def analyze_batch(self, jobs: Sequence, max_workers: Optional[int] = None,
                       timeout: Optional[float] = None,
                       guards=None, max_crashes: int = 2,
-                      fail_fast: bool = False,
-                      journal: Optional[str] = None,
-                      resume: bool = False):
+                      fail_fast: bool = False):
         """Analyze independent programs in parallel worker processes.
 
         ``jobs`` is a sequence of :class:`repro.perf.BatchJob` or
@@ -171,14 +169,12 @@ class SafeFlow:
         quarantine threshold of the crash supervision.
 
         ``fail_fast`` stops dispatching after the first failed job.
-        ``journal`` makes the batch durable: every completed job is
-        appended to a checksum-framed write-ahead log at that path, and
-        ``resume=True`` replays it first, re-running only jobs whose
-        results are missing or whose input fingerprints changed (see
-        :mod:`repro.perf.journal`).
+        With a ``cache_dir``, the batch is durable: every job that
+        finishes leaves an fsynced verdict record, so the same batch run
+        again after a crash replays the finished jobs and computes only
+        the rest (see :func:`repro.perf.batch.run_batch`).
         """
         from ..perf.batch import BatchJob, run_batch
-        from ..perf.journal import run_journaled
 
         normalized: List[BatchJob] = []
         for job in jobs:
@@ -189,12 +185,6 @@ class SafeFlow:
                 normalized.append(BatchJob(name=name, files=tuple(files)))
         if max_workers is None:
             max_workers = min(len(normalized), os.cpu_count() or 1)
-        if journal is not None:
-            return run_journaled(
-                normalized, self.config, journal, resume=resume,
-                max_workers=max_workers, timeout=timeout, guards=guards,
-                max_crashes=max_crashes, fail_fast=fail_fast,
-            )
         return run_batch(
             normalized, self.config, max_workers=max_workers,
             timeout=timeout, guards=guards, max_crashes=max_crashes,

@@ -58,9 +58,6 @@ class AnalysisStats:
     recovery_attempts: Dict[str, int] = field(default_factory=dict)
     #: per-tier recovery-ladder success counts
     recovery_successes: Dict[str, int] = field(default_factory=dict)
-    #: torn/corrupt batch-journal tail records truncated and recovered
-    #: from during ``safeflow batch --resume``
-    journal_recovered_records: int = 0
     #: incremental analysis (repro.incremental): distinct functions
     #: whose summary bodies were recomputed rather than replayed
     functions_reanalyzed: int = 0
@@ -121,7 +118,6 @@ class AnalysisStats:
             "contexts_analyzed": self.contexts_analyzed,
             "monitored_functions": self.monitored_functions,
             "degraded_units": self.degraded_units,
-            "journal_recovered_records": self.journal_recovered_records,
             "functions_reanalyzed": self.functions_reanalyzed,
             "dirty_cone_size": self.dirty_cone_size,
             "segment_evictions": self.segment_evictions,

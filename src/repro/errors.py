@@ -77,11 +77,5 @@ class CorpusError(SafeFlowError):
     """Raised when a bundled corpus system is missing or inconsistent."""
 
 
-class JournalError(SafeFlowError):
-    """Raised when the batch write-ahead journal cannot be used at all
-    (unwritable path, header mismatch). Torn or corrupt *tails* are not
-    errors — replay truncates and recovers from them."""
-
-
 class SimulationError(SafeFlowError):
     """Raised by the runtime/Simplex simulation substrate."""

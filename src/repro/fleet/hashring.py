@@ -5,8 +5,7 @@ reads and writes one shared store, so this buys only page-cache
 locality: a shard keeps reading the records of its own slice of the
 corpus. DFI's per-function segment keying — already our cache key —
 gives the sharding dimension, and the fleet routes whole jobs by a
-content key derived the same way as
-:func:`repro.perf.journal.job_fingerprint`.
+key over each request's shape (:func:`routing_key`).
 
 The ring is the classic virtual-node construction: each shard owns
 ``replicas`` pseudo-random points on a 64-bit circle (sha256 of
@@ -23,11 +22,11 @@ its own hash. Properties the fleet relies on:
   drain-overflow rule of the router. The walk visits shards in a
   key-dependent but deterministic order, so retries are stable too.
 
-Routing keys deliberately diverge from ``job_fingerprint`` in one way:
-no file digests. The router must not do disk I/O per request, and
-hashing *paths* instead of contents means an edited file re-routes to
-the shard whose incremental caches already know the old version — the
-best possible placement for the edit.
+Routing keys deliberately diverge from the store's program keys in
+one way: no file digests. The router must not do disk I/O per
+request, and hashing *paths* instead of contents means an edited file
+re-routes to the shard whose incremental caches already know the old
+version — the best possible placement for the edit.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ def _point(data: str) -> int:
 def routing_key(params: Dict[str, Any]) -> str:
     """Stable content key of one ``analyze`` request's *shape*.
 
-    Mirrors :func:`repro.perf.journal.job_fingerprint` minus file
-    digests (see module docstring): inline source text, file paths,
-    name, and per-request config overrides. Unknown/missing fields
-    hash as their absence, so the key is total over any params dict.
+    The sha256 of the request's inline source text, filename, file
+    paths, name and per-request config overrides — no file digests
+    (see module docstring). Unknown/missing fields hash as their
+    absence, so the key is total over any params dict.
     """
     shape = {
         "source": params.get("source"),

@@ -6,8 +6,8 @@ protocol the daemons speak (:mod:`repro.server.protocol`), so
 forwards every ``analyze`` to one of N shard daemons:
 
 *Affinity.* The request's :func:`repro.fleet.hashring.routing_key`
-(job shape, the I/O-free sibling of ``job_fingerprint``) is looked up
-on a consistent-hash ring, so repeated jobs land on the same shard.
+(a hash of the job's shape, no file I/O) is looked up on a
+consistent-hash ring, so repeated jobs land on the same shard.
 Every shard's store is one directory, ``{cache_root}/store``, and
 holds no program in memory, so affinity buys only page-cache
 locality: a job stolen or re-dispatched to another shard is the same

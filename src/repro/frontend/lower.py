@@ -16,6 +16,7 @@ address-taken scalars stay in memory as an ``alloca``.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from pycparser import c_ast
@@ -159,17 +160,22 @@ class TypeBuilder:
     def _struct_type(self, node) -> StructType:
         is_union = isinstance(node, c_ast.Union)
         tag = node.name
+        fields = None
         if tag is None:
-            self.module.anon_tags += 1
-            tag = f"__anon{self.module.anon_tags}"
+            # an anonymous aggregate is tagged by its content, so every
+            # unit that spells one layout gets the one type
+            fields = self._fields(node)
+            digest = hashlib.sha256(repr((is_union, fields)).encode())
+            tag = f"__anon_{digest.hexdigest()[:16]}"
         struct = self.module.get_struct(tag, is_union)
         if node.decls is not None and not struct.is_complete:
-            fields = []
-            for decl in node.decls:
-                ftype = self.from_node(decl.type)
-                fields.append((decl.name or f"__pad{len(fields)}", ftype))
-            struct.set_fields(fields)
+            struct.set_fields(
+                self._fields(node) if fields is None else fields)
         return struct
+
+    def _fields(self, node) -> List[Tuple[str, CType]]:
+        return [(decl.name or f"__pad{index}", self.from_node(decl.type))
+                for index, decl in enumerate(node.decls or ())]
 
     def _register_enum(self, node: c_ast.Enum) -> None:
         if node.values is None:
@@ -330,7 +336,6 @@ class ModuleLowerer:
         self._shared_enums: Dict[str, int] = {}
 
     def lower_unit(self, unit: ParsedUnit) -> Module:
-        self.module.anon_bases.setdefault(unit.name, self.module.anon_tags)
         types = TypeBuilder(self.module, unit)
         types.typedefs = self.typedefs
         types.enum_constants = self._shared_enums
@@ -444,7 +449,6 @@ class ModuleLowerer:
         # scalars are promoted optimistically; one whose address turns
         # out to escape is pinned to memory and the body lowered again
         pinned: Set[object] = set()
-        anon_tags = self.module.anon_tags
         while True:
             lowerer = FunctionLowerer(self, func, types, unit, pinned)
             try:
@@ -452,7 +456,6 @@ class ModuleLowerer:
                 return
             except _AddressTaken as exc:
                 pinned.add(exc.args[0])
-            self.module.anon_tags = anon_tags
             func.reset_body()
 
     def _lower_funcdef_recover(self, funcdef: c_ast.FuncDef,

@@ -26,8 +26,8 @@ program alive between verdicts:
     included, and each definition's name, signature and start
     location, in order; and so are its annotations (location, text);
   - no changed definition is degraded or declares a struct, union or
-    enum type or a local function (an anonymous aggregate's tag comes
-    from a module-wide counter every definition before it advanced);
+    enum type or a local function (a declaration scoped to the body,
+    which this path does not model);
   - a changed definition refers only to globals declared before it and
     to functions defined before it, or never defined and declared
     before it or referred to by its old body too (a cold lowering binds
@@ -426,17 +426,15 @@ class IncrementalSession:
                         continue
                     new = self._pending[path].unit
                     keep = {id(d) for d in defs}
-                    # the frame's anonymous aggregates take the tags
-                    # the unit's first lowering gave them
-                    tags = module.anon_tags
-                    module.anon_tags = module.anon_bases[new.name]
+                    # the frame's anonymous aggregates are tagged by
+                    # their content, so they bind the types the unit's
+                    # first lowering made
                     ModuleLowerer(module=module).lower_unit(ParsedUnit(
                         c_ast.FileAST(ext=[
                             ext for ext in new.ast.ext
                             if not isinstance(ext, c_ast.FuncDef)
                             or id(ext) in keep]),
                         new.source, name=new.name))
-                    module.anon_tags = tags
                 if sizes != (len(module.functions), len(module.globals),
                              len(module.structs)):
                     return False

@@ -176,11 +176,6 @@ class Module:
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
         self.structs: Dict[str, StructType] = {}
-        #: anonymous aggregates tagged so far (``struct __anon<N>``);
-        #: module-wide, so no two units' anonymous aggregates share a tag
-        self.anon_tags = 0
-        #: unit name → ``anon_tags`` when that unit's lowering began
-        self.anon_bases: Dict[str, int] = {}
         #: side tables filled by the front end
         self.function_annotations: Dict[str, list] = {}
         self.source_files: List[str] = []

@@ -12,14 +12,13 @@ sequential cold path):
   replays (:mod:`repro.perf.summary_store`);
 - :func:`run_batch` — process-parallel fan-out over independent
   programs with crash supervision (:mod:`repro.perf.batch`,
-  :mod:`repro.resilience`);
+  :mod:`repro.resilience`). A batch killed mid-run resumes by running
+  again with the same cache dir: each finished job's verdict record is
+  fsynced, so it replays and only unfinished jobs compute;
 - :func:`seal` / :func:`unseal` — the checksum frame of the one
   on-disk codec every store writes through, so torn or rotted entries
   are evicted and recomputed instead of trusted
-  (:mod:`repro.perf.integrity`);
-- :class:`BatchJournal` / :func:`run_journaled` — durable batch
-  checkpoint/resume over an append-only, checksum-framed WAL
-  (:mod:`repro.perf.journal`).
+  (:mod:`repro.perf.integrity`).
 """
 
 from .batch import (
@@ -39,12 +38,10 @@ from .fingerprint import (
 )
 from .integrity import IntegrityError, seal, unseal
 from .ircache import IRCache
-from .journal import BatchJournal, JournalReplay, job_fingerprint, run_journaled
 from .summary_store import BodyRecord, BodyRecorder, CellNamer
 
 __all__ = [
     "BatchJob",
-    "BatchJournal",
     "BatchOutcome",
     "BatchResult",
     "BodyRecord",
@@ -53,15 +50,12 @@ __all__ = [
     "FlowFingerprints",
     "IRCache",
     "IntegrityError",
-    "JournalReplay",
     "code_digest",
     "config_fingerprint",
     "file_digest",
     "function_fingerprint",
-    "job_fingerprint",
     "resolve_mp_context",
     "run_batch",
-    "run_journaled",
     "seal",
     "text_digest",
     "unseal",

@@ -102,11 +102,6 @@ class BatchOutcome:
     wall_time: float = 0.0
     worker_restarts: int = 0
     quarantined: List[str] = field(default_factory=list)
-    #: jobs whose results were replayed from a batch journal instead of
-    #: re-run (``safeflow batch --resume``)
-    resumed_jobs: int = 0
-    #: torn/corrupt journal tail records truncated during replay
-    journal_truncated_records: int = 0
 
     @property
     def ok(self) -> bool:
@@ -193,8 +188,9 @@ def _aborted_result(job: BatchJob) -> BatchResult:
 
 def _run_sequential(outcome: BatchOutcome, jobs: Sequence[BatchJob],
                     config, start: float, guards=None,
-                    fail_fast: bool = False,
-                    on_result=None) -> BatchOutcome:
+                    fail_fast: bool = False) -> BatchOutcome:
+    from ..resilience import faults
+
     stopped = False
     for job in jobs:
         if stopped:
@@ -202,8 +198,7 @@ def _run_sequential(outcome: BatchOutcome, jobs: Sequence[BatchJob],
             continue
         result = _run_job(job, config, guards)
         outcome.results.append(result)
-        if on_result is not None:
-            on_result(len(outcome.results) - 1, result)
+        faults.on_job_settled(job.name)
         if fail_fast and not result.ok:
             stopped = True
     outcome.wall_time = time.perf_counter() - start
@@ -227,7 +222,6 @@ def run_batch(
     guards=None,
     max_crashes: int = 2,
     fail_fast: bool = False,
-    on_result=None,
 ) -> BatchOutcome:
     """Analyze ``jobs`` with up to ``max_workers`` processes.
 
@@ -239,12 +233,13 @@ def run_batch(
     of the crash supervision (see the module docstring).
 
     ``fail_fast`` stops dispatching after the first failed job; jobs
-    never dispatched come back as ``aborted`` results. ``on_result``
-    is invoked as ``on_result(index, result)`` the moment a job's
-    result settles (in completion order, not job order), for every job
-    that actually executed — never for aborted ones. The batch journal
-    uses it for incremental durability: a batch killed mid-run keeps
-    every result that reached the callback.
+    never dispatched come back as ``aborted`` results.
+
+    A batch killed mid-run resumes by running it again with the same
+    ``config.cache_dir``: every job that finished before the kill left
+    an fsynced verdict record (:meth:`repro.perf.IRCache.store_verdict`)
+    and replays it, so only unfinished jobs compute. Failed and aborted
+    jobs leave no record and run again.
     """
     from ..resilience import SupervisedExecutor
 
@@ -256,7 +251,7 @@ def run_batch(
 
     if max_workers <= 1 or len(jobs) == 1:
         return _run_sequential(outcome, jobs, config, start, guards,
-                               fail_fast, on_result)
+                               fail_fast)
 
     # fork keeps worker start cheap; the analyzer holds no threads or
     # open handles at this point that fork could corrupt. Platforms
@@ -266,12 +261,12 @@ def run_batch(
     if not supervisor.available:
         supervisor.shutdown()
         return _run_sequential(outcome, jobs, config, start, guards,
-                               fail_fast, on_result)
+                               fail_fast)
     abandoned = False
     try:
         abandoned = _run_supervised(
             outcome, jobs, config, supervisor, timeout, guards, max_crashes,
-            fail_fast, on_result,
+            fail_fast,
         )
     finally:
         # an abandoned (timed-out but still running) future would make
@@ -285,10 +280,10 @@ def run_batch(
 def _run_supervised(outcome: BatchOutcome, jobs: Sequence[BatchJob],
                     config, supervisor, timeout: Optional[float],
                     guards, max_crashes: int,
-                    fail_fast: bool = False, on_result=None) -> bool:
+                    fail_fast: bool = False) -> bool:
     """The supervised dispatch loop; returns True when futures were
     abandoned (timed out while running)."""
-    from ..resilience import CrashLedger
+    from ..resilience import CrashLedger, faults
 
     ledger = CrashLedger(max_crashes)
     results: Dict[int, BatchResult] = {}
@@ -302,8 +297,7 @@ def _run_supervised(outcome: BatchOutcome, jobs: Sequence[BatchJob],
     def settle(index: int, result: BatchResult) -> None:
         nonlocal stopping
         results[index] = result
-        if on_result is not None:
-            on_result(index, result)
+        faults.on_job_settled(jobs[index].name)
         if fail_fast and not result.ok:
             stopping = True
 

@@ -1,11 +1,14 @@
 """The one on-disk codec of the performance layer: checksummed files
 and checksummed frame logs (torn-write detection).
 
-Whole-file stores (IR-cache entries, the segment store's
+Whole-file stores (IR-cache records, the segment store's
 ``deps.bin``) are written atomically (``mkstemp`` +
 ``os.replace``), which protects against *concurrent* readers — but not
 against partial disks, bit rot, or a crash mid-``write`` on
 filesystems where replace lands but the temp data didn't all make it.
+A write that a later run must find after a power loss (a verdict
+record, the segment log's compaction) passes ``fsync=True``: the temp
+file is synced before the replace and its directory after it.
 A silently truncated pickle can raise nearly anything at load time,
 or — worse — unpickle to a plausible but wrong object graph.
 
@@ -21,11 +24,10 @@ the event into ``AnalysisStats.cache_integrity_evictions`` / server
 metrics. Pre-checksum legacy entries fail the magic check and are
 evicted the same way — one recompute, no schema migration.
 
-Append-only logs (the segment log, the batch journal) are sequences of
-frames, each ``magic + u32 big-endian length + sealed pickle`` (the
-segment log's magic is empty, the journal's is ``SFJ1``).
-:func:`read_frame_log` reads every intact frame and cuts a torn tail
-(a crash mid-append) off the file.
+The append-only segment log is a sequence of frames, each ``u32
+big-endian length + sealed pickle``. :func:`read_frame_log` reads
+every intact frame and cuts a torn tail (a crash mid-append) off the
+file.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ def unseal(blob: bytes) -> bytes:
 
 def write_file(path: str, data: bytes, fsync: bool = False) -> bool:
     """Atomically replace ``path`` with ``data`` (temp file in the same
-    directory + :func:`os.replace`); False on an OS error."""
+    directory + :func:`os.replace`); False on an OS error. ``fsync``
+    makes the write durable: the temp file is synced before the
+    replace, and the directory entry after it."""
     directory = os.path.dirname(path) or "."
     try:
         os.makedirs(directory, exist_ok=True)
@@ -78,6 +82,8 @@ def write_file(path: str, data: bytes, fsync: bool = False) -> bool:
                     f.flush()
                     os.fsync(f.fileno())
             os.replace(tmp, path)
+            if fsync:
+                _fsync_directory(directory)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -89,9 +95,17 @@ def write_file(path: str, data: bytes, fsync: bool = False) -> bool:
     return True
 
 
-def write_sealed(path: str, payload: bytes) -> bool:
+def _fsync_directory(directory: str) -> None:
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def write_sealed(path: str, payload: bytes, fsync: bool = False) -> bool:
     """:func:`write_file` of the sealed ``payload``."""
-    return write_file(path, seal(payload))
+    return write_file(path, seal(payload), fsync)
 
 
 def read_sealed(path: str) -> Tuple[Optional[bytes], bool]:
@@ -116,18 +130,18 @@ def read_sealed(path: str) -> Tuple[Optional[bytes], bool]:
         return None, True
 
 
-def frame(record, magic: bytes = b"") -> bytes:
-    """One log frame: ``magic + length + sealed pickle of record``."""
+def frame(record) -> bytes:
+    """One log frame: ``length + sealed pickle of record``."""
     sealed = seal(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
-    return magic + len(sealed).to_bytes(_LEN_BYTES, "big") + sealed
+    return len(sealed).to_bytes(_LEN_BYTES, "big") + sealed
 
 
-def read_frame_log(path: str, magic: bytes = b"") -> Tuple[List[object], bool]:
+def read_frame_log(path: str) -> Tuple[List[object], bool]:
     """``(records, torn)`` of the frame log at ``path``.
 
     Frames are read in order up to the first damaged one (short frame,
-    wrong magic, checksum mismatch, unpicklable payload); everything
-    before it is intact by construction, as appends are sequential.
+    checksum mismatch, unpicklable payload); everything before it is
+    intact by construction, as appends are sequential.
     A damaged tail is cut off the file (``torn`` is then True) so the
     next append starts at a frame boundary; :class:`OSError` when it
     cannot be cut. An absent or unreadable log has no records.
@@ -139,10 +153,9 @@ def read_frame_log(path: str, magic: bytes = b"") -> Tuple[List[object], bool]:
         return [], False
     records: List[object] = []
     offset, size = 0, len(raw)
-    head = len(magic) + _LEN_BYTES
     while offset < size:
-        end = offset + head
-        if end > size or raw[offset:offset + len(magic)] != magic:
+        end = offset + _LEN_BYTES
+        if end > size:
             break
         length = int.from_bytes(raw[end - _LEN_BYTES:end], "big")
         if end + length > size:

@@ -31,16 +31,18 @@ pickled :class:`VerdictEntry`: the program's ``deps`` and the verdict
 computed on it under that config, :meth:`IRCache.store_verdict`). A
 verdict record is validated against the current files exactly like a
 program record, so a hit replays its verdict without unpickling the
-IR. :meth:`IRCache.lease` looks in this order: the verdict record,
-the program record. A leased program is a fresh unpickled copy that
-belongs to the request that leased it, which releases it
-(:meth:`repro.ir.Module.release`) when it is done, so no two threads
-ever share one object graph and no IR outlives its request. Writes
-are atomic, and a damaged record (bit rot, partial disk write) is
-detected before it reaches ``pickle``, evicted, counted in
-``integrity_evictions``, and recomputed silently. Failures are never
-fatal: any OS, pickle, or recursion error turns into a miss (or a
-skipped store) and the caller re-parses or recomputes.
+IR, and a batch run again after a crash replays every job whose
+verdict record was written before it. :meth:`IRCache.lease` looks in
+this order: the verdict record, the program record. A leased program
+is a fresh unpickled copy that belongs to the request that leased it,
+which releases it (:meth:`repro.ir.Module.release`) when it is done,
+so no two threads ever share one object graph and no IR outlives its
+request. Writes are atomic, verdict writes are also fsynced, and a
+damaged record (bit rot, partial disk write) is detected before it
+reaches ``pickle``, evicted, counted in ``integrity_evictions``, and
+recomputed silently. Failures are never fatal: any OS, pickle, or
+recursion error turns into a miss (or a skipped store) and the caller
+re-parses or recomputes.
 """
 
 from __future__ import annotations
@@ -236,9 +238,11 @@ class IRCache:
 
     def store_verdict(self, key: Optional[str], fingerprint: str,
                       deps, verdict) -> bool:
-        """Record ``verdict``, computed under ``fingerprint`` on the
-        program of ``key`` whose dependencies are ``deps``; False when
-        not cacheable."""
+        """Durably record ``verdict``, computed under ``fingerprint`` on
+        the program of ``key`` whose dependencies are ``deps``; False
+        when not cacheable. A batch run again after a crash resumes
+        from these records, so the write is fsynced (file and
+        directory); program records are a cache and are not."""
         if key is None or deps is None:
             return False
         try:
@@ -246,7 +250,8 @@ class IRCache:
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return False
-        return write_sealed(self._verdict_path(key, fingerprint), payload)
+        return write_sealed(self._verdict_path(key, fingerprint), payload,
+                            fsync=True)
 
 
 def _deep(function, *args):

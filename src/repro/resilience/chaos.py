@@ -19,9 +19,10 @@ fault schedule (:mod:`repro.resilience.faults`) and assert that
   request in the same process — one worker crash never costs the
   service;
 - for the ``kill-resume`` schedule, the batch *driver* is SIGKILLed
-  right after a result reaches the write-ahead journal, and a
-  ``--resume`` run completes the batch byte-identical to an
-  uninterrupted one, re-running only the unfinished jobs;
+  right after a job settles, and the same batch run again on its
+  cache dir completes byte-identical to an uninterrupted one,
+  replaying the finished jobs' verdict records and computing only
+  the unfinished jobs;
 - for the ``watch-kill`` schedule, an incremental watch session is
   SIGKILLed mid-append to its segment log, and a fresh session on the
   same store truncates the torn tail (one integrity eviction) and
@@ -312,28 +313,31 @@ def _schedule_serve_kill(report, jobs, baseline, config, workers, scratch):
 
 def _schedule_kill_resume(report, jobs, _unused_baseline, config, workers,
                           scratch):
-    """Kill the batch *driver* after a journal append, then resume.
+    """Kill the batch *driver* after a job settles, then run it again.
 
-    Three ``safeflow batch --journal`` subprocess runs over the same
-    workload: an uninterrupted reference, a run SIGKILLed by the
-    ``kill_after_journal`` fault the instant the target job's record is
-    durable, and a ``--resume`` of the killed journal. Asserts the
-    resume reused exactly the journaled results (re-running only the
-    unfinished jobs) and that the final journal replays byte-identical
-    to the uninterrupted run. Sequential (``--jobs 1``) so the journal
-    contents at the kill point are deterministic.
+    Three ``safeflow batch --cache-dir`` subprocess runs over the same
+    workload: an uninterrupted reference with a cache dir of its own,
+    a run SIGKILLed by the ``kill_after_job`` fault the instant the
+    target job's result settles (its verdict record is fsynced by
+    then), and a plain re-run on the killed run's cache dir. The
+    verdict records the killed run left must be a proper non-empty
+    prefix of the jobs; the re-run must replay exactly those jobs
+    (``verdict_replayed``), compute the rest, and report every job
+    byte-identical to the reference. A job's render here is its JSON
+    report without the stats of the run. Sequential (``--jobs 1``) so
+    the records at the kill point are deterministic.
     """
     import json as json_mod
     import signal
     import subprocess
     import sys
 
-    from ..perf.journal import BatchJournal
-
     files = [job.files[0] for job in jobs]
-    target = os.path.basename(files[1])  # the CLI names jobs by basename
+    # the CLI names jobs by basename
+    names = [os.path.basename(path) for path in files]
+    target = names[1]
 
-    def run_cli(journal, extra=(), env_extra=None):
+    def run_cli(cache_dir, env_extra=None):
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))))
@@ -342,58 +346,65 @@ def _schedule_kill_resume(report, jobs, _unused_baseline, config, workers,
         if env_extra:
             env.update(env_extra)
         cmd = [sys.executable, "-m", "repro.cli", "batch",
-               "--jobs", "1", "--no-cache", "--json",
-               "--journal", journal, *extra, *files]
+               "--jobs", "1", "--json", "--cache-dir", cache_dir, *files]
         return subprocess.run(cmd, env=env, capture_output=True,
                               text=True, timeout=600)
 
-    def journal_renders(path):
-        replay = BatchJournal(path).replay()
-        return {name: rec[1].report.render(verbose=False)
-                for name, rec in replay.results.items()
-                if rec[1].ok and rec[1].report is not None}
+    def job_reports(proc):
+        return {job["name"]: job["report"]
+                for job in json_mod.loads(proc.stdout)["jobs"] if job["ok"]}
 
-    reference = os.path.join(scratch, "reference.journal")
-    proc = run_cli(reference)
+    def renders(reports):
+        return {name: json_mod.dumps(
+                    {k: v for k, v in rep.items() if k != "stats"},
+                    sort_keys=True)
+                for name, rep in reports.items()}
+
+    proc = run_cli(os.path.join(scratch, "cache-reference"))
     if proc.returncode not in (0, 1):
         report.fail(f"reference run failed (rc {proc.returncode}): "
                     f"{proc.stderr.strip()[:200]}")
         return
-    baseline = journal_renders(reference)
+    baseline = renders(job_reports(proc))
     if len(baseline) != len(files):
-        report.fail(f"reference journal holds {len(baseline)} result(s), "
+        report.fail(f"reference run finished {len(baseline)} job(s), "
                     f"expected {len(files)}")
         return
 
-    journal = os.path.join(scratch, "killed.journal")
-    plan = FaultPlan(kill_after_journal=target)
-    proc = run_cli(journal, env_extra={faults.ENV_VAR: plan.to_json()})
+    cache_dir = os.path.join(scratch, "cache-killed")
+    plan = FaultPlan(kill_after_job=target)
+    proc = run_cli(cache_dir, env_extra={faults.ENV_VAR: plan.to_json()})
     if proc.returncode != -signal.SIGKILL:
         report.fail(f"driver should die by SIGKILL right after "
-                    f"journaling {target!r} (rc {proc.returncode})")
+                    f"{target!r} settled (rc {proc.returncode})")
         return
-    survived = journal_renders(journal)
-    if not survived or len(survived) >= len(files):
-        report.fail(f"killed journal holds {len(survived)} result(s); "
+    records = os.path.join(cache_dir, "ir")
+    survived = (sum(name.endswith(".verdict")
+                    for name in os.listdir(records))
+                if os.path.isdir(records) else 0)
+    if not survived or survived >= len(files):
+        report.fail(f"killed run left {survived} verdict record(s); "
                     f"expected a proper non-empty prefix of {len(files)}")
         return
-    report.note(f"driver SIGKILLed mid-batch; journal holds "
-                f"{len(survived)}/{len(files)} durable result(s)")
+    report.note(f"driver SIGKILLed mid-batch; {survived}/{len(files)} "
+                f"verdict record(s) durable")
 
-    proc = run_cli(journal, extra=("--resume",))
+    proc = run_cli(cache_dir)
     if proc.returncode not in (0, 1):
-        report.fail(f"resume run failed (rc {proc.returncode}): "
+        report.fail(f"re-run failed (rc {proc.returncode}): "
                     f"{proc.stderr.strip()[:200]}")
         return
-    payload = json_mod.loads(proc.stdout)
-    resumed = payload.get("resumed_jobs", 0)
-    if resumed != len(survived):
-        report.fail(f"resume reused {resumed} job(s), expected "
-                    f"{len(survived)} (only unfinished jobs re-run)")
+    reports = job_reports(proc)
+    replayed = [name for name in names
+                if reports.get(name, {}).get("stats", {}).get(
+                    "verdict_replayed")]
+    if replayed != names[:survived]:
+        report.fail(f"re-run replayed {replayed}, expected "
+                    f"{names[:survived]} (only unfinished jobs compute)")
     else:
-        report.note(f"resume reused {resumed} journaled result(s), "
-                    f"re-ran {len(files) - resumed}")
-    _compare(report, baseline, journal_renders(journal))
+        report.note(f"re-run replayed {len(replayed)} verdict record(s), "
+                    f"computed {len(files) - len(replayed)}")
+    _compare(report, baseline, renders(reports))
 
 
 def _schedule_watch_kill(report, _unused_jobs, _unused_baseline, config,

@@ -56,11 +56,11 @@ class FaultPlan:
     #: deterministic stand-in for an RLIMIT_AS allocation failure
     boom_job: Optional[str] = None
     #: SIGKILL the *batch driver* right after this job's result has
-    #: been durably appended to the batch journal — the deterministic
-    #: stand-in for a machine dying mid-batch (the kill-resume chaos
-    #: schedule). Unlike ``kill_job`` this deliberately fires in the
-    #: driver process, never in a worker.
-    kill_after_journal: Optional[str] = None
+    #: settled, when its verdict record is already durable — the
+    #: deterministic stand-in for a machine dying mid-batch (the
+    #: kill-resume chaos schedule). Unlike ``kill_job`` this
+    #: deliberately fires in the driver process, never in a worker.
+    kill_after_job: Optional[str] = None
     #: SIGKILL the process during its Nth (1-based) segment-store
     #: append, after a durable *prefix* of the frame bytes reached
     #: ``segments.log`` — the deterministic stand-in for a machine
@@ -176,18 +176,18 @@ def on_job_start(job_name: str) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def on_journal_append(job_name: str) -> None:
-    """Fire the ``kill_after_journal`` fault, if scheduled.
+def on_job_settled(job_name: str) -> None:
+    """Fire the ``kill_after_job`` fault, if scheduled.
 
-    Called by :class:`repro.perf.journal.BatchJournal` after a job's
-    record has been appended *and* flushed/fsynced: the record is
-    durable, so a resume must replay it. The kill targets the batch
-    driver itself (a simulated machine death), so it fires regardless
-    of :func:`in_worker`, and needs no latch — the process is gone
-    right after.
+    Called by the batch driver (:func:`repro.perf.batch.run_batch`)
+    when a job's result settles. A successful job has fsynced its
+    verdict record by then, so a re-run of the batch must replay it.
+    The kill targets the batch driver itself (a simulated machine
+    death), so it fires regardless of :func:`in_worker`, and needs no
+    latch — the process is gone right after.
     """
     plan = plan_from_env()
-    if plan is None or plan.kill_after_journal != job_name:
+    if plan is None or plan.kill_after_job != job_name:
         return
     os.kill(os.getpid(), signal.SIGKILL)
 

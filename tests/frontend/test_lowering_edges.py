@@ -6,6 +6,7 @@ import pytest
 from repro.errors import LoweringError
 from repro.frontend import load_files
 from repro.ir import Interpreter, verify_module
+from repro.ir.instructions import Alloca
 from tests.conftest import front
 
 
@@ -235,3 +236,44 @@ class TestAnonymousAggregatesAcrossUnits:
         ]
         verify_module(program.module)
         assert Interpreter(program.module).call("lib") == 3
+
+
+class TestAnonymousAggregateIdentity:
+    """An anonymous aggregate is tagged by its content: one layout is
+    one type, whichever unit spells it."""
+
+    @pytest.mark.parametrize("key,layouts", [
+        ("ip", 4), ("generic_simplex", 8), ("double_ip", 7)])
+    def test_corpus_has_one_struct_per_layout(self, key, layouts):
+        from repro.corpus import load_system
+
+        system = load_system(key)
+        program = load_files([str(p) for p in system.core_files])
+        anon = [struct for struct in program.module.structs.values()
+                if struct.tag.startswith("__anon")]
+        assert len(anon) == layouts
+        assert len({tuple((f.name, repr(f.type)) for f in struct.fields)
+                    for struct in anon}) == layouts
+
+    def test_header_typedef_is_one_object_in_caller_and_callee(
+            self, tmp_path):
+        (tmp_path / "sample.h").write_text(
+            "typedef struct { double v; int n; } Sample;\n"
+            "double take(Sample *s);\n")
+        (tmp_path / "main.c").write_text(
+            '#include "sample.h"\n'
+            "double run(void) { Sample x; x.v = 1.0; x.n = 2;"
+            " return take(&x); }\n")
+        (tmp_path / "lib.c").write_text(
+            '#include "sample.h"\n'
+            "double take(Sample *s) { return s->v * s->n; }\n")
+        program = load_files([str(tmp_path / "main.c"),
+                              str(tmp_path / "lib.c")])
+        module = program.module
+        (slot,) = [inst.allocated_type
+                   for block in module.functions["run"].blocks
+                   for inst in block.instructions
+                   if isinstance(inst, Alloca)]
+        param = module.functions["take"].ftype.params[0].pointee
+        assert slot is param
+        assert Interpreter(module).call("run") == 2.0

@@ -15,7 +15,6 @@ from repro.perf.integrity import (
     HEADER_LEN, MAGIC, IntegrityError, frame, read_frame_log, read_sealed,
     seal, unseal, write_sealed,
 )
-from repro.perf.journal import FRAME_MAGIC, BatchJournal
 from repro.resilience import faults
 
 from tests.perf.test_cache_correctness import SIMPLE
@@ -162,10 +161,10 @@ def _layout_seal(payload: bytes) -> bytes:
     return b"SFCK1\n" + hashlib.sha256(payload).digest() + payload
 
 
-def _layout_frame(record, magic: bytes = b"") -> bytes:
+def _layout_frame(record) -> bytes:
     sealed = _layout_seal(pickle.dumps(record,
                                        protocol=pickle.HIGHEST_PROTOCOL))
-    return magic + struct.pack(">I", len(sealed)) + sealed
+    return struct.pack(">I", len(sealed)) + sealed
 
 
 class TestCodecLayout:
@@ -185,7 +184,6 @@ class TestCodecLayout:
     def test_log_frames_are_length_then_sealed(self):
         record = ("segment", "k", {"a": 1})
         assert frame(record) == _layout_frame(record)
-        assert frame(record, FRAME_MAGIC) == _layout_frame(record, b"SFJ1")
 
     def test_hand_built_stores_load(self, tmp_path):
         from repro.incremental.segments import SEGMENT_FORMAT_VERSION
@@ -201,13 +199,6 @@ class TestCodecLayout:
         assert store.integrity_evictions == 0
         assert store._closures == {"f": "fp-f"}
 
-        journal = tmp_path / "batch.journal"
-        with open(journal, "wb") as f:
-            f.write(_layout_frame({"type": "header", "version": 1}, b"SFJ1"))
-        replay = BatchJournal(str(journal)).replay()
-        assert replay.truncated_records == 0
-        assert replay.header == {"type": "header", "version": 1}
-
     def test_torn_frame_log_is_cut_to_its_intact_prefix(self, tmp_path):
         path = tmp_path / "log"
         intact = _layout_frame(("a",)) + _layout_frame(("b",))
@@ -216,3 +207,44 @@ class TestCodecLayout:
         assert read_frame_log(str(path)) == ([("a",), ("b",)], True)
         assert path.read_bytes() == intact
         assert read_frame_log(str(path)) == ([("a",), ("b",)], False)
+
+
+class TestDurableVerdictWrite:
+    """A batch run again after a crash resumes from verdict records, so
+    their write is fsynced, file and directory; program records are a
+    cache and are not."""
+
+    @staticmethod
+    def _synced(monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            calls.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return calls
+
+    def test_store_verdict_fsyncs_the_record_and_its_directory(
+            self, tmp_path, monkeypatch):
+        from repro.perf.ircache import IRCache
+
+        cache = IRCache(str(tmp_path))
+        synced = self._synced(monkeypatch)
+        assert cache.store_verdict("k", "fp", [], {"verdict": 1})
+        (name,) = os.listdir(cache.directory)
+        record = os.path.join(cache.directory, name)
+        assert name.endswith(".verdict")
+        assert synced == [os.stat(record).st_ino,
+                          os.stat(cache.directory).st_ino]
+
+    def test_program_store_does_not_fsync(self, tmp_path, monkeypatch):
+        from repro.frontend.driver import load_source
+        from repro.perf.ircache import IRCache
+
+        cache = IRCache(str(tmp_path))
+        program = load_source(SIMPLE, filename="simple.c")
+        synced = self._synced(monkeypatch)
+        assert cache.store("k", program)
+        assert synced == []

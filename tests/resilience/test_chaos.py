@@ -24,9 +24,9 @@ def test_kill_resume_schedule_is_registered():
 
 
 def test_smoke_damages_every_on_disk_store(tmp_path):
-    # IR cache (its verdict and program records), segment log and
-    # batch journal: each of the stores written through the one codec
-    # is damaged in CI smoke
+    # IR cache (its verdict and program records) and segment log: each
+    # of the stores written through the one codec is damaged in CI
+    # smoke, and kill-resume kills a batch between verdict records
     for schedule in ("corrupt-ir", "watch-kill", "kill-resume"):
         assert schedule in SMOKE_SCHEDULES
     # corrupt-ir damages both record kinds of one program
@@ -61,3 +61,10 @@ def test_unknown_schedule_is_rejected():
 
     with pytest.raises(ValueError):
         run_chaos(schedules=["no-such-schedule"])
+
+
+def test_kill_resume_schedule_passes_and_reports():
+    outcome = run_chaos(schedules=["kill-resume"], jobs=3, workers=1)
+    assert outcome.ok, outcome.render()
+    (report,) = outcome.schedules
+    assert any("re-run replayed" in note for note in report.notes)

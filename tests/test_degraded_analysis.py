@@ -165,14 +165,6 @@ class TestCliDegraded:
         assert payload["verdict"] == "degraded"
         assert payload["degraded"][0]["cause"].startswith("C parse error")
 
-    def test_batch_resume_requires_journal(self, tmp_path, capsys):
-        ok = tmp_path / "ok.c"
-        ok.write_text("int main(void) { return 0; }\n")
-        code = cli_main(["batch", str(ok), "--resume", "--no-cache"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "--resume requires --journal" in captured.err
-
     def test_batch_keep_going_and_fail_fast_conflict(self, tmp_path):
         ok = tmp_path / "ok.c"
         ok.write_text("int main(void) { return 0; }\n")

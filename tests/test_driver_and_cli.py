@@ -112,6 +112,27 @@ class TestCli:
         path.write_text("int main(void) { return 0; }")
         assert cli_main(["analyze", str(path)]) == 0
 
+    def test_batch_run_again_on_its_cache_dir_replays(self, tmp_path,
+                                                      capsys):
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"core{i}.c"
+            path.write_text(FIGURE2_SOURCE)
+            paths.append(str(path))
+        args = ["batch", "--jobs", "1", "--json",
+                "--cache-dir", str(tmp_path / "cache"), *paths]
+        runs = []
+        for _ in range(2):
+            cli_main(args)
+            runs.append(json.loads(capsys.readouterr().out))
+        replayed = [[bool(job["report"]["stats"].get("verdict_replayed"))
+                     for job in run["jobs"]] for run in runs]
+        assert replayed == [[False, False], [True, True]]
+        assert "resumed_jobs" not in runs[1]
+        for cold, warm in zip(runs[0]["jobs"], runs[1]["jobs"]):
+            assert cold["report"]["errors"] == warm["report"]["errors"]
+            assert cold["report"]["warnings"] == warm["report"]["warnings"]
+
     def test_analyze_dot_export(self, tmp_path):
         src = tmp_path / "core.c"
         src.write_text(FIGURE2_SOURCE)
