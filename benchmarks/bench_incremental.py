@@ -20,6 +20,12 @@ and its on-disk segment store:
   definition (``core_unit_swaps`` counts the edits that did,
   ``core_full_relowers`` those that re-lowered the whole program).
 
+After an in-place re-lower the session updates the phase-1 and
+phase-2 state of its last verdict instead of computing it afresh:
+``phase_reuses``/``phase_fallbacks`` count the filler edits that did
+and did not, ``core_phase_reuses``/``core_phase_fallbacks`` the core
+edits.
+
 Each re-verdict is asserted byte-identical to a cold session over the
 same sources — the differential guarantee the incremental layer is
 built on.
@@ -28,8 +34,8 @@ The headline machine-independent ratios are ``edit_ratio`` (edit /
 cold) and ``core_edit_ratio`` (core edit / cold). The CI gate
 re-measures the ``large`` rung and fails when either costs more than
 ``--gate`` (default 10%) of a cold run, when a core edit re-lowers the
-whole program, or when the re-analyzed set exceeds the expected dirty
-cone.
+whole program, when a filler edit computes phases 1 and 2 afresh, or
+when the re-analyzed set exceeds the expected dirty cone.
 
 Usage::
 
@@ -148,6 +154,7 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
 
         # one-function edit: toggle the same constant back and forth so
         # every timed verdict sees exactly one changed unit
+        reuses, fallbacks = session.phase_reuses, session.phase_fallbacks
         edit_best = None
         edit_report = None
         for i in range(max(2, runs)):
@@ -157,6 +164,8 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
             elapsed = time.perf_counter() - t0
             edit_best = elapsed if edit_best is None \
                 else min(edit_best, elapsed)
+        phase_reuses = session.phase_reuses - reuses
+        phase_fallbacks = session.phase_fallbacks - fallbacks
     if edit_report.stats.segment_fallbacks:
         raise SystemExit(f"{spec['name']}: edit re-verdict fell back to "
                          f"a validating rerun")
@@ -171,6 +180,7 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
 
     # a core.c body edit, toggled like the filler edit
     swaps, relowers = session.swaps, session.full_relowers
+    reuses, fallbacks = session.phase_reuses, session.phase_fallbacks
     with gc_paused(True):
         core_best = None
         for i in range(max(2, runs)):
@@ -195,12 +205,16 @@ def _bench_config(spec: dict, runs: int, scratch: Path) -> dict:
         "dirty_cone": cone,
         "functions_reanalyzed": edit_report.stats.functions_reanalyzed,
         "unit_swaps": swaps,
+        "phase_reuses": phase_reuses,
+        "phase_fallbacks": phase_fallbacks,
         "merged_seeds_applied": edit_report.stats.kernel_counters.get(
             "merged_seeds_applied", 0),
         "core_edit_seconds": round(core_best, 4),
         "core_edit_ratio": round(core_best / cold_best, 4),
         "core_unit_swaps": session.swaps - swaps,
         "core_full_relowers": session.full_relowers - relowers,
+        "core_phase_reuses": session.phase_reuses - reuses,
+        "core_phase_fallbacks": session.phase_fallbacks - fallbacks,
     }
 
 
@@ -236,7 +250,10 @@ def _check_regression(baseline_path: Path, runs: int, gate: float) -> int:
     relowers = entry["core_full_relowers"]
     print(f"{spec['name']}: core edits re-lowered the whole program "
           f"{relowers} time(s) {'OK' if relowers == 0 else 'REGRESSION'}")
-    return 0 if ok and relowers == 0 else 1
+    fallbacks = entry["phase_fallbacks"]
+    print(f"{spec['name']}: filler edits computed phases 1-2 afresh "
+          f"{fallbacks} time(s) {'OK' if fallbacks == 0 else 'REGRESSION'}")
+    return 0 if ok and relowers == 0 and fallbacks == 0 else 1
 
 
 def main() -> int:
@@ -276,7 +293,11 @@ def main() -> int:
                   f"core={entry['core_edit_seconds'] * 1000:6.1f}ms "
                   f"(x{entry['core_edit_ratio']:.3f}) "
                   f"core_swaps={entry['core_unit_swaps']} "
-                  f"core_relowers={entry['core_full_relowers']}")
+                  f"core_relowers={entry['core_full_relowers']} "
+                  f"phase_reuses={entry['phase_reuses']}/"
+                  f"{entry['core_phase_reuses']} "
+                  f"phase_fallbacks={entry['phase_fallbacks']}/"
+                  f"{entry['core_phase_fallbacks']}")
 
     if not args.smoke:
         payload = {

@@ -31,6 +31,11 @@ unnamed temps (``@L<line>.<block>.N``) to ``#``, and drops the
 instruction count, which counts the dead phis an older SSA
 construction left.
 
+A stats key that only one side reports (a counter added to or removed
+from ``AnalysisStats.to_json``) is a schema change, not a verdict
+difference: it is left out of the comparison and named in one
+``SCHEMA`` line; every key both sides report is compared.
+
 Run from the repository root::
 
     python scripts/verdict_diff.py --rev HEAD~1 --ssa-labels
@@ -181,11 +186,27 @@ def _normalise(result, ssa_labels):
             "verbose": verbose, "json": data}
 
 
+def _stats_keys(result):
+    """The stats keys of a normalised result (none when it raised)."""
+    return set(result["json"]["stats"]) if "json" in result else set()
+
+
+def _shared_stats(result, keys):
+    """``result`` with only the stats keys in ``keys``."""
+    data = dict(result["json"])
+    data["stats"] = {key: value for key, value in data["stats"].items()
+                     if key in keys}
+    return dict(result, json=data)
+
+
 def _differences(old, new):
     """The parts in which two normalised results differ (``error`` when
-    only one of them raised)."""
+    only one of them raised), over the stats keys both report."""
     if ("error" in old) != ("error" in new):
         return ["error"]
+    if "json" in old:
+        shared = _stats_keys(old) & _stats_keys(new)
+        old, new = _shared_stats(old, shared), _shared_stats(new, shared)
     return [part for part in old if old[part] != new[part]]
 
 
@@ -242,21 +263,31 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     differ = 0
+    removed, added = set(), set()
     for item in manifest:
         label = item["label"]
         old = _normalise(before[label], args.ssa_labels)
         new = _normalise(after[label], args.ssa_labels)
         parts = _differences(old, new)
+        results = [new]
         for i, warm in enumerate(after[label].get("warm", ()), 1):
             if "error" not in warm and not warm["json"]["stats"].get(
                     "verdict_replayed"):
                 parts.append(f"warm round {i} not replayed")
             replayed = _normalise(warm, args.ssa_labels)
+            results.append(replayed)
             parts.extend(f"warm round {i} {part}"
                          for part in _differences(old, replayed))
+        for result in results:
+            if "json" in old and "json" in result:
+                removed |= _stats_keys(old) - _stats_keys(result)
+                added |= _stats_keys(result) - _stats_keys(old)
         if parts:
             differ += 1
             print(f"DIFF {label}: {', '.join(parts)}")
+    if removed or added:
+        print(f"SCHEMA stats keys removed {sorted(removed)}, "
+              f"added {sorted(added)} (not compared)")
     print(f"{len(manifest) - differ}/{len(manifest)} inputs identical "
           f"against {args.rev}"
           + (" (SSA labels normalised)" if args.ssa_labels else "")

@@ -34,45 +34,92 @@ class CallSite:
 
 
 class CallGraph:
-    """Whole-program call graph with SCC condensation."""
+    """Whole-program call graph with SCC condensation.
+
+    Call sites are indexed by caller, so that :meth:`sites_in` is a
+    lookup and :meth:`update` can re-resolve the calls of functions the
+    incremental session lowered again in place.
+    """
 
     def __init__(self, module: Module):
         self.module = module
         self.edges: Dict[Function, Set[Function]] = {}
         self.reverse_edges: Dict[Function, Set[Function]] = {}
-        self.call_sites: List[CallSite] = []
-        self.external_calls: List[Tuple[Function, Call]] = []
-        self._build()
+        #: caller → its calls with a defined target, in instruction order
+        self._sites: Dict[Function, List[CallSite]] = {}
+        #: caller → its calls with no defined target
+        self._external: Dict[Function, List[Call]] = {}
+        #: function → the functions whose address it takes, in order
+        self._taken_in: Dict[Function, List[Function]] = {}
         self._sccs: Optional[List[List[Function]]] = None
+        self._build()
 
     def _build(self) -> None:
-        address_taken = self._address_taken_functions()
-        for func in self.module.defined_functions():
-            self.edges.setdefault(func, set())
-            for call in func.calls():
-                targets = self._resolve(call, address_taken)
-                defined = tuple(t for t in targets if not t.is_declaration)
-                if defined:
-                    self.call_sites.append(CallSite(call, func, defined))
-                    for target in defined:
-                        self.edges[func].add(target)
-                        self.reverse_edges.setdefault(target, set()).add(func)
-                else:
-                    self.external_calls.append((func, call))
-        for func in self.module.defined_functions():
+        functions = list(self.module.defined_functions())
+        for func in functions:
+            self._taken_in[func] = _taken_in(func)
+        self._address_taken = self._merge_taken(functions)
+        for func in functions:
+            self.edges[func] = set()
             self.reverse_edges.setdefault(func, set())
+            self._add_calls(func)
 
-    def _address_taken_functions(self) -> List[Function]:
-        taken: List[Function] = []
-        for func in self.module.defined_functions():
-            for inst in func.instructions():
-                for op in inst.operands:
-                    if isinstance(op, Function) and not (
-                        isinstance(inst, Call) and inst.callee is op
-                    ):
-                        if op not in taken:
-                            taken.append(op)
-        return taken
+    def _merge_taken(self, functions: List[Function]) -> List[Function]:
+        """Address-taken functions in first-use order over the module."""
+        taken: Dict[Function, None] = {}
+        for func in functions:
+            for op in self._taken_in[func]:
+                taken.setdefault(op, None)
+        return list(taken)
+
+    def _add_calls(self, func: Function) -> None:
+        sites: List[CallSite] = []
+        external: List[Call] = []
+        for call in func.calls():
+            targets = self._resolve(call, self._address_taken)
+            defined = tuple(t for t in targets if not t.is_declaration)
+            if defined:
+                sites.append(CallSite(call, func, defined))
+                for target in defined:
+                    self.edges[func].add(target)
+                    self.reverse_edges.setdefault(target, set()).add(func)
+            else:
+                external.append(call)
+        self._sites[func] = sites
+        self._external[func] = external
+
+    def update(self, changed: Iterable[Function]) -> bool:
+        """Resolve the calls of ``changed`` again after the incremental
+        session lowered their bodies again in place: their old sites and
+        edges are dropped first (the sites hold torn-down calls). When
+        the module's address-taken set moved, an indirect call anywhere
+        may resolve elsewhere, so the whole graph is rebuilt and this
+        returns ``False``."""
+        changed = list(changed)
+        functions = list(self.module.defined_functions())
+        for func in changed:
+            self._taken_in[func] = _taken_in(func)
+        address_taken = self._merge_taken(functions)
+        if address_taken != self._address_taken:
+            self.edges, self.reverse_edges = {}, {}
+            self._sites, self._external, self._taken_in = {}, {}, {}
+            self._sccs = None
+            self._build()
+            return False
+        for func in changed:
+            old = self.edges[func]
+            for target in old:
+                self.reverse_edges[target].discard(func)
+            self.edges[func] = set()
+            self._add_calls(func)
+            if self.edges[func] != old:
+                self._sccs = None
+        return True
+
+    @property
+    def external_calls(self) -> List[Tuple[Function, Call]]:
+        return [(func, call) for func, calls in self._external.items()
+                for call in calls]
 
     def _resolve(self, call: Call, address_taken: List[Function]) -> List[Function]:
         if isinstance(call.callee, Function):
@@ -96,8 +143,8 @@ class CallGraph:
     def callers(self, func: Function) -> Set[Function]:
         return self.reverse_edges.get(func, set())
 
-    def sites_in(self, func: Function) -> Iterable[CallSite]:
-        return (site for site in self.call_sites if site.caller is func)
+    def sites_in(self, func: Function) -> List[CallSite]:
+        return self._sites.get(func, [])
 
     def sccs(self) -> List[List[Function]]:
         """SCCs in reverse topological order (callees before callers)."""
@@ -132,3 +179,16 @@ class CallGraph:
         if main is not None and not main.is_declaration:
             return main
         return None
+
+
+def _taken_in(func: Function) -> List[Function]:
+    """Functions whose address ``func`` takes (used as a value, not
+    called), in first-use order."""
+    taken: Dict[Function, None] = {}
+    for inst in func.instructions():
+        for op in inst.operands:
+            if isinstance(op, Function) and not (
+                isinstance(inst, Call) and inst.callee is op
+            ):
+                taken.setdefault(op, None)
+    return list(taken)

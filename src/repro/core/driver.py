@@ -24,7 +24,9 @@ fingerprint replays that verdict without running phases 1-3
 (``AnalysisStats.verdict_replayed``). The incremental
 session (:mod:`repro.incremental`) additionally hands phase 3 its
 segment store, so summary bodies of unchanged functions are replayed
-instead of recomputed. All three paths are behavior-preserving —
+instead of recomputed, and its :class:`PhaseState`, so that phases 1
+and 2 after an in-place edit are updated for the re-lowered functions
+instead of recomputed. All these paths are behavior-preserving —
 reports render byte-identical to a cold run — and observable through
 ``AnalysisStats.phase_timings`` and the cache hit/miss counters.
 """
@@ -34,13 +36,47 @@ from __future__ import annotations
 import os
 import re
 import time
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..frontend.driver import Program, load_files, load_source, recover_token
 from .config import AnalysisConfig
 from .results import AnalysisReport, AnalysisStats
 
 _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/")
+
+
+class PhaseState:
+    """Phases 1 and 2 of the last verdict over one program, kept by the
+    incremental session for the next verdict to update: the
+    :class:`~repro.shm.propagation.ShmAnalysis` (its call graph
+    included), the per-function
+    :class:`~repro.restrictions.checker.RestrictionFindings` and the
+    value-flow phase's :class:`~repro.perf.fingerprint.FlowFingerprints`.
+    """
+
+    def __init__(self):
+        self.reset()
+        #: whether the last verdict updated the kept state
+        self.reused = False
+
+    def reset(self) -> None:
+        """Drop the kept state: the program was re-lowered whole."""
+        self.shm = None
+        self.findings = None
+        self.fingerprints = None
+        #: functions lowered again in place since the last verdict;
+        #: ``None`` when the next verdict must compute everything
+        self.changed: Optional[Tuple] = None
+
+    def edited(self, functions: Sequence) -> None:
+        """Note that ``functions`` were lowered again in place. An
+        init function's body is what phase 1 reads its region layout
+        from, so editing one resets the state."""
+        if self.shm is None or any(
+                f.name in self.shm.init_functions for f in functions):
+            self.reset()
+        else:
+            self.changed = tuple(functions)
 
 
 class SafeFlow:
@@ -198,25 +234,31 @@ class SafeFlow:
     def analyze_program(self, program: Program, name: str = "program",
                         source_text: Optional[str] = None,
                         frontend_seconds: Optional[float] = None,
-                        ir_cache=None, summary_store=None) -> AnalysisReport:
+                        ir_cache=None, summary_store=None,
+                        phases: Optional[PhaseState] = None) -> AnalysisReport:
         """``summary_store`` is the incremental session's long-lived
         :class:`~repro.incremental.segments.SegmentStore`
         (:mod:`repro.incremental`): successive verdicts record and
-        replay summary bodies through one on-disk segment map."""
+        replay summary bodies through one on-disk segment map.
+        ``phases`` is its :class:`PhaseState`: phases 1 and 2 update
+        the kept state when it names the functions an in-place edit
+        re-lowered, and otherwise compute it afresh into it."""
         from ..perf.gcpause import gc_paused
 
         with gc_paused(self.config.pause_gc):
             return self._analyze_program(
                 program, name=name, source_text=source_text,
                 frontend_seconds=frontend_seconds, ir_cache=ir_cache,
-                store=summary_store,
+                store=summary_store, phases=phases,
             )
 
     def _analyze_program(self, program: Program, name: str = "program",
                          source_text: Optional[str] = None,
                          frontend_seconds: Optional[float] = None,
-                         ir_cache=None, store=None) -> AnalysisReport:
-        from ..restrictions.checker import check_restrictions
+                         ir_cache=None, store=None,
+                         phases: Optional[PhaseState] = None
+                         ) -> AnalysisReport:
+        from ..restrictions.checker import RestrictionFindings, check_restrictions
         from ..shm.propagation import ShmAnalysis
         from ..valueflow.engine import ValueFlowAnalysis
 
@@ -242,8 +284,16 @@ class SafeFlow:
 
         # phase 1: shared-memory pointer identification
         phase_start = time.perf_counter()
-        shm = ShmAnalysis(program, self.config)
-        shm.run()
+        if phases is None:
+            phases = PhaseState()
+        changed, phases.changed = phases.changed, None
+        if changed is None:
+            phases.reset()
+            phases.shm = ShmAnalysis(program, self.config)
+            phases.findings = RestrictionFindings()
+        shm = phases.shm
+        shm.run(changed)
+        phases.reused = shm.moved is not None
         timings["shm"] = time.perf_counter() - phase_start
         report.init_issues.extend(shm.init_issues)
         report.stats.shm_regions = len(shm.regions)
@@ -254,7 +304,8 @@ class SafeFlow:
         # phase 2: language restrictions
         if self.config.check_restrictions:
             phase_start = time.perf_counter()
-            report.violations.extend(check_restrictions(program, shm, self.config))
+            report.violations.extend(check_restrictions(
+                program, shm, self.config, phases.findings))
             timings["restrictions"] = time.perf_counter() - phase_start
 
         # extension: vacuous-monitor lint (advisory)
@@ -276,7 +327,8 @@ class SafeFlow:
             misses_before = store.misses
             integrity_before = store.integrity_evictions
             evictions_before = store.evictions
-        vf = ValueFlowAnalysis(program, shm, self.config, summary_store=store)
+        vf = ValueFlowAnalysis(program, shm, self.config, summary_store=store,
+                               flow_fingerprints=phases.fingerprints)
         vf.run()
         if vf.replay_validation_failed:
             # optimistic (trusted) segment replay could not prove its
@@ -289,10 +341,12 @@ class SafeFlow:
             store.trust_replay = False
             try:
                 vf = ValueFlowAnalysis(
-                    program, shm, self.config, summary_store=store)
+                    program, shm, self.config, summary_store=store,
+                    flow_fingerprints=phases.fingerprints)
                 vf.run()
             finally:
                 store.trust_replay = prior_trust
+        phases.fingerprints = vf.flow_fingerprints
         timings["valueflow"] = time.perf_counter() - phase_start
         if store is not None:
             report.stats.summary_cache_hits = store.hits - hits_before

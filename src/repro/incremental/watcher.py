@@ -25,9 +25,11 @@ program alive between verdicts:
     a definition (typedefs, globals, prototypes), coordinates
     included, and each definition's name, signature and start
     location, in order; and so are its annotations (location, text);
-  - no changed definition is degraded or declares a struct, union or
-    enum type or a local function (a declaration scoped to the body,
-    which this path does not model);
+  - no changed definition is degraded or declares a tagged struct,
+    union or enum type or a local function (a declaration scoped to
+    the body, which this path does not model), and each declares the
+    same anonymous structs and unions as before the edit (they are
+    tagged by layout, so they bind the types already in the module);
   - a changed definition refers only to globals declared before it and
     to functions defined before it, or never defined and declared
     before it or referred to by its old body too (a cold lowering binds
@@ -40,6 +42,21 @@ program alive between verdicts:
   added above a definition, a new or deleted file, a degraded unit)
   re-lowers the whole program from the cached parse trees, which is
   still parse-free;
+- the phase-1 and phase-2 state of the last verdict
+  (:class:`~repro.core.driver.PhaseState`): the call graph and shm
+  facts (:class:`~repro.shm.propagation.ShmAnalysis`), the restriction
+  findings per function and the value-flow phase's flow fingerprints.
+  After an in-place re-lower the next verdict updates them for the
+  re-lowered functions: the call graph re-resolves their calls, the
+  shm fixpoint is computed again only for them and the functions their
+  old facts flowed into, the restriction rules re-check the functions
+  whose body or facts moved (and ``main``'s P1 check when the set of
+  shared-memory accessors moved), and the fingerprints of those
+  functions and of every function that can reach one are dropped. A
+  full re-lower, an edited ``shminit`` function or a moved
+  address-taken function set computes the state afresh
+  (``phase_fallbacks``; ``phase_reuses`` counts the updates). The
+  points-to pass of phase 3 is always computed afresh;
 - the long-lived :class:`~repro.incremental.segments.SegmentStore`,
   injected into every verdict so the value-flow phase replays intact
   segments and re-analyzes only the dirty cone.
@@ -68,7 +85,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from pycparser import c_ast
 
 from ..core.config import AnalysisConfig
-from ..core.driver import SafeFlow
+from ..core.driver import PhaseState, SafeFlow
 from ..core.results import AnalysisReport
 from ..errors import IRError, LoweringError
 from ..frontend.driver import Program, UnitInfo, _finish
@@ -81,8 +98,9 @@ from ..perf.fingerprint import text_digest
 from .segments import SegmentStore
 
 
-def _ast_digest(node) -> str:
-    """Structural digest of one AST subtree, coordinates included.
+def _ast_digest(node, coords: bool = True) -> str:
+    """Structural digest of one AST subtree, coordinates included
+    unless ``coords`` is false.
 
     Two definitions digest equal only when re-lowering them would
     reproduce byte-identical IR: node types, attribute values *and*
@@ -97,30 +115,42 @@ def _ast_digest(node) -> str:
         for attr in n.attr_names:
             parts.append(repr(getattr(n, attr, None)))
         coord = n.coord
-        if coord is not None:
+        if coords and coord is not None:
             parts.append(f"{coord.line}.{coord.column}")
         stack.extend(reversed(n.children()))
     return text_digest("\x00".join(parts))
 
 
-def _declares_types(funcdef: c_ast.FuncDef) -> bool:
-    """True when ``funcdef`` declares a struct, union or enum type, or
-    a function inside its body: lowering it alone would not give what
-    it gave inside a cold lowering of its unit."""
+def _declared_types(funcdef: c_ast.FuncDef) -> Optional[List[str]]:
+    """The anonymous structs and unions ``funcdef`` declares, as
+    coordinate-free digests; ``None`` when it declares a tagged struct,
+    union or enum type or a function inside its body, which lowering
+    it alone would not give as a cold lowering of its unit does.
+
+    An anonymous aggregate is tagged by its layout, so lowering the
+    definition alone binds the struct its first lowering made, as long
+    as the edit keeps the same anonymous aggregates: a new layout adds
+    a struct to the module (which the re-lower refuses) and a dropped
+    one leaves a struct a cold lowering would not make (the lowerer
+    takes no typedef inside a body, so the type names in a digest name
+    the frame's types)."""
+    anonymous: List[str] = []
     stack: List[c_ast.Node] = [funcdef]
     while stack:
         node = stack.pop()
         if isinstance(node, (c_ast.Struct, c_ast.Union)):
-            if node.name is None or node.decls is not None:
-                return True
+            if node.name is None:
+                anonymous.append(_ast_digest(node, coords=False))
+            elif node.decls is not None:
+                return None
         elif isinstance(node, c_ast.Enum):
             if node.values is not None:
-                return True
+                return None
         elif (isinstance(node, c_ast.Decl) and node is not funcdef.decl
               and isinstance(node.type, c_ast.FuncDecl)):
-            return True
+            return None
         stack.extend(child for _, child in node.children())
-    return False
+    return anonymous
 
 
 def _changed_definitions(
@@ -128,7 +158,7 @@ def _changed_definitions(
         new: ParsedUnit) -> Optional[List[c_ast.FuncDef]]:
     """The definitions of ``new`` whose body an edit changed, or
     ``None`` when the edit moved the unit's frame or changed a
-    definition that declares a type (:func:`_declares_types`).
+    definition that declares a type (:func:`_declared_types`).
 
     A definition the re-parse took over from the previous tree is the
     same node, so it is unchanged without being digested."""
@@ -145,7 +175,8 @@ def _changed_definitions(
                     or _ast_digest(a.decl) != _ast_digest(b.decl)):
                 return None
             if _ast_digest(a.body) != _ast_digest(b.body):
-                if _declares_types(a) or _declares_types(b):
+                types = _declared_types(a)
+                if types is None or types != _declared_types(b):
                     return None
                 changed.append(b)
         elif _ast_digest(a) != _ast_digest(b):
@@ -227,6 +258,13 @@ class IncrementalSession:
         #: verdicts whose changed units took the per-definition re-lower
         self.swaps = 0
         self.full_relowers = 0
+        #: phases 1 and 2 of the last verdict (see :class:`PhaseState`)
+        self.phases = PhaseState()
+        #: verdicts after the first that updated the kept phase state,
+        #: and those that computed it afresh (a full re-lower, an edited
+        #: init function, a moved address-taken set)
+        self.phase_reuses = 0
+        self.phase_fallbacks = 0
         #: verdicts answered from the previous report because no input
         #: digest moved (editor touch/save-without-change events)
         self.memo_verdicts = 0
@@ -308,11 +346,16 @@ class IncrementalSession:
         if self.program is None or added or removed \
                 or (changed and not self._relower_in_place(changed)):
             self._full_frontend()
-        return self.driver.analyze_program(
+        report = self.driver.analyze_program(
             self.program, name=self.name,
             frontend_seconds=perf_counter() - frontend_started,
-            summary_store=self.store,
+            summary_store=self.store, phases=self.phases,
         )
+        if self.phases.reused:
+            self.phase_reuses += 1
+        elif self.verdicts:
+            self.phase_fallbacks += 1
+        return report
 
     def _memoized_report(self, frontend_seconds: float) -> AnalysisReport:
         """The previous report re-issued for a no-change verdict: its
@@ -374,6 +417,7 @@ class IncrementalSession:
     def _full_frontend(self) -> None:
         """Re-lower everything from the cached parse trees."""
         self._promote_pending()
+        self.phases.reset()
         replaced = self.program
         self.program = _finish(
             [self._units[path].result for path in self._paths
@@ -461,6 +505,7 @@ class IncrementalSession:
             index = next(i for i, info in enumerate(program.units)
                          if info.name == state.unit.name)
             program.units[index] = UnitInfo.of(state.unit)
+        self.phases.edited(funcs)
         self.swaps += 1
         self.last_swap_defs = tuple(names)
         return True

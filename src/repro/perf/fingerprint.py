@@ -248,7 +248,9 @@ class FlowFingerprints:
 
     ``closure(func)`` folds in the fingerprints of every transitively
     callable function, so an edit to a callee invalidates exactly the
-    callers that can reach it and nothing else.
+    callers that can reach it and nothing else. The incremental session
+    keeps one instance across in-place edits; :meth:`refresh` drops
+    what the edit moved.
     """
 
     def __init__(self, shm, config, assert_vars: Optional[dict] = None):
@@ -257,9 +259,35 @@ class FlowFingerprints:
         self._global_fp = self._compute_global(config, assert_vars or {})
         self._flow: Dict[str, str] = {}
         self._closure: Dict[str, str] = {}
-        self._reachable_sets: Optional[
-            Dict[Function, FrozenSet[Function]]
-        ] = None
+        self._reachable_sets: Dict[Function, FrozenSet[Function]] = {}
+        #: the call graph's SCC list the reachable sets were built from
+        self._reachable_of = None
+
+    def refresh(self, config, assert_vars: Optional[dict] = None) -> None:
+        """Bring fingerprints kept from the previous verdict up to date
+        with ``shm``'s last run: drop the flow fingerprints of the
+        functions whose body or facts it moved (``shm.moved``), and the
+        closure fingerprints of every function that can reach one of
+        them; a whole-program run, or a moved global table, drops
+        everything."""
+        global_fp = self._compute_global(config, assert_vars or {})
+        moved = self.shm.moved
+        if moved is None or global_fp != self._global_fp:
+            self._global_fp = global_fp
+            self._flow, self._closure = {}, {}
+            return
+        callers = self.shm.callgraph.callers
+        reaching = set(moved)
+        work = list(moved)
+        while work:
+            for caller in callers(work.pop()):
+                if caller not in reaching:
+                    reaching.add(caller)
+                    work.append(caller)
+        for func in moved:
+            self._flow.pop(func.name, None)
+        for func in reaching:
+            self._closure.pop(func.name, None)
 
     # -- pieces --------------------------------------------------------
 
@@ -335,10 +363,12 @@ class FlowFingerprints:
         sets as per-function ``reachable_from`` — the closure
         fingerprints are unchanged.
         """
-        if self._reachable_sets is None:
-            cg = self.shm.callgraph
+        cg = self.shm.callgraph
+        sccs = cg.sccs()
+        if self._reachable_of is not sccs:
+            # the call graph's edges moved since the sets were built
             sets: Dict[Function, FrozenSet[Function]] = {}
-            for component in cg.sccs():  # callees before callers
+            for component in sccs:  # callees before callers
                 members = set(component)
                 acc = set(members)
                 for member in component:
@@ -349,6 +379,7 @@ class FlowFingerprints:
                 for member in component:
                     sets[member] = shared
             self._reachable_sets = sets
+            self._reachable_of = sccs
         cached = self._reachable_sets.get(func)
         if cached is not None:
             return cached

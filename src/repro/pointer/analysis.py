@@ -14,8 +14,11 @@ reachability at a fraction of the complexity:
 - call argument/return bindings unify caller and callee cells, which
   makes out-parameter writes visible across functions.
 
-Unification is monotone, so a worklist-free repeat-until-stable loop
-terminates.
+Every constraint is an equality that the union-find keeps once made:
+a later union merges pointee and field cells too, so it cannot undo
+an earlier one. One pass over the program is therefore complete — a
+second adds no union (``tests/test_pointer.py`` checks this over the
+corpus, the benchmark rungs and the examples).
 """
 
 from __future__ import annotations
@@ -50,6 +53,13 @@ ALLOCATORS = frozenset({"malloc", "calloc", "shmat"})
 #: externals that copy bytes from arg1's cell into arg0's cell
 COPYING_EXTERNALS = frozenset({"memcpy", "strcpy", "strncpy", "memmove"})
 
+#: the instructions :meth:`PointsToAnalysis._transfer` reads
+_TRANSFERRED = (Alloca, FieldAddr, IndexAddr, Cast, Load, Store, Phi, Call,
+                Ret)
+#: instruction class → whether it is one of ``_TRANSFERRED``: most
+#: instructions are arithmetic, and one lookup skips them
+_IS_TRANSFERRED: Dict[type, bool] = {}
+
 
 class PointsToAnalysis:
     """Whole-program points-to; query with :meth:`target_of`."""
@@ -69,14 +79,8 @@ class PointsToAnalysis:
     def run(self) -> "PointsToAnalysis":
         for gv in self.module.globals.values():
             self._var_cells[gv] = Cell(f"@{gv.name}")
-        stable = False
-        passes = 0
-        while not stable and passes < 64:
-            before = self._unions
-            for func in self.module.defined_functions():
-                self._transfer_function(func)
-            stable = self._unions == before
-            passes += 1
+        for func in self.module.defined_functions():
+            self._transfer_function(func)
         return self
 
     # ------------------------------------------------------------------
@@ -143,8 +147,16 @@ class PointsToAnalysis:
     # ------------------------------------------------------------------
 
     def _transfer_function(self, func: Function) -> None:
-        for inst in func.instructions():
-            self._transfer(func, inst)
+        transferred = _IS_TRANSFERRED
+        for block in func.blocks:
+            for inst in block.instructions:
+                kind = type(inst)
+                relevant = transferred.get(kind)
+                if relevant is None:
+                    relevant = transferred[kind] = issubclass(
+                        kind, _TRANSFERRED)
+                if relevant:
+                    self._transfer(func, inst)
 
     def _transfer(self, func: Function, inst: Instruction) -> None:
         if isinstance(inst, Alloca):

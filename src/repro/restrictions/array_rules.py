@@ -42,33 +42,37 @@ from .solver import Constraint, can_violate_bounds
 
 
 def check_arrays(shm: ShmAnalysis) -> List[RestrictionViolation]:
+    return [v for func in shm.module.defined_functions()
+            for v in arrays_in(shm, func)]
+
+
+def arrays_in(shm: ShmAnalysis, func: Function) -> List[RestrictionViolation]:
     violations: List[RestrictionViolation] = []
-    for func in shm.module.defined_functions():
-        if func.name in shm.init_functions:
-            continue  # init layout is checked separately (InitCheck)
-        for inst in func.instructions():
-            if not isinstance(inst, IndexAddr):
-                continue
-            regions = shm.regions_of(func, inst.pointer)
-            if not regions:
-                continue
-            bound = _bound_for(inst, regions, shm)
-            if bound is None:
-                continue  # scalar region; offset-0 decay only
-            message = _check_access(func, inst, bound)
-            if message is not None:
-                rule = "A1" if isinstance(inst.index, Constant) else "A2"
-                violations.append(
-                    RestrictionViolation(
-                        message=f"{rule}: {message} "
-                        f"(shared array {'/'.join(sorted(regions))}, "
-                        f"bound {bound})",
-                        location=inst.location,
-                        function=func.name,
-                        severity=Severity.VIOLATION,
-                        rule=rule,
-                    )
+    if func.name in shm.init_functions:
+        return violations  # init layout is checked separately (InitCheck)
+    for inst in func.instructions():
+        if not isinstance(inst, IndexAddr):
+            continue
+        regions = shm.regions_of(func, inst.pointer)
+        if not regions:
+            continue
+        bound = _bound_for(inst, regions, shm)
+        if bound is None:
+            continue  # scalar region; offset-0 decay only
+        message = _check_access(func, inst, bound)
+        if message is not None:
+            rule = "A1" if isinstance(inst.index, Constant) else "A2"
+            violations.append(
+                RestrictionViolation(
+                    message=f"{rule}: {message} "
+                    f"(shared array {'/'.join(sorted(regions))}, "
+                    f"bound {bound})",
+                    location=inst.location,
+                    function=func.name,
+                    severity=Severity.VIOLATION,
+                    rule=rule,
                 )
+            )
     return violations
 
 

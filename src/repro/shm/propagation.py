@@ -14,12 +14,19 @@ rule P2 forbids storing shared-memory pointers into memory, pointers
 propagate only through SSA values (copies, casts, address arithmetic,
 phis) and call bindings — which is what makes the identification
 *precise* rather than conservative.
+
+The incremental session keeps one analysis across in-place edits and
+calls :meth:`ShmAnalysis.run` again with the functions it re-lowered:
+the call graph re-resolves their calls, and the fixpoint is computed
+again only for them and for every function their old facts flowed
+into (:meth:`ShmAnalysis._update`), which gives the facts a whole run
+gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..annotations.lang import (
     AnnotationItem,
@@ -90,10 +97,26 @@ class ShmAnalysis:
         self.value_regions: Dict[Function, Dict[Value, RegionSet]] = {}
         self.arg_regions: Dict[Function, List[RegionSet]] = {}
         self.ret_regions: Dict[Function, RegionSet] = {}
+        #: caller → (callee, parameter index) → the regions the caller's
+        #: calls pass there: each ``arg_regions`` entry is the join of
+        #: these over the callers
+        self.flows: Dict[Function, Dict[Tuple[Function, int], RegionSet]] = {}
+        #: functions whose body or facts the last :meth:`run` moved;
+        #: ``None`` after a whole-program run
+        self.moved: Optional[Set[Function]] = None
 
     # ------------------------------------------------------------------
 
-    def run(self) -> "ShmAnalysis":
+    def run(self, changed: Optional[Iterable[Function]] = None
+            ) -> "ShmAnalysis":
+        """Phase 1 over the whole program. With ``changed``, the
+        analysis has run before on this program and the incremental
+        session has since lowered exactly those functions again in
+        place (an init function is not among them): only their share
+        of the facts is computed again (:meth:`_update`)."""
+        if changed is not None:
+            self._update(list(changed))
+            return self
         self._collect_annotations()
         if not self.config.unannotated_shm_is_core:
             # paranoid mode: refuse to trust encapsulation — every
@@ -300,24 +323,91 @@ class ShmAnalysis:
             self.value_regions[func] = {}
             self.arg_regions[func] = [EMPTY_REGIONS] * len(func.arguments)
             self.ret_regions[func] = EMPTY_REGIONS
+        self.flows = {}
+        self.moved = None
+        self._fixpoint(functions)
 
+    def _fixpoint(self, functions: List[Function]) -> Set[Function]:
+        """Run the worklist from ``functions`` to the fixpoint; returns
+        every function whose facts grew on the way."""
         # seed the worklist bottom-up so summaries stabilize quickly
-        order = [f for group in self.callgraph.bottom_up_order() for f in group]
-        worklist = list(order) or functions
+        seeds = set(functions)
+        worklist = [f for group in self.callgraph.bottom_up_order()
+                    for f in group if f in seeds] or functions
         in_list = set(worklist)
+        grown: Set[Function] = set()
         while worklist:
             func = worklist.pop(0)
             in_list.discard(func)
-            changed_callers, changed_callees = self._analyze_function(func)
+            changed_callers, changed_callees, env_grew = \
+                self._analyze_function(func)
+            if env_grew:
+                grown.add(func)
+            grown |= changed_callees
             for other in changed_callers | changed_callees:
                 if other not in in_list:
                     worklist.append(other)
                     in_list.add(other)
+        return grown
 
-    def _analyze_function(self, func: Function) -> Tuple[Set[Function], Set[Function]]:
+    def _update(self, changed: List[Function]) -> None:
+        """The facts after the in-place re-lower of ``changed``.
+
+        The kept facts are a least fixpoint in which nothing outside
+        the *influence set* — ``changed`` and every function that the
+        old facts made a return value or an argument flow into,
+        transitively — received anything from inside it. So the kept
+        facts outside the set are the least fixpoint of the program
+        without it; the set's facts are dropped, its arguments are
+        rebuilt from the flows of callers outside it, and the worklist
+        runs from it. Facts only grow from there, and the result is the
+        least fixpoint of the edited program: the facts a whole run
+        gives, whether an edit adds a flow or removes one. When the
+        module's address-taken set moved, the call graph is rebuilt and
+        the whole fixpoint computed again."""
+        if not self.callgraph.update(changed):
+            self._propagate()
+            return
+        reset = set(changed)
+        work = list(changed)
+        while work:
+            func = work.pop()
+            targets = [callee for (callee, _), flow
+                       in self.flows.get(func, {}).items() if flow]
+            if self.ret_regions[func]:
+                targets.extend(self.callgraph.callers(func))
+            for target in targets:
+                if target not in reset:
+                    reset.add(target)
+                    work.append(target)
+        before = {func: (self.value_regions[func], self.arg_regions[func])
+                  for func in reset}
+        for func in reset:
+            self.value_regions[func] = {}
+            self.arg_regions[func] = [EMPTY_REGIONS] * len(func.arguments)
+            self.ret_regions[func] = EMPTY_REGIONS
+            self.flows.pop(func, None)
+        for flows in self.flows.values():
+            for (callee, index), flow in flows.items():
+                if callee in reset:
+                    params = self.arg_regions[callee]
+                    params[index] = params[index] | flow
+        grown = self._fixpoint([f for f in self.module.defined_functions()
+                                if f in reset])
+        moved = set(changed) | (grown - reset)
+        for func, (values, args) in before.items():
+            if self.value_regions[func] != values \
+                    or self.arg_regions[func] != args:
+                moved.add(func)
+        self.moved = moved
+
+    def _analyze_function(
+            self, func: Function
+    ) -> Tuple[Set[Function], Set[Function], bool]:
         env = self.value_regions[func]
         changed_callees: Set[Function] = set()
         changed_callers: Set[Function] = set()
+        env_grew = False
 
         def get(value: Value) -> RegionSet:
             if isinstance(value, Argument):
@@ -362,6 +452,7 @@ class ShmAnalysis:
                         )
                     if updated:
                         stable = False
+                        env_grew = True
 
             # return-value summary
             ret = EMPTY_REGIONS
@@ -374,7 +465,7 @@ class ShmAnalysis:
                 # callers observe the new summary via the outer worklist
                 changed_callers |= self.callgraph.callers(func)
 
-        return changed_callers, changed_callees
+        return changed_callers, changed_callees, env_grew
 
     def _transfer_call(self, func: Function, inst: Call, get, put,
                        changed_callees: Set[Function]) -> bool:
@@ -395,7 +486,14 @@ class ShmAnalysis:
                 if i >= len(params):
                     break
                 flow = get(arg)
-                if flow and not flow <= params[i]:
+                if not flow:
+                    continue
+                flows = self.flows.setdefault(func, {})
+                key = (target, i)
+                recorded = flows.get(key, EMPTY_REGIONS)
+                if not flow <= recorded:
+                    flows[key] = recorded | flow
+                if not flow <= params[i]:
                     params[i] = params[i] | flow
                     changed_callees.add(target)
             ret = self.ret_regions.get(target, EMPTY_REGIONS)

@@ -183,7 +183,7 @@ class ValueFlowAnalysis:
 
     def __init__(self, program: Program, shm: ShmAnalysis,
                  config: Optional[AnalysisConfig] = None,
-                 summary_store=None):
+                 summary_store=None, flow_fingerprints=None):
         self.program = program
         self.shm = shm
         self.config = config or AnalysisConfig()
@@ -197,7 +197,10 @@ class ValueFlowAnalysis:
         #: execution order — lets tests pin down exact invalidation
         self.summary_events: List[Tuple[str, str, str]] = []
         self._recorders: List[Optional[BodyRecorder]] = []
-        self._flow_fps = None
+        #: closure fingerprints (:class:`repro.perf.FlowFingerprints`);
+        #: the incremental session hands in the previous verdict's,
+        #: refreshed below once ``_assert_vars`` is known
+        self.flow_fingerprints = flow_fingerprints
         self._cell_namer: Optional[CellNamer] = None
         #: trusted (optimistic) segment replay: apply records without
         #: sweep-time read validation and re-check every replayed read
@@ -283,6 +286,8 @@ class ValueFlowAnalysis:
                 if isinstance(item, AssertSafe) and item.location is not None:
                     key = (item.location.filename, item.location.line)
                     self._assert_vars[key] = item.variable
+        if flow_fingerprints is not None:
+            flow_fingerprints.refresh(self.config, self._assert_vars)
 
         self.warnings: List[UnmonitoredReadWarning] = []
         self.errors: List[CriticalDependencyError] = []
@@ -953,13 +958,13 @@ class ValueFlowAnalysis:
         entry[0 if read else 1].add(name)
 
     def _closure_fp(self, func: Function) -> str:
-        if self._flow_fps is None:
+        if self.flow_fingerprints is None:
             from ..perf.fingerprint import FlowFingerprints
 
-            self._flow_fps = FlowFingerprints(
+            self.flow_fingerprints = FlowFingerprints(
                 self.shm, self.config, self._assert_vars
             )
-        return self._flow_fps.closure(func)
+        return self.flow_fingerprints.closure(func)
 
     def _dispatch_call(self, target: Function, ctx: Context,
                        args: Tuple[Taint, ...]) -> Taint:

@@ -93,6 +93,18 @@ def front(source: str, filename: str = "test.c"):
     return load_source(source, filename=filename)
 
 
+@pytest.fixture(autouse=True, scope="session")
+def private_cache_dir(tmp_path_factory):
+    """The CLI's default cache directory for the whole run: a CLI call
+    with neither ``--cache-dir`` nor ``--no-cache`` (and every child
+    process) writes here, never into the user's ``~/.cache``."""
+    path = tmp_path_factory.mktemp("safeflow-cache")
+    patch = pytest.MonkeyPatch()
+    patch.setenv("SAFEFLOW_CACHE_DIR", str(path))
+    yield path
+    patch.undo()
+
+
 @pytest.fixture
 def figure2_source() -> str:
     return FIGURE2_SOURCE

@@ -7,20 +7,31 @@ took and that the warm program equals a cold ``load_files`` of the
 edited tree: the same render, and the same ``function_fingerprint``
 for every function (the render alone missed a wrongly bound anonymous
 struct), globals and struct tags.
+
+After an in-place re-lower the session updates the phase-1 and phase-2
+state of the last verdict instead of computing it afresh; those cases
+also check the kept state against a fresh computation on the same
+program (:func:`assert_phases_equal_fresh`).
 """
 
+import gc
+import random
 import re
 import shutil
+import weakref
 
 import pytest
 
 from repro.core.config import AnalysisConfig
 from repro.core.driver import SafeFlow
-from repro.corpus import SYSTEM_KEYS, load_system
+from repro.corpus import SYSTEM_KEYS, generate_core_files, load_system
 from repro.errors import LoweringError
 from repro.frontend import load_files
 from repro.incremental.watcher import IncrementalSession
 from repro.perf.fingerprint import function_fingerprint
+from repro.restrictions.checker import check_restrictions
+from repro.shm.propagation import ShmAnalysis
+from repro.valueflow.engine import ValueFlowAnalysis
 
 
 MAIN_C = r"""
@@ -38,6 +49,8 @@ void initShm(void)
         assume(noncore(nc)) /***/
 }
 
+double peek(R *r) { return r->v; }
+double probe(double a) { return a + 1.0; }
 double helper(double a) { return leaf(a) + 1.0; }
 double early(double a) { return a * 4.0; }
 double other(double a) { return a - 3.0; }
@@ -54,6 +67,8 @@ int main(void)
     z = other(x);
     /***SafeFlow Annotation assert(safe(y)); /***/
     emit(y + z);
+    shmdt(nc);
+    later(z);
     return 0;
 }
 
@@ -124,6 +139,62 @@ def assert_warm_equals_cold(session, report, **config):
         .analyze_files(paths, name=session.name).render(verbose=True)
 
 
+def _positions(module):
+    """Every instruction of ``module`` → ``function:block.index``."""
+    return {inst: f"{func.name}:{bi}.{ii}"
+            for func in module.defined_functions()
+            for bi, block in enumerate(func.blocks)
+            for ii, inst in enumerate(block.instructions)}
+
+
+def _shm_facts(shm, at):
+    """Phase 1's facts by instruction position; an entry keyed by a
+    torn-down value reads ``dead``."""
+    return {func.name: (
+        sorted((at.get(value, "dead"), sorted(regions))
+               for value, regions in shm.value_regions[func].items()
+               if regions),
+        [sorted(regions) for regions in shm.arg_regions[func]],
+        sorted(shm.ret_regions[func]),
+        sorted((callee.name, index, sorted(regions)) for (callee, index),
+               regions in shm.flows.get(func, {}).items()),
+    ) for func in shm.module.defined_functions()}
+
+
+def _call_graph(cg, at):
+    def names(functions):
+        return sorted(f.name for f in functions)
+
+    functions = list(cg.module.defined_functions())
+    return (
+        {f.name: (names(cg.callees(f)), names(cg.callers(f)),
+                  [(at.get(site.call, "dead"), names(site.targets))
+                   for site in cg.sites_in(f)])
+         for f in functions},
+        sorted((f.name, at.get(call, "dead"))
+               for f, call in cg.external_calls),
+        sorted(names(component) for component in cg.sccs()),
+    )
+
+
+def assert_phases_equal_fresh(session, report, **config):
+    """The phase state the session kept equals one computed afresh on
+    its program: shm facts by instruction position, call-graph edges
+    and sites, the restriction findings and every closure fingerprint."""
+    config = AnalysisConfig(summary_mode=True, **config)
+    program, phases = session.program, session.phases
+    fresh = ShmAnalysis(program, config).run()
+    at = _positions(program.module)
+    assert _shm_facts(phases.shm, at) == _shm_facts(fresh, at)
+    assert _call_graph(phases.shm.callgraph, at) \
+        == _call_graph(fresh.callgraph, at)
+    assert report.violations == check_restrictions(program, fresh, config)
+    vf = ValueFlowAnalysis(program, fresh, config)
+    functions = list(program.module.defined_functions())
+    assert {f.name: phases.fingerprints.closure(f) for f in functions} \
+        == {f.name: vf._closure_fp(f) for f in functions}
+
+
 # ----------------------------------------------------------------------
 # edits that re-lower only the changed definitions
 # ----------------------------------------------------------------------
@@ -138,6 +209,9 @@ IN_PLACE = {
     "called-from-another-unit": ("lib", "return a * 2.0;",
                                  "return a * 2.5;", ["leaf"]),
     "comment": ("main", "return a - 3.0; }", "return a - 3.0; } // c", []),
+    # anonymous aggregates are tagged by layout: an unchanged one binds
+    # the struct the first lowering made
+    "anonymous-struct": ("anon", "t.a = a;", "t.a = a + 1.0;", ["spare"]),
 }
 
 
@@ -152,6 +226,8 @@ def test_edit_relowers_only_the_changed_definitions(tmp_path, case):
     assert list(session.last_swap_defs) == relowered
     # every function keeps its object: nothing needed relinking
     assert session.program.module.functions == before
+    assert (session.phase_reuses, session.phase_fallbacks) == (1, 0)
+    assert_phases_equal_fresh(session, report)
     assert_warm_equals_cold(session, report)
 
 
@@ -162,7 +238,117 @@ def test_edits_of_two_units_relower_in_place_together(tmp_path):
     report = session.verdict()
     assert (session.swaps, session.full_relowers) == (1, 1)
     assert sorted(session.last_swap_defs) == ["leaf", "other"]
+    assert_phases_equal_fresh(session, report)
     assert_warm_equals_cold(session, report)
+
+
+def test_phases_follow_an_shm_flow_added_then_removed(tmp_path):
+    # `probe` starts passing the shared pointer to `peek` (its facts
+    # grow), then stops (they shrink): both update the kept state
+    session, paths = _session(tmp_path)
+    peek = session.program.module.functions["peek"]
+    _edit(paths["main"], "return a + 1.0;", "return peek(nc) + a;")
+    report = session.verdict()
+    assert list(session.last_swap_defs) == ["probe"]
+    assert session.phases.shm.arg_regions[peek] == [frozenset({"nc"})]
+    assert_phases_equal_fresh(session, report)
+    assert_warm_equals_cold(session, report)
+    _edit(paths["main"], "return peek(nc) + a;", "return a + 1.0;")
+    report = session.verdict()
+    assert session.phases.shm.arg_regions[peek] == [frozenset()]
+    assert (session.phase_reuses, session.phase_fallbacks) == (2, 0)
+    assert_phases_equal_fresh(session, report)
+    assert_warm_equals_cold(session, report)
+
+
+def test_main_is_checked_again_when_the_accessors_move(tmp_path):
+    # `later` runs after main's shmdt; once it reads shared memory,
+    # main's P1 finding appears although main's own facts stay put
+    session, paths = _session(tmp_path)
+    _edit(paths["main"], "return a + 2.0;", "return a + nc->v;")
+    report = session.verdict()
+    assert list(session.last_swap_defs) == ["later"]
+    assert [v.function for v in report.violations if v.rule == "P1"] \
+        == ["main"]
+    assert_phases_equal_fresh(session, report)
+    assert_warm_equals_cold(session, report)
+
+
+PHASE_FALLBACKS = {
+    # phase 1 reads the region layout from the init function's body
+    "init-function": ("shmget(7,", "shmget(8,"),
+    # an indirect call anywhere may resolve elsewhere
+    "address-taken": ("return a - 3.0;",
+                      "if (early == 0) return a; return a - 3.0;"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_FALLBACKS))
+def test_in_place_edit_that_computes_the_phases_afresh(tmp_path, case):
+    session, paths = _session(tmp_path)
+    _edit(paths["main"], *PHASE_FALLBACKS[case])
+    report = session.verdict()
+    assert (session.swaps, session.full_relowers) == (1, 1)
+    assert (session.phase_reuses, session.phase_fallbacks) == (0, 1)
+    assert_phases_equal_fresh(session, report)
+    assert_warm_equals_cold(session, report)
+
+
+def test_kept_phases_hold_no_torn_down_body(tmp_path):
+    session, paths = _session(tmp_path)
+    old = weakref.ref(next(
+        session.program.module.functions["other"].instructions()))
+    _edit(paths["main"], "return a - 3.0;", "return a - 3.5;")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        session.verdict()
+        assert old() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert session.phase_reuses == 1
+
+
+#: the ``perfbench`` ``edit_session`` workload at a tier-1 size: its
+#: generator, its deck of seven filler edits, two ``core.c`` edits and a
+#: no-op save, and its edit (a filler's constant toggled)
+EDIT_DECK = ["filler"] * 7 + ["core"] * 2 + ["noop"]
+EDIT_TOKEN = re.compile(r"acc \* 0\.99 \+ (\d+)\.([05]) /")
+
+
+def test_phases_equal_fresh_across_a_seeded_edit_session(tmp_path):
+    generated = generate_core_files(
+        filler_functions=12, chain_depth=4, call_fanout=2,
+        pipeline_stages=4, monitored_regions=2, filler_units=3,
+        fillers_per_unit=5)
+    paths = generated.write_to(str(tmp_path / "src"))
+    session = IncrementalSession(
+        paths, config=AnalysisConfig(summary_mode=True),
+        store_root=str(tmp_path / "store"))
+    session.verdict()
+    rng = random.Random(30)
+    kinds = [kind for _ in range(3)
+             for kind in rng.sample(EDIT_DECK, len(EDIT_DECK))]
+    for kind in kinds:
+        path = paths[0] if kind == "core" else rng.choice(paths[1:])
+        text = open(path).read()
+        if kind != "noop":
+            match = rng.choice(list(EDIT_TOKEN.finditer(text)))
+            digit = "5" if match.group(2) == "0" else "0"
+            text = (text[:match.start(2)] + digit
+                    + text[match.end(2):])
+        _write(path, text)
+        report = session.verdict()
+        if kind == "noop":
+            continue
+        if kind == "filler":
+            assert report.stats.dirty_cone_size == 1
+        assert_phases_equal_fresh(session, report)
+        assert_warm_equals_cold(session, report)
+    edits = sum(kind != "noop" for kind in kinds)
+    assert (session.swaps, session.full_relowers) == (edits, 1)
+    assert (session.phase_reuses, session.phase_fallbacks) == (edits, 0)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +366,10 @@ FULL = {
     # annotations, location and text
     "annotation": ("main", "assert(safe(y))", "assert(safe(z))"),
     # a changed definition that declares a type or a function
-    "anonymous-struct": ("anon", "t.a = a;", "t.a = a + 1.0;"),
+    "anonymous-struct-layout": ("anon", "struct { double a; int b; } t;",
+                                "struct { double a; long b; } t;"),
+    "anonymous-struct-dropped": ("anon", "struct { double a; int b; } t;",
+                                 "struct { int a; double b; } t;"),
     "tagged-struct": ("main", "return a - 3.0;",
                       "struct tag { int q; } s; s.q = 1; return a - s.q;"),
     "enum": ("main", "return a - 3.0;",
@@ -204,24 +393,31 @@ def test_edit_outside_the_rules_relowers_everything(tmp_path, case):
     _edit(paths[unit], old, new)
     report = session.verdict()
     assert (session.swaps, session.full_relowers) == (0, 2)
+    assert (session.phase_reuses, session.phase_fallbacks) == (0, 1)
+    assert_phases_equal_fresh(session, report)
     assert_warm_equals_cold(session, report)
 
 
 def test_anonymous_struct_of_an_edited_definition_binds_its_own_tag(
         tmp_path):
-    # nothing calls into anon.c; lowering `spare` alone numbered its
-    # anonymous struct from 1 and bound it to the struct of `work`
-    # (same tag), so its fingerprint differed from a cold lowering's
-    # while the render matched
+    # `work` and `spare` declare anonymous structs of two layouts; each
+    # edit lowers `spare` alone, in place, and must bind its own
+    # layout's struct, as a cold lowering does (the render alone does
+    # not show a wrongly bound struct, its fingerprint does)
     session, paths = _session(tmp_path)
-    _edit(paths["anon"], "t.a = a;", "t.a = a * 1.5;")
-    report = session.verdict()
-    assert session.swaps == 0
-    module = session.program.module
-    cold = load_files(session.paths).module
-    assert function_fingerprint(module.functions["spare"]) \
-        == function_fingerprint(cold.functions["spare"])
-    assert_warm_equals_cold(session, report)
+    for step, (old, new) in enumerate((("t.a = a;", "t.a = a * 1.5;"),
+                                       ("t.a = a * 1.5;", "t.a = a;")), 1):
+        _edit(paths["anon"], old, new)
+        report = session.verdict()
+        assert (session.swaps, list(session.last_swap_defs)) \
+            == (step, ["spare"])
+        module = session.program.module
+        cold = load_files(session.paths).module
+        assert _shape(module) == _shape(cold)
+        assert function_fingerprint(module.functions["spare"]) \
+            == function_fingerprint(cold.functions["spare"])
+        assert_phases_equal_fresh(session, report)
+        assert_warm_equals_cold(session, report)
 
 
 def test_reference_to_a_later_global_fails_like_a_cold_run(tmp_path):

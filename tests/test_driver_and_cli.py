@@ -107,6 +107,13 @@ class TestCli:
         assert payload["counts"]["warnings"] == 1
         assert not payload["passed"]
 
+    def test_default_cache_dir_is_the_runs_own(self, tmp_path,
+                                               private_cache_dir):
+        path = tmp_path / "core.c"
+        path.write_text(FIGURE2_SOURCE)
+        assert cli_main(["analyze", str(path)]) == 1
+        assert list((private_cache_dir / "ir").glob("*.pkl"))
+
     def test_analyze_clean_program_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "ok.c"
         path.write_text("int main(void) { return 0; }")

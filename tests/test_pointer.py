@@ -1,10 +1,20 @@
 """Unification-based points-to analysis (DSA substitute)."""
 
+import ast
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from repro.callgraph import CallGraph
+from repro.corpus import SYSTEM_KEYS, generate_core, load_system
+from repro.frontend import load_files, load_source
+from repro.frontend.recovery import DEFAULT_TIERS
 from repro.ir import Alloca, Call, Load, Store
 from repro.pointer import Cell, PointsToAnalysis
-from tests.conftest import front
+from tests.conftest import FIGURE2_SOURCE, front
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def analyze(source: str):
@@ -166,3 +176,68 @@ class TestPointsTo:
         f = module.get_function("f")
         raw_cell = pta.target_of(f.arguments[0])
         assert raw_cell is not None
+
+
+# ----------------------------------------------------------------------
+# one pass is complete
+# ----------------------------------------------------------------------
+
+def _rungs():
+    """The ``bench_kernels`` rungs, which ``cold_verify`` analyses."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", ROOT / "benchmarks" / "bench_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for config in module.CONFIGS:
+        params = {k: v for k, v in config.items() if k != "name"}
+        yield f"rung-{config['name']}", load_source(
+            generate_core(**params).source,
+            filename=f"rung-{config['name']}.c")
+
+
+def _examples():
+    """The C sources of ``examples/``: the wild units, through the
+    recovery ladder, and the programs the example scripts spell out."""
+    for path in sorted((ROOT / "examples" / "wild").glob("*.c")):
+        yield f"wild-{path.stem}", load_files(
+            [str(path)], recover_tiers=DEFAULT_TIERS)
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)
+                    and "main(" in node.value.value):
+                name = f"{path.stem}-{node.targets[0].id}"
+                yield name, load_source(node.value.value,
+                                        filename=f"{name}.c")
+
+
+def _programs(group):
+    if group == "figure2":
+        yield "figure2", load_source(FIGURE2_SOURCE, filename="figure2.c")
+    elif group == "corpus":
+        for key in SYSTEM_KEYS:
+            system = load_system(key)
+            yield key, load_files(
+                [str(p) for p in system.core_files],
+                include_dirs=[str(system.directory / "core")])
+    elif group == "rungs":
+        yield from _rungs()
+    else:
+        yield from _examples()
+
+
+@pytest.mark.parametrize("group", ["figure2", "corpus", "rungs", "examples"])
+def test_second_pass_adds_no_union(group):
+    # every constraint is an equality the union-find keeps, so
+    # PointsToAnalysis.run makes one pass; a second must find nothing
+    seen = 0
+    for name, program in _programs(group):
+        module = program.module
+        pta = PointsToAnalysis(module, CallGraph(module)).run()
+        unions = pta._unions
+        for func in module.defined_functions():
+            pta._transfer_function(func)
+        assert pta._unions == unions, name
+        seen += 1
+    assert seen
