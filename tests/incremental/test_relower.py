@@ -310,6 +310,84 @@ def test_kept_phases_hold_no_torn_down_body(tmp_path):
     assert session.phase_reuses == 1
 
 
+#: a program whose functions pass shared pointers down as arguments
+#: and up as return values; the seeded edits below swap bodies
+FLOW_HEAD = r"""
+typedef struct shm { double v; double arr[4]; } R;
+R *nc;
+R *fb;
+void emit(double v);
+
+void initShm(void)
+/***SafeFlow Annotation shminit /***/
+{
+    void *s;
+    s = shmat(shmget(7, 2 * sizeof(R), 0666), 0, 0);
+    nc = (R *) s;
+    fb = nc + 1;
+    /***SafeFlow Annotation
+        assume(shmvar(nc, sizeof(R)));
+        assume(shmvar(fb, sizeof(R)));
+        assume(noncore(nc)) /***/
+}
+"""
+FLOW_FUNCTIONS = 4
+
+
+def _flow_bodies(kind, i):
+    """The bodies ``p{i}(R *r, double a)`` (``kind`` "p") or
+    ``q{i}(R *r)`` may take: each can call only earlier functions."""
+    if kind == "q":
+        return (["return r;", "return nc;", "return fb;", "return 0;"]
+                + [f"return q{j}({arg});" for j in range(i)
+                   for arg in ("r", "fb")])
+    return ([f"return a + {i}.0;", "return r->v + a;", "return nc->v;",
+             "if (a > 1.0) return r->arr[2]; return a;"]
+            + [call for j in range(i) for call in (
+                f"return p{j}(r, a) + 1.0;", f"return p{j}(nc, a);",
+                f"return p{j}(fb, a) - a;", f"return q{j}(r)->v;",
+                f"return q{j}(nc)->v + a;")])
+
+
+def _flow_program(bodies):
+    parts = [FLOW_HEAD]
+    for i in range(FLOW_FUNCTIONS):
+        parts.append(f"R *q{i}(R *r) {{ {bodies['q', i]} }}")
+        parts.append(f"double p{i}(R *r, double a) {{ {bodies['p', i]} }}")
+    calls = " ".join(f"x = x + p{i}(nc, x);" for i in range(FLOW_FUNCTIONS))
+    parts.append(
+        "int main(void)\n{\n    double x;\n    initShm();\n    x = fb->v;\n"
+        f"    {calls}\n"
+        "    /***SafeFlow Annotation assert(safe(x)); /***/\n"
+        "    emit(x);\n    shmdt(nc);\n    emit(p0(fb, 1.0));\n"
+        "    return 0;\n}\n")
+    return "\n".join(parts)
+
+
+def test_phases_equal_fresh_across_seeded_shm_flow_edits(tmp_path):
+    # edits that add and remove argument and return flows of shared
+    # pointers, one or two bodies at a time
+    rng = random.Random(11)
+    bodies = {(kind, i): rng.choice(_flow_bodies(kind, i))
+              for kind in ("p", "q") for i in range(FLOW_FUNCTIONS)}
+    path = str(tmp_path / "flows.c")
+    _write(path, _flow_program(bodies))
+    session = IncrementalSession(
+        [path], config=AnalysisConfig(summary_mode=True),
+        store_root=str(tmp_path / "store"))
+    session.verdict()
+    for _ in range(25):
+        for key in rng.sample(sorted(bodies), rng.choice([1, 1, 2])):
+            bodies[key] = rng.choice(_flow_bodies(*key))
+        _write(path, _flow_program(bodies))
+        report = session.verdict()
+        assert_phases_equal_fresh(session, report)
+        assert_warm_equals_cold(session, report)
+    assert session.full_relowers == 1
+    assert session.phase_reuses == session.swaps > 15
+    assert session.phase_fallbacks == 0
+
+
 #: the ``perfbench`` ``edit_session`` workload at a tier-1 size: its
 #: generator, its deck of seven filler edits, two ``core.c`` edits and a
 #: no-op save, and its edit (a filler's constant toggled)
@@ -480,7 +558,10 @@ def test_corpus_body_edits_equal_a_cold_lowering(tmp_path, key):
         for end in spots[::7][:3]:
             digit = "8" if text[end - 1] == "7" else "7"
             _write(path, text[:end - 1] + digit + text[end:])
-            assert_warm_equals_cold(session, session.verdict(), **config)
+            report = session.verdict()
+            assert_phases_equal_fresh(session, report, **config)
+            assert_warm_equals_cold(session, report, **config)
             _write(path, text)
             session.verdict()
     assert session.swaps > 0
+    assert session.phase_reuses > 0
